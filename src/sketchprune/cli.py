@@ -36,8 +36,9 @@ from .bounds import (
     mc_error_over_data,
     mc_error_over_masks,
 )
-from .core import DataMatrix, RngStream, row_norms
+from .core import DataMatrix, DivergenceError, RngStream, row_norms
 from .experiments import (
+    MASK_METHODS,
     METHODS,
     PipelineConfig,
     gen_normal_X,
@@ -53,13 +54,7 @@ from .ntk import (
     theorem2_report,
     train_linearized_gd,
 )
-from .scores import (
-    scores_to_probabilities,
-    select_randomized,
-    select_topk,
-    snip_scores_l1,
-    synflow_scores,
-)
+from .scores import scores_to_probabilities, snip_scores_l1, synflow_scores
 from .sketch import optimal_probabilities, uniform_probabilities
 
 __all__ = ["main", "ResultRow", "RESULT_HEADER", "HISTOGRAM_HEADER", "VERIFY_SUITES"]
@@ -79,22 +74,8 @@ RESULT_HEADER = (
     "wall_time_ms",
 )
 HISTOGRAM_HEADER = ("bin_left", "bin_right", "count_selected", "count_all")
-VERIFY_SUITES = (
-    "lemma1",
-    "lemma2",
-    "lemma3",
-    "theorem1",
-    "lemma4",
-    "synflow-equiv",
-    "snip-equiv",
-    "ntk",
-)
-HISTOGRAM_METHODS = (
-    "topk-synflow",
-    "randomized-synflow",
-    "randomized-snip-sparse",
-    "uniform",
-)
+# kept counts are only meaningful for binary masks
+HISTOGRAM_METHODS = tuple(name for name, m in MASK_METHODS.items() if m.binary)
 SEED_ENV_VAR = "SKETCHPRUNE_SEED"
 
 
@@ -192,7 +173,7 @@ def _flat_pair_at_ratio(d: int, ratio: float, rng: RngStream):
     return w0, w0 + delta
 
 
-def _suite_lemma1(seed: int, trials: int | None) -> list[ResultRow]:
+def _suite_lemma1(seed: int, trials: int | None, width: int) -> list[ResultRow]:
     mask_trials = trials or 20_000
     rng = RngStream(seed, 101)
     rows = []
@@ -231,7 +212,7 @@ def _suite_lemma1(seed: int, trials: int | None) -> list[ResultRow]:
     return rows
 
 
-def _suite_lemma2(seed: int, trials: int | None) -> list[ResultRow]:
+def _suite_lemma2(seed: int, trials: int | None, width: int) -> list[ResultRow]:
     x_trials = trials or 2_000
     rng = RngStream(seed, 102)
     d, n = 64, 32
@@ -251,8 +232,7 @@ def _suite_lemma2(seed: int, trials: int | None) -> list[ResultRow]:
     return rows
 
 
-def _suite_lemma3(seed: int, trials: int | None) -> list[ResultRow]:
-    del trials
+def _suite_lemma3(seed: int, trials: int | None, width: int) -> list[ResultRow]:
     rng = RngStream(seed, 103)
     worst = 0.0
     bounded = True
@@ -282,7 +262,7 @@ def _suite_lemma3(seed: int, trials: int | None) -> list[ResultRow]:
     ]
 
 
-def _suite_theorem1(seed: int, trials: int | None) -> list[ResultRow]:
+def _suite_theorem1(seed: int, trials: int | None, width: int) -> list[ResultRow]:
     x_trials = trials or 2_000
     rng = RngStream(seed, 104)
     d, n, s = 64, 32, 8
@@ -303,7 +283,7 @@ def _suite_theorem1(seed: int, trials: int | None) -> list[ResultRow]:
     return rows
 
 
-def _suite_lemma4(seed: int, trials: int | None) -> list[ResultRow]:
+def _suite_lemma4(seed: int, trials: int | None, width: int) -> list[ResultRow]:
     x_trials = trials or 2_000
     rng = RngStream(seed, 105)
     d, n, s = 64, 32, 8
@@ -339,7 +319,7 @@ def _suite_lemma4(seed: int, trials: int | None) -> list[ResultRow]:
     return rows
 
 
-def _suite_synflow_equiv(seed: int, trials: int | None) -> list[ResultRow]:
+def _suite_synflow_equiv(seed: int, trials: int | None, width: int) -> list[ResultRow]:
     count = trials or 100
     rng = RngStream(seed, 106)
     worst = 0.0
@@ -359,7 +339,7 @@ def _suite_synflow_equiv(seed: int, trials: int | None) -> list[ResultRow]:
     ]
 
 
-def _suite_snip_equiv(seed: int, trials: int | None) -> list[ResultRow]:
+def _suite_snip_equiv(seed: int, trials: int | None, width: int) -> list[ResultRow]:
     count = trials or 100
     rng = RngStream(seed, 107)
     worst = 0.0
@@ -437,29 +417,28 @@ def _suite_ntk(seed: int, trials: int | None, width: int) -> list[ResultRow]:
     return rows
 
 
+# Suites run in this order; each takes (seed, trials or None for the
+# per-suite default, ntk width).
+_SUITES = {
+    "lemma1": _suite_lemma1,
+    "lemma2": _suite_lemma2,
+    "lemma3": _suite_lemma3,
+    "theorem1": _suite_theorem1,
+    "lemma4": _suite_lemma4,
+    "synflow-equiv": _suite_synflow_equiv,
+    "snip-equiv": _suite_snip_equiv,
+    "ntk": _suite_ntk,
+}
+VERIFY_SUITES = tuple(_SUITES)
+
+
 def _cmd_verify(settings: dict) -> tuple[list[ResultRow], bool]:
-    suites = settings["suites"]
-    seed = settings["seed"]
-    trials = settings["trials"]
     rows: list[ResultRow] = []
-    for suite in suites:
+    for suite in settings["suites"]:
         started = time.perf_counter()
-        if suite == "lemma1":
-            produced = _suite_lemma1(seed, trials)
-        elif suite == "lemma2":
-            produced = _suite_lemma2(seed, trials)
-        elif suite == "lemma3":
-            produced = _suite_lemma3(seed, trials)
-        elif suite == "theorem1":
-            produced = _suite_theorem1(seed, trials)
-        elif suite == "lemma4":
-            produced = _suite_lemma4(seed, trials)
-        elif suite == "synflow-equiv":
-            produced = _suite_synflow_equiv(seed, trials)
-        elif suite == "snip-equiv":
-            produced = _suite_snip_equiv(seed, trials)
-        else:
-            produced = _suite_ntk(seed, trials, settings["width"])
+        produced = _SUITES[suite](
+            settings["seed"], settings["trials"], settings["width"]
+        )
         if settings["timing"]:
             elapsed_ms = (time.perf_counter() - started) * 1000.0 / len(produced)
             produced = [
@@ -515,19 +494,6 @@ def _cmd_pipeline(settings: dict) -> list[ResultRow]:
     return rows
 
 
-def _histogram_mask(method: str, w: np.ndarray, X: DataMatrix, s: int, rng: RngStream):
-    if method == "topk-synflow":
-        return select_topk(synflow_scores(row_norms(X), w), s)
-    if method == "randomized-synflow":
-        return select_randomized(synflow_scores(row_norms(X), w), s, rng)
-    if method == "randomized-snip-sparse":
-        X_tilde = gen_sparse_X(w.size, X.n, rng)
-        return select_randomized(
-            snip_scores_l1(X_tilde, np.zeros(X.n), w), s, rng
-        )
-    return select_randomized(np.ones(w.size), s, rng)
-
-
 def _cmd_histogram(settings: dict) -> str:
     d = settings["d"]
     bins = settings["bins"]
@@ -537,7 +503,7 @@ def _cmd_histogram(settings: dict) -> str:
     root = RngStream(settings["seed"])
     w = root.substream(0).normal(d)
     X = gen_normal_X(d, 128, root.substream(1))
-    mask = _histogram_mask(settings["method"], w, X, s, root.substream(2))
+    mask = MASK_METHODS[settings["method"]].build(X, w, s, root.substream(2))
     magnitudes = np.abs(w)
     edges = np.linspace(0.0, float(magnitudes.max()), bins + 1)
     count_all, _ = np.histogram(magnitudes, bins=edges)
@@ -590,22 +556,24 @@ def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
 # argument handling
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The parser and its subcommand parsers by name. Each subcommand's
+    flags, types and defaults are also the keys, types and defaults of its
+    --config file."""
     parser = argparse.ArgumentParser(
         prog="sketchprune",
         description="Sketch-based pruning masks, error bounds, and experiments.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser):
+    def common(p: argparse.ArgumentParser, name: str):
         p.add_argument("--seed", type=int, default=None,
                        help=f"base seed (falls back to ${SEED_ENV_VAR}, then 0)")
-        p.add_argument("--out", type=str, default=None, help="output CSV path")
+        p.add_argument("--out", type=str, default=f"{name}.csv",
+                       help="output CSV path")
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with flag defaults; flags override it")
-        p.add_argument("--threads", type=int, default=None,
-                       help="reserved; execution is sequential and deterministic")
-        p.add_argument("--timing", action="store_true", default=None,
+        p.add_argument("--timing", action="store_true",
                        help="record real wall_time_ms (breaks byte determinism)")
 
     p = sub.add_parser("verify", help="run numerical verification suites")
@@ -613,13 +581,13 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="comma-separated suites (default: all)")
     p.add_argument("--trials", type=int, default=None,
                    help="Monte Carlo trials per check (default: per-suite)")
-    p.add_argument("--width", type=int, default=None,
+    p.add_argument("--width", type=int, default=64,
                    help="network width for the ntk suite")
-    common(p)
+    common(p, "verify")
 
     p = sub.add_parser("pipeline", help="prune, train, and measure")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--n", type=int, default=None)
+    p.add_argument("--d", type=int, default=64)
+    p.add_argument("--n", type=int, default=32)
     p.add_argument("--s", type=str, default=None,
                    help="comma-separated keep counts")
     p.add_argument("--density", type=float, default=None,
@@ -627,35 +595,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--method", type=str, default=None, help="single method")
     p.add_argument("--methods", type=str, default=None,
                    help="comma-separated methods (default: all)")
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--trials", type=int, default=10,
                    help="number of consecutive seeds to run")
-    p.add_argument("--noise-std", type=float, default=None)
-    p.add_argument("--steps", type=int, default=None)
+    p.add_argument("--noise-std", type=float, default=0.0)
+    p.add_argument("--steps", type=int, default=100)
     p.add_argument("--lr", type=float, default=None)
-    common(p)
+    common(p, "pipeline")
 
     p = sub.add_parser("histogram", help="weight-magnitude selection histogram")
-    p.add_argument("--d", type=int, default=None)
-    p.add_argument("--density", type=float, default=None)
-    p.add_argument("--method", type=str, default=None,
+    p.add_argument("--d", type=int, default=1024)
+    p.add_argument("--density", type=float, default=0.1)
+    p.add_argument("--method", type=str, default="randomized-synflow",
                    help=f"one of {', '.join(HISTOGRAM_METHODS)}")
-    p.add_argument("--bins", type=int, default=None)
-    common(p)
+    p.add_argument("--bins", type=int, default=50)
+    common(p, "histogram")
 
     p = sub.add_parser("ntk-demo", help="kernel-regime bound demo")
-    p.add_argument("--width", type=int, default=None)
+    p.add_argument("--width", type=int, default=64)
     p.add_argument("--s", type=int, default=None)
-    p.add_argument("--steps", type=int, default=None)
-    p.add_argument("--trials", type=int, default=None,
+    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--trials", type=int, default=200,
                    help="mask draws for the empirical error")
-    common(p)
+    common(p, "ntk-demo")
 
-    return parser
+    return parser, sub.choices
 
 
-def _load_config_file(path: str | None) -> dict:
-    if path is None:
-        return {}
+def _load_config_file(path: str) -> dict:
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
@@ -667,21 +633,39 @@ def _load_config_file(path: str | None) -> dict:
     return payload
 
 
-def _setting(args, file_config: dict, name: str, default, cast=None):
-    """Flag if given, else config-file entry, else default."""
-    value = getattr(args, name.replace("-", "_"), None)
-    if value is None:
-        value = file_config.get(name, default)
-    if value is not None and cast is not None:
-        try:
-            value = cast(value)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"bad value for {name}: {value!r}") from exc
-    return value
+# JSON types a config value may have, by the type of its flag (None for a
+# store_true flag). bool is an int subclass, so it is checked apart.
+_CONFIG_TYPES = {int: int, float: (int, float), str: str, None: bool}
 
 
-def _resolve_seed(args, file_config: dict) -> int:
-    seed = _setting(args, file_config, "seed", None, int)
+def _config_defaults(command: str, subparser: argparse.ArgumentParser, path: str):
+    """Flag defaults from a config file keyed by long option name, each value
+    of its flag's type."""
+    file_config = _load_config_file(path)
+    actions = {
+        action.option_strings[-1][2:]: action
+        for action in subparser._actions
+        if action.default is not argparse.SUPPRESS
+    }
+    unknown = set(file_config) - set(actions)
+    if unknown:
+        raise ConfigError(
+            f"config keys {sorted(unknown)} are not flags of {command!r}"
+        )
+    defaults = {}
+    for key, value in file_config.items():
+        action = actions[key]
+        if isinstance(value, bool) != (action.type is None) or not isinstance(
+            value, _CONFIG_TYPES[action.type]
+        ):
+            raise ConfigError(
+                f"config value {key}={value!r} does not have the type of --{key}"
+            )
+        defaults[action.dest] = action.type(value) if action.type else value
+    return defaults
+
+
+def _resolve_seed(seed: int | None) -> int:
     if seed is None:
         env = os.environ.get(SEED_ENV_VAR)
         if env is not None:
@@ -699,64 +683,32 @@ def _resolve_seed(args, file_config: dict) -> int:
 
 
 def _split_list(raw: str) -> list[str]:
-    items = [item.strip() for item in str(raw).split(",")]
+    items = [item.strip() for item in raw.split(",")]
     return [item for item in items if item]
 
 
-_COMMON_KEYS = frozenset({"seed", "out", "config", "threads", "timing"})
-_COMMAND_KEYS = {
-    "verify": _COMMON_KEYS | {"methods", "trials", "width"},
-    "pipeline": _COMMON_KEYS
-    | {"d", "n", "s", "density", "method", "methods", "trials",
-       "noise-std", "steps", "lr"},
-    "histogram": _COMMON_KEYS | {"d", "density", "method", "bins"},
-    "ntk-demo": _COMMON_KEYS | {"width", "s", "steps", "trials"},
-}
-
-
 def _resolve_settings(args) -> dict:
-    file_config = _load_config_file(getattr(args, "config", None))
-    unknown = set(file_config) - _COMMAND_KEYS[args.command]
-    if unknown:
-        raise ConfigError(
-            f"config keys {sorted(unknown)} are not flags of {args.command!r}"
-        )
-
-    settings: dict = {
-        "seed": _resolve_seed(args, file_config),
-        "out": _setting(args, file_config, "out", f"{args.command}.csv", str),
-        "timing": bool(_setting(args, file_config, "timing", False)),
-    }
-    threads = _setting(args, file_config, "threads", 1, int)
-    if threads < 1:
-        raise ConfigError(f"threads must be >= 1, got {threads}")
-    settings["threads"] = threads
+    """Parsed flags plus the values derived from them, range-checked."""
+    settings = dict(vars(args), seed=_resolve_seed(args.seed))
 
     if args.command == "verify":
-        raw = _setting(args, file_config, "methods", None)
-        suites = _split_list(raw) if raw else list(VERIFY_SUITES)
+        suites = _split_list(args.methods) if args.methods else list(VERIFY_SUITES)
         for suite in suites:
             if suite not in VERIFY_SUITES:
                 raise ConfigError(
                     f"unknown suite {suite!r}; choose from {', '.join(VERIFY_SUITES)}"
                 )
         settings["suites"] = suites
-        settings["trials"] = _setting(args, file_config, "trials", None, int)
-        settings["width"] = _setting(args, file_config, "width", 64, int)
-        if settings["trials"] is not None and settings["trials"] < 2:
+        if args.trials is not None and args.trials < 2:
             raise ConfigError("trials must be >= 2")
-        if settings["width"] < 1:
+        if args.width < 1:
             raise ConfigError("width must be >= 1")
 
     elif args.command == "pipeline":
-        settings["d"] = _setting(args, file_config, "d", 64, int)
-        settings["n"] = _setting(args, file_config, "n", 32, int)
-        raw_methods = _setting(args, file_config, "methods", None)
-        single = _setting(args, file_config, "method", None)
-        if raw_methods:
-            methods = _split_list(raw_methods)
-        elif single:
-            methods = [str(single)]
+        if args.methods:
+            methods = _split_list(args.methods)
+        elif args.method:
+            methods = [args.method]
         else:
             methods = list(METHODS)
         for method in methods:
@@ -765,65 +717,54 @@ def _resolve_settings(args) -> dict:
                     f"unknown method {method!r}; choose from {', '.join(METHODS)}"
                 )
         settings["methods"] = methods
-        raw_s = _setting(args, file_config, "s", None)
-        density = _setting(args, file_config, "density", None, float)
-        if raw_s is not None:
+        if args.s is not None:
             try:
-                s_values = [int(part) for part in _split_list(raw_s)]
+                s_values = [int(part) for part in _split_list(args.s)]
             except ValueError as exc:
-                raise ConfigError(f"bad keep counts {raw_s!r}") from exc
-        elif density is not None:
-            s_values = [math.ceil(density * settings["d"])]
+                raise ConfigError(f"bad keep counts {args.s!r}") from exc
+        elif args.density is not None:
+            s_values = [math.ceil(args.density * args.d)]
         else:
             s_values = [8]
         for s in s_values:
-            if not 1 <= s <= settings["d"]:
-                raise ConfigError(
-                    f"keep count {s} outside [1, {settings['d']}]"
-                )
+            if not 1 <= s <= args.d:
+                raise ConfigError(f"keep count {s} outside [1, {args.d}]")
         settings["s_values"] = s_values
-        settings["trials"] = _setting(args, file_config, "trials", 10, int)
-        settings["noise_std"] = _setting(args, file_config, "noise-std", 0.0, float)
-        settings["steps"] = _setting(args, file_config, "steps", 100, int)
-        settings["lr"] = _setting(args, file_config, "lr", None, float)
-        if settings["trials"] < 1:
+        if args.trials < 1:
             raise ConfigError("trials must be >= 1")
 
     elif args.command == "histogram":
-        settings["d"] = _setting(args, file_config, "d", 1024, int)
-        settings["density"] = _setting(args, file_config, "density", 0.1, float)
-        settings["bins"] = _setting(args, file_config, "bins", 50, int)
-        settings["method"] = _setting(
-            args, file_config, "method", "randomized-synflow", str
-        )
-        if settings["method"] not in HISTOGRAM_METHODS:
+        if args.method not in HISTOGRAM_METHODS:
             raise ConfigError(
                 f"histogram needs a binary-mask method, one of "
                 f"{', '.join(HISTOGRAM_METHODS)}"
             )
-        if settings["bins"] < 1:
+        if args.bins < 1:
             raise ConfigError("bins must be >= 1")
-        if settings["d"] < 1:
+        if args.d < 1:
             raise ConfigError("d must be >= 1")
 
     else:  # ntk-demo
-        settings["width"] = _setting(args, file_config, "width", 64, int)
-        settings["s"] = _setting(args, file_config, "s", None, int)
-        settings["steps"] = _setting(args, file_config, "steps", 100, int)
-        settings["trials"] = _setting(args, file_config, "trials", 200, int)
-        if settings["width"] < 1:
+        if args.width < 1:
             raise ConfigError("width must be >= 1")
-        if settings["steps"] < 0:
+        if args.steps < 0:
             raise ConfigError("steps must be >= 0")
-        if settings["trials"] < 2:
+        if args.trials < 2:
             raise ConfigError("trials must be >= 2")
 
     return settings
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
     try:
+        if args.config is not None:
+            subparser = commands[args.command]
+            subparser.set_defaults(
+                **_config_defaults(args.command, subparser, args.config)
+            )
+            args = parser.parse_args(argv)
         settings = _resolve_settings(args)
         out = Path(settings["out"])
         if args.command == "verify":
@@ -844,8 +785,9 @@ def main(argv=None) -> int:
         rows = _cmd_ntk_demo(settings)
         _atomic_write(out, _result_lines(rows, include_passed=False))
         return 0
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, OSError, DivergenceError, MemoryError) as exc:
+        # exit code 1 is reserved for failed verify checks
+        print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2
 
 

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -30,7 +31,9 @@ from .sketch import (
 )
 
 __all__ = [
+    "MASK_METHODS",
     "METHODS",
+    "MaskMethod",
     "SyntheticDataset",
     "PipelineConfig",
     "PipelineResult",
@@ -42,14 +45,6 @@ __all__ = [
     "train_least_squares",
     "run_prune_pipeline",
 ]
-
-METHODS = (
-    "sketch-p0",
-    "sketch-uniform",
-    "topk-synflow",
-    "randomized-synflow",
-    "randomized-snip-sparse",
-)
 
 
 @dataclass(frozen=True)
@@ -211,22 +206,74 @@ def train_least_squares(
     return WeightVector(w)
 
 
-def _find_mask(
-    method: str, X: DataMatrix, w0: WeightVector, s: int, n: int, rng: RngStream
-) -> Mask:
-    if method == "sketch-p0":
-        return sample_sketch_mask(optimal_probabilities(X, w0), s, rng)
-    if method == "sketch-uniform":
-        return sample_sketch_mask(uniform_probabilities(X.d), s, rng)
-    if method == "topk-synflow":
-        return select_topk(synflow_scores(row_norms(X), w0), s)
-    if method == "randomized-synflow":
-        return select_randomized(synflow_scores(row_norms(X), w0), s, rng)
-    if method == "randomized-snip-sparse":
-        X_tilde = gen_sparse_X(X.d, n, rng)
-        scores = snip_scores_l1(X_tilde, np.zeros(n), w0)
-        return select_randomized(scores, s, rng)
-    raise ValueError(f"unknown method {method!r}")
+@dataclass(frozen=True)
+class MaskMethod:
+    """One way to build a pruning mask from data X and weights w.
+
+    `build(X, w, s, rng)` returns a mask with at most s nonzeros; a binary
+    method keeps exactly s weights. `bound(w0, w_star, s)`, set only for the
+    fractional sketch methods, caps the expected squared feature error of a
+    mask tuned on w0 and applied to the trained weights w_star.
+    """
+
+    name: str
+    build: Callable[[DataMatrix, np.ndarray, int, RngStream], Mask]
+    binary: bool
+    bound: Callable[[WeightVector, WeightVector, int], float] | None = None
+
+
+def _snip_sparse_mask(X: DataMatrix, w, s: int, rng: RngStream) -> Mask:
+    X_tilde = gen_sparse_X(X.d, X.n, rng)
+    return select_randomized(snip_scores_l1(X_tilde, np.zeros(X.n), w), s, rng)
+
+
+# Entries reach library functions through this module's globals, never by
+# holding them, so rebinding a module attribute (as tracing does) reaches
+# every call.
+MASK_METHODS = {
+    m.name: m
+    for m in (
+        MaskMethod(
+            "sketch-p0",
+            lambda X, w, s, rng: sample_sketch_mask(
+                optimal_probabilities(X, w), s, rng
+            ),
+            binary=False,
+            bound=lambda w0, w_star, s: theorem1_bound(w0, w_star, s),
+        ),
+        MaskMethod(
+            "sketch-uniform",
+            lambda X, w, s, rng: sample_sketch_mask(uniform_probabilities(X.d), s, rng),
+            binary=False,
+            bound=lambda w0, w_star, s: lemma4_uniform_bound(w_star, w_star.d, s),
+        ),
+        MaskMethod(
+            "topk-synflow",
+            lambda X, w, s, rng: select_topk(synflow_scores(row_norms(X), w), s),
+            binary=True,
+        ),
+        MaskMethod(
+            "randomized-synflow",
+            lambda X, w, s, rng: select_randomized(
+                synflow_scores(row_norms(X), w), s, rng
+            ),
+            binary=True,
+        ),
+        MaskMethod(
+            "randomized-snip-sparse",
+            _snip_sparse_mask,
+            binary=True,
+        ),
+        MaskMethod(
+            "uniform",
+            lambda X, w, s, rng: select_randomized(np.ones(X.d), s, rng),
+            binary=True,
+        ),
+    )
+}
+# The pipeline compares every method but the uniform binary baseline, which
+# only the weight-magnitude histogram uses.
+METHODS = tuple(name for name in MASK_METHODS if name != "uniform")
 
 
 def run_prune_pipeline(config: PipelineConfig) -> PipelineResult:
@@ -242,19 +289,15 @@ def run_prune_pipeline(config: PipelineConfig) -> PipelineResult:
 
     dataset = make_dataset(config.d, config.n, config.noise_std, data_rng)
     w0 = WeightVector(init_rng.normal(config.d) / math.sqrt(config.d))
-    mask = _find_mask(config.method, dataset.X, w0, config.s, config.n, mask_rng)
+    method = MASK_METHODS[config.method]
+    mask = method.build(dataset.X, w0, config.s, mask_rng)
     w_star = train_least_squares(
         dataset.X, dataset.y, w0, config.steps, config.lr
     )
     X_test = gen_normal_X(config.d, config.n, test_rng)
     masked_error = approximation_error(X_test, w_star, mask) ** 2
 
-    if config.method == "sketch-p0":
-        bound = theorem1_bound(w0, w_star, config.s)
-    elif config.method == "sketch-uniform":
-        bound = lemma4_uniform_bound(w_star, config.d, config.s)
-    else:
-        bound = math.nan
+    bound = method.bound(w0, w_star, config.s) if method.bound else math.nan
     distance = float(np.linalg.norm(w_star.values - w0.values))
     return PipelineResult(
         method=config.method,

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bounds import BoundReport
+from .bounds import BoundReport, mc_error_over_masks
 from .core import (
     DataMatrix,
     DimensionMismatchError,
@@ -377,13 +377,10 @@ def theorem2_report(
         raise ValueError(f"mask_trials must be >= 1, got {mask_trials}")
     theta_final = trajectory.theta_final
     J_final = analytic_jacobian(model.with_theta(theta_final), X)
-    base = J_final @ theta_final
-    p = mask_probabilities(snapshot)
-    errors = np.empty(mask_trials)
-    for t in range(mask_trials):
-        m = sample_sketch_mask(p, s, rng)
-        diff = base - J_final @ (theta_final * m.values)
-        errors[t] = diff @ diff
+    masked = mc_error_over_masks(
+        DataMatrix(J_final.T), theta_final, mask_probabilities(snapshot), s,
+        mask_trials, rng,
+    )
 
     lambda_min = snapshot.lambda_min
     if lambda_min <= 0.0:
@@ -416,9 +413,7 @@ def theorem2_report(
             stacklevel=2,
         )
 
-    se = (
-        float(errors.std(ddof=1) / math.sqrt(mask_trials)) if mask_trials > 1 else 0.0
-    )
     return BoundReport(
-        float(errors.mean()), se, float(bound), "upper-bound", mask_trials
+        masked.empirical_error, masked.standard_error, float(bound), "upper-bound",
+        mask_trials,
     )

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sketchprune import cli
 from sketchprune.cli import (
     HISTOGRAM_HEADER,
     RESULT_HEADER,
@@ -101,10 +102,11 @@ class TestHistogramCommand:
         assert float(rows[0][0]) == 0.0
 
     def test_fractional_mask_methods_rejected(self, tmp_path):
-        code = main([
-            "histogram", "--method", "sketch-p0", "--out", str(tmp_path / "h.csv"),
-        ])
-        assert code == 2
+        for method in ("sketch-p0", "sketch-uniform"):
+            code = main([
+                "histogram", "--method", method, "--out", str(tmp_path / "h.csv"),
+            ])
+            assert code == 2
 
 
 class TestNtkDemoCommand:
@@ -188,6 +190,58 @@ class TestConfigResolution:
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_threads_flag_removed(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            main(["pipeline", "--threads", "2", "--out", str(tmp_path / "p.csv")])
+        assert exc.value.code == 2
+
+    def test_threads_config_key_removed(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"threads": 1}))
+        code = main(["pipeline", "--config", str(config),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert "threads" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "key,value", [("timing", "false"), ("d", 8.7), ("d", True)]
+    )
+    def test_config_value_of_wrong_type(self, tmp_path, capsys, key, value):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: value}))
+        code = main(["pipeline", "--config", str(config),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert f"{key}=" in capsys.readouterr().err
+
+    def test_int_config_value_for_float_flag(self, tmp_path):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"lr": 1, "steps": 0}))
+        out = tmp_path / "p.csv"
+        code = main(["pipeline", "--config", str(config), "--d", "8", "--n", "4",
+                     "--s", "2", "--method", "sketch-p0", "--trials", "1",
+                     "--out", str(out)])
+        assert code == 0
+
+
+class TestExitCodes:
+    def test_divergence_is_a_failed_run(self, tmp_path, capsys):
+        code = main(["pipeline", "--d", "8", "--n", "4", "--s", "2", "--trials", "1",
+                     "--lr", "100", "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_out_of_memory_is_a_failed_run(self, tmp_path, capsys, monkeypatch):
+        def exhausted(settings):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "_cmd_histogram", exhausted)
+        code = main(["histogram", "--out", str(tmp_path / "h.csv")])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestDeterminism:

@@ -16,8 +16,10 @@ from sketchprune import (
     make_dataset,
     max_hessian_eigenvalue,
     run_prune_pipeline,
+    WeightVector,
     train_least_squares,
 )
+from sketchprune.experiments import MASK_METHODS
 
 
 class TestGenNormalX:
@@ -131,10 +133,34 @@ class TestTrainLeastSquares:
             train_least_squares(ds.X, ds.y, np.ones(4), steps=5, lr=-0.1)
 
 
+class TestMaskMethods:
+    def test_pipeline_methods(self):
+        assert METHODS == (
+            "sketch-p0", "sketch-uniform", "topk-synflow", "randomized-synflow",
+            "randomized-snip-sparse",
+        )
+
+    @pytest.mark.parametrize("name", list(MASK_METHODS))
+    def test_mask_kind_budget_and_bound(self, name):
+        method = MASK_METHODS[name]
+        rng = RngStream(4)
+        X = gen_normal_X(20, 8, rng)
+        w0 = WeightVector(rng.normal(20))
+        w_star = WeightVector(rng.normal(20))
+        mask = method.build(X, w0, 5, rng.substream(1))
+        if method.binary:
+            assert mask.kind == "binary" and mask.nnz == 5
+        else:
+            assert mask.kind == "sketch" and 1 <= mask.nnz <= 5
+        bound = method.bound(w0, w_star, 5) if method.bound else math.nan
+        assert math.isfinite(bound) == (not method.binary)
+
+
 class TestPipelineConfig:
     def test_unknown_method(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(d=8, n=4, s=2, method="taylor", seed=0)
+        for method in ("taylor", "uniform"):
+            with pytest.raises(ValueError):
+                PipelineConfig(d=8, n=4, s=2, method=method, seed=0)
 
     def test_budget_range(self):
         with pytest.raises(InvalidDensityError):
