@@ -92,10 +92,12 @@ def exact_expected_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> floa
     """Expected squared feature error of an s-draw sketch mask under p.
 
     Summing the per-coordinate variances of the unbiased estimator gives
-    (1/s) sum_k ||X_(k)||^2 w_k^2 / p_k - (1/s) ||X^T w||^2. Indices whose
-    numerator vanishes contribute nothing regardless of p_k; a positive
-    numerator over zero probability makes the expectation infinite and
-    raises.
+    (1/s) sum_k ||X_(k)||^2 w_k^2 / p_k - (1/s) ||X^T w||^2. That difference
+    cancels when one term dominates, so the same quantity is evaluated in
+    the nonnegative variance form (1/s) sum_k p_k ||X_(k) w_k / p_k - X^T w||^2.
+    Indices with a zero row or zero weight contribute nothing regardless of
+    p_k; an active index with zero probability makes the expectation
+    infinite and raises.
     """
     _check_budget(s)
     wv = as_vector(w)
@@ -107,14 +109,15 @@ def exact_expected_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> floa
         raise DimensionMismatchError(
             f"distribution length {p.d} does not match {X.d} matrix rows"
         )
-    numerators = row_norms(X) ** 2 * wv**2
-    active = numerators > 0.0
-    if np.any(active & (p.values == 0.0)):
+    pv = p.values
+    uncovered = (pv == 0.0) & (wv != 0.0)
+    if uncovered.any() and np.any(row_norms(X)[uncovered] > 0.0):
         raise SupportError(
             "sampling distribution has zero mass on an active weight"
         )
-    first = float((numerators[active] / p.values[active]).sum()) / s
-    return first - float((features(X, wv) ** 2).sum()) / s
+    scale = np.divide(wv, pv, out=np.zeros(X.d), where=pv > 0.0)
+    residual = X.values * scale[:, None] - features(X, wv)
+    return float(pv @ np.einsum("ij,ij->i", residual, residual)) / s
 
 
 def lemma1_exact_error(X: DataMatrix, w0, s: int) -> float:
@@ -122,21 +125,10 @@ def lemma1_exact_error(X: DataMatrix, w0, s: int) -> float:
     optimal one for (X, w0) and the mask is applied to w0 itself.
 
     The variance sum then collapses to
-    (1/s) (sum_k ||X_(k)|| |w0_k|)^2 - (1/s) ||X^T w0||^2.
+    (1/s) (sum_k ||X_(k)|| |w0_k|)^2 - (1/s) ||X^T w0||^2; it is evaluated
+    by exact_expected_error in its nonnegative variance form.
     """
-    _check_budget(s)
-    wv = as_vector(w0)
-    if wv.size != X.d:
-        raise DimensionMismatchError(
-            f"weight length {wv.size} does not match {X.d} matrix rows"
-        )
-    a = row_norms(X) * np.abs(wv)
-    total = float(a.sum())
-    if total <= 0.0:
-        raise DegenerateDistributionError(
-            "every row-norm-times-weight product is zero"
-        )
-    return (total**2 - float((features(X, wv) ** 2).sum())) / s
+    return exact_expected_error(X, w0, optimal_probabilities(X, w0), s)
 
 
 def lemma2_bound(w0, s: int) -> float:
@@ -155,34 +147,16 @@ def lemma3_bound(
 
     Returns (exact, bound) with
     exact = (1/s) sum_k ||X_(k)||^2 w*_k^2 / p0_k - (1/s) ||X^T w*||^2 and
-    bound = (1/s) sum_k (sum_j ||Xt_(j)|| |w0_j|) / (||Xt_(k)|| |w0_k|)
-            * ||X_(k)||^2 w*_k^2,
-    where p0 is the optimal distribution of (X_tilde, w0). Indices where
-    w* is active but the tuning product ||Xt_(k)|| |w0_k| vanishes raise,
-    since both quantities are then infinite.
+    bound = (1/s) sum_k ||X_(k)||^2 w*_k^2 / p0_k,
+    where p0 is the optimal distribution of (X_tilde, w0), and the exact
+    term comes from exact_expected_error. Indices where w* is active but
+    p0_k = 0 raise, since both quantities are then infinite.
     """
-    _check_budget(s)
-    w0v = as_vector(w0)
-    wsv = as_vector(w_star)
-    if not (w0v.size == wsv.size == X.d == X_tilde.d):
-        raise DimensionMismatchError(
-            "data matrices and weight vectors must share the same dimension d"
-        )
-    tuning = row_norms(X_tilde) * np.abs(w0v)
-    total = float(tuning.sum())
-    if total <= 0.0:
-        raise DegenerateDistributionError(
-            "every tuning row-norm-times-weight product is zero"
-        )
-    numerators = row_norms(X) ** 2 * wsv**2
+    p0 = optimal_probabilities(X_tilde, w0)
+    exact = exact_expected_error(X, w_star, p0, s)
+    numerators = row_norms(X) ** 2 * as_vector(w_star) ** 2
     active = numerators > 0.0
-    if np.any(active & (tuning == 0.0)):
-        raise SupportError(
-            "tuning distribution has zero mass on an active target weight"
-        )
-    p0 = ProbabilityVector(tuning / total)
-    exact = exact_expected_error(X, wsv, p0, s)
-    bound = float((total / tuning[active] * numerators[active]).sum()) / s
+    bound = float((numerators[active] / p0.values[active]).sum()) / s
     return exact, bound
 
 

@@ -177,16 +177,16 @@ def _suite_lemma1(seed: int, trials: int | None, width: int) -> list[ResultRow]:
     mask_trials = trials or 20_000
     rng = RngStream(seed, 101)
     rows = []
-    worst = 0.0
+    closed, enumerated = [], []
     for _ in range(30):
         d = int(rng.integers(2, 7))
         n = int(rng.integers(1, 6))
         s = int(rng.integers(1, 4))
         X = DataMatrix(rng.normal((d, n)))
         w = rng.normal(d)
-        closed = lemma1_exact_error(X, w, s)
-        enum = enumerate_exact_error(X, w, optimal_probabilities(X, w), s)
-        worst = max(worst, abs(enum - closed) / max(closed, 1e-12))
+        closed.append(lemma1_exact_error(X, w, s))
+        enumerated.append(enumerate_exact_error(X, w, optimal_probabilities(X, w), s))
+    worst = _relative_gap(np.array(enumerated), np.array(closed))
     rows.append(
         ResultRow(
             "lemma1/enumeration", seed, 0, 0, 0, "lemma1",
@@ -234,7 +234,7 @@ def _suite_lemma2(seed: int, trials: int | None, width: int) -> list[ResultRow]:
 
 def _suite_lemma3(seed: int, trials: int | None, width: int) -> list[ResultRow]:
     rng = RngStream(seed, 103)
-    worst = 0.0
+    closed, enumerated = [], []
     bounded = True
     for _ in range(20):
         d = int(rng.integers(2, 7))
@@ -244,11 +244,12 @@ def _suite_lemma3(seed: int, trials: int | None, width: int) -> list[ResultRow]:
         w0 = rng.normal(d)
         w_star = rng.normal(d)
         exact, bound = lemma3_bound(X, X, w0, w_star, s)
-        enum = enumerate_exact_error(
-            X, w_star, optimal_probabilities(X, w0), s
+        closed.append(exact)
+        enumerated.append(
+            enumerate_exact_error(X, w_star, optimal_probabilities(X, w0), s)
         )
-        worst = max(worst, abs(enum - exact) / max(abs(exact), 1e-12))
         bounded = bounded and exact <= bound + 1e-12
+    worst = _relative_gap(np.array(enumerated), np.array(closed))
     return [
         ResultRow(
             "lemma3/exact-vs-enumeration", seed, 0, 0, 0, "lemma3",

@@ -49,6 +49,33 @@ class TestLemma1:
         with pytest.raises(DegenerateDistributionError):
             lemma1_exact_error(I2, [0.0, 0.0], 1)
 
+    def test_one_hot_weights_are_exactly_zero(self):
+        rng = RngStream(31)
+        for _ in range(50):
+            d = int(rng.integers(2, 9))
+            X = DataMatrix(rng.normal((d, int(rng.integers(1, 7)))))
+            w = np.zeros(d)
+            w[int(rng.integers(0, d))] = float(rng.normal(1)[0])
+            s = int(rng.integers(1, 5))
+            assert lemma1_exact_error(X, w, s) == 0.0
+            assert lemma3_bound(X, X, w, w, s)[0] == 0.0
+
+    def test_matches_paper_formula(self):
+        rng = RngStream(32)
+        checked = 0
+        for _ in range(200):
+            d = int(rng.integers(2, 9))
+            X = DataMatrix(rng.normal((d, int(rng.integers(1, 7)))))
+            w = rng.normal(d)
+            s = int(rng.integers(1, 5))
+            total = float(np.linalg.norm(X.values, axis=1) @ np.abs(w))
+            paper = (total**2 - float(np.sum((X.values.T @ w) ** 2))) / s
+            result = lemma1_exact_error(X, w, s)
+            if result > 1e-6 * total**2:
+                assert result == pytest.approx(paper, rel=1e-9)
+                checked += 1
+        assert checked >= 100
+
 
 class TestLemma2:
     def test_hand_value(self):
@@ -186,6 +213,21 @@ class TestExactExpectedError:
     def test_support_violation(self):
         with pytest.raises(SupportError):
             exact_expected_error(I2, [1.0, 1.0], ProbabilityVector([1.0, 0.0]), 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_never_negative(self, seed):
+        rng = RngStream(seed)
+        d = int(rng.integers(2, 9))
+        X = DataMatrix(rng.normal((d, int(rng.integers(1, 7)))))
+        q = rng.uniform(d) + 1e-3
+        p = ProbabilityVector(q / q.sum())
+        dominant = np.eye(d)[0] + 1e-9 * rng.normal(d)
+        s = int(rng.integers(1, 5))
+        assert exact_expected_error(X, rng.normal(d), p, s) >= 0.0
+        assert exact_expected_error(X, dominant, p, s) >= 0.0
+        p_dominant = optimal_probabilities(X, dominant)
+        assert exact_expected_error(X, dominant, p_dominant, s) >= 0.0
 
 
 class TestBoundReport:

@@ -25,6 +25,17 @@ class TestVerifyCommand:
         assert len(lines) == 3
         assert all(line.endswith(",true") for line in lines[1:])
 
+    def test_closed_forms_match_enumeration_near_zero_error(self, tmp_path):
+        # this seed draws a lemma1 instance whose exact error is close enough
+        # to zero that a cancelling closed form misses the enumeration by
+        # more than the 1e-10 relative tolerance
+        out = tmp_path / "v.csv"
+        args = ["verify", "--methods", "lemma1,lemma3", "--trials", "200"]
+        assert main(args + ["--seed", "853713141", "--out", str(out)]) == 0
+        lines = read_lines(out)
+        assert len(lines) == 6
+        assert all(line.endswith(",true") for line in lines[1:])
+
     def test_unknown_suite_is_usage_error(self, tmp_path, capsys):
         code = main(["verify", "--methods", "lemma9", "--out", str(tmp_path / "v.csv")])
         assert code == 2
