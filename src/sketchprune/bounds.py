@@ -200,10 +200,10 @@ def mc_error_over_masks(
     trials: int,
     rng: RngStream,
     reference: float = math.nan,
-    kind: str = "equality",
 ) -> BoundReport:
     """Monte Carlo mean of the squared feature error over freshly sampled
-    sketch masks, reported against a caller-supplied reference value."""
+    sketch masks, reported as an equality against a caller-supplied
+    reference value (the exact expectation, when the caller has one)."""
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials}")
     wv = as_vector(w_apply)
@@ -215,7 +215,7 @@ def mc_error_over_masks(
         diff = base - Xt @ (wv * m.values)
         errors[t] = diff @ diff
     se = float(errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return BoundReport(float(errors.mean()), se, reference, kind, trials)
+    return BoundReport(float(errors.mean()), se, reference, "equality", trials)
 
 
 def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> float:

@@ -59,23 +59,6 @@ from .sketch import optimal_probabilities, uniform_probabilities
 
 __all__ = ["main", "ResultRow", "RESULT_HEADER", "HISTOGRAM_HEADER", "VERIFY_SUITES"]
 
-RESULT_HEADER = (
-    "run_id",
-    "seed",
-    "d",
-    "n",
-    "s",
-    "method",
-    "empirical_error",
-    "bound",
-    "kind",
-    "standard_error",
-    "distance",
-    "wall_time_ms",
-)
-HISTOGRAM_HEADER = ("bin_left", "bin_right", "count_selected", "count_all")
-# kept counts are only meaningful for binary masks
-HISTOGRAM_METHODS = tuple(name for name, m in MASK_METHODS.items() if m.binary)
 SEED_ENV_VAR = "SKETCHPRUNE_SEED"
 
 
@@ -104,27 +87,28 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+# CSV text of a ResultRow field by its declared type; only verify writes the
+# final `passed` column
+_FIELD_FORMATS = {
+    "str": str,
+    "int": str,
+    "float": _fmt,
+    "bool | None": lambda passed: "true" if passed else "false",
+}
+_RESULT_FIELDS = dataclasses.fields(ResultRow)
+RESULT_HEADER = tuple(f.name for f in _RESULT_FIELDS[:-1])
+HISTOGRAM_HEADER = ("bin_left", "bin_right", "count_selected", "count_all")
+# kept counts are only meaningful for binary masks
+HISTOGRAM_METHODS = tuple(name for name, m in MASK_METHODS.items() if m.binary)
+
+
 def _result_lines(rows: list[ResultRow], include_passed: bool) -> str:
-    header = RESULT_HEADER + (("passed",) if include_passed else ())
-    lines = [",".join(header)]
+    fields = _RESULT_FIELDS if include_passed else _RESULT_FIELDS[:-1]
+    lines = [",".join(f.name for f in fields)]
     for r in rows:
-        fields = [
-            r.run_id,
-            str(r.seed),
-            str(r.d),
-            str(r.n),
-            str(r.s),
-            r.method,
-            _fmt(r.empirical_error),
-            _fmt(r.bound),
-            r.kind,
-            _fmt(r.standard_error),
-            _fmt(r.distance),
-            _fmt(r.wall_time_ms),
-        ]
-        if include_passed:
-            fields.append("true" if r.passed else "false")
-        lines.append(",".join(fields))
+        lines.append(
+            ",".join(_FIELD_FORMATS[f.type](getattr(r, f.name)) for f in fields)
+        )
     return "\n".join(lines) + "\n"
 
 
@@ -173,10 +157,25 @@ def _flat_pair_at_ratio(d: int, ratio: float, rng: RngStream):
     return w0, w0 + delta
 
 
-def _suite_lemma1(seed: int, trials: int | None, width: int) -> list[ResultRow]:
-    mask_trials = trials or 20_000
+def _gap_row(run_id: str, worst: float, tol: float) -> ResultRow:
+    """An identity checked by its worst relative gap against tol. Like
+    _report_row, it leaves seed and method for the command to fill in."""
+    return ResultRow(
+        run_id, 0, 0, 0, 0, "", worst, tol, "equality", 0.0, math.nan,
+        passed=worst <= tol,
+    )
+
+
+def _report_row(run_id: str, rep, d: int, n: int, s: int, distance: float):
+    """A BoundReport checked by its own rule, BoundReport.satisfied."""
+    return ResultRow(
+        run_id, 0, d, n, s, "", rep.empirical_error, rep.closed_form_or_bound,
+        rep.kind, rep.standard_error, distance, passed=rep.satisfied(),
+    )
+
+
+def _suite_lemma1(seed: int, trials: int, width: int) -> list[ResultRow]:
     rng = RngStream(seed, 101)
-    rows = []
     closed, enumerated = [], []
     for _ in range(30):
         d = int(rng.integers(2, 7))
@@ -187,48 +186,29 @@ def _suite_lemma1(seed: int, trials: int | None, width: int) -> list[ResultRow]:
         closed.append(lemma1_exact_error(X, w, s))
         enumerated.append(enumerate_exact_error(X, w, optimal_probabilities(X, w), s))
     worst = _relative_gap(np.array(enumerated), np.array(closed))
-    rows.append(
-        ResultRow(
-            "lemma1/enumeration", seed, 0, 0, 0, "lemma1",
-            worst, 1e-10, "equality", 0.0, math.nan,
-            passed=worst <= 1e-10,
-        )
-    )
+    rows = [_gap_row("lemma1/enumeration", worst, 1e-10)]
     d, n = 32, 16
     for s in (4, 16):
         X = gen_normal_X(d, n, rng)
         w = rng.normal(d)
         exact = lemma1_exact_error(X, w, s)
         rep = mc_error_over_masks(
-            X, w, optimal_probabilities(X, w), s, mask_trials, rng, reference=exact
+            X, w, optimal_probabilities(X, w), s, trials, rng, reference=exact
         )
-        rows.append(
-            ResultRow(
-                f"lemma1/mc-s{s}", seed, d, n, s, "lemma1",
-                rep.empirical_error, rep.closed_form_or_bound, rep.kind,
-                rep.standard_error, math.nan, passed=rep.satisfied(),
-            )
-        )
+        rows.append(_report_row(f"lemma1/mc-s{s}", rep, d, n, s, math.nan))
     return rows
 
 
-def _suite_lemma2(seed: int, trials: int | None, width: int) -> list[ResultRow]:
-    x_trials = trials or 2_000
+def _suite_lemma2(seed: int, trials: int, width: int) -> list[ResultRow]:
     rng = RngStream(seed, 102)
     d, n = 64, 32
     w0 = _concentrated_weights(d)
     rows = []
     for s in (8, 32):
         rep = mc_error_over_data(
-            w0, w0, s, n, x_trials, rng.substream(s), reference=lemma2_bound(w0, s)
+            w0, w0, s, n, trials, rng.substream(s), reference=lemma2_bound(w0, s)
         )
-        rows.append(
-            ResultRow(
-                f"lemma2/self-mask-s{s}", seed, d, n, s, "lemma2",
-                rep.empirical_error, rep.closed_form_or_bound, rep.kind,
-                rep.standard_error, 0.0, passed=rep.satisfied(),
-            )
-        )
+        rows.append(_report_row(f"lemma2/self-mask-s{s}", rep, d, n, s, 0.0))
     return rows
 
 
@@ -251,55 +231,38 @@ def _suite_lemma3(seed: int, trials: int | None, width: int) -> list[ResultRow]:
         bounded = bounded and exact <= bound + 1e-12
     worst = _relative_gap(np.array(enumerated), np.array(closed))
     return [
+        _gap_row("lemma3/exact-vs-enumeration", worst, 1e-10),
         ResultRow(
-            "lemma3/exact-vs-enumeration", seed, 0, 0, 0, "lemma3",
-            worst, 1e-10, "equality", 0.0, math.nan, passed=worst <= 1e-10,
-        ),
-        ResultRow(
-            "lemma3/exact-le-bound", seed, 0, 0, 0, "lemma3",
+            "lemma3/exact-le-bound", 0, 0, 0, 0, "",
             0.0 if bounded else 1.0, 0.0, "upper-bound", 0.0, math.nan,
             passed=bounded,
         ),
     ]
 
 
-def _suite_theorem1(seed: int, trials: int | None, width: int) -> list[ResultRow]:
-    x_trials = trials or 2_000
+def _suite_theorem1(seed: int, trials: int, width: int) -> list[ResultRow]:
     rng = RngStream(seed, 104)
     d, n, s = 64, 32, 8
     rows = []
     for ratio in (0.1, 0.5, 1.0):
         w0, w_star = _flat_pair_at_ratio(d, ratio, rng)
         rep = mc_error_over_data(
-            w0, w_star, s, n, x_trials, rng.substream(int(ratio * 10))
+            w0, w_star, s, n, trials, rng.substream(int(ratio * 10))
         )
         distance = float(np.linalg.norm(w_star - w0))
-        rows.append(
-            ResultRow(
-                f"theorem1/ratio-{ratio}", seed, d, n, s, "theorem1",
-                rep.empirical_error, rep.closed_form_or_bound, rep.kind,
-                rep.standard_error, distance, passed=rep.satisfied(),
-            )
-        )
+        rows.append(_report_row(f"theorem1/ratio-{ratio}", rep, d, n, s, distance))
     return rows
 
 
-def _suite_lemma4(seed: int, trials: int | None, width: int) -> list[ResultRow]:
-    x_trials = trials or 2_000
+def _suite_lemma4(seed: int, trials: int, width: int) -> list[ResultRow]:
     rng = RngStream(seed, 105)
     d, n, s = 64, 32, 8
     w0, w_star = _flat_pair_at_ratio(d, 0.5, rng)
     rep = mc_error_over_data(
-        w0, w_star, s, n, x_trials, rng.substream(1), distribution="uniform"
+        w0, w_star, s, n, trials, rng.substream(1), distribution="uniform"
     )
-    rows = [
-        ResultRow(
-            "lemma4/uniform-bound", seed, d, n, s, "lemma4",
-            rep.empirical_error, rep.closed_form_or_bound, rep.kind,
-            rep.standard_error, float(np.linalg.norm(w_star - w0)),
-            passed=rep.satisfied(),
-        )
-    ]
+    distance = float(np.linalg.norm(w_star - w0))
+    rows = [_report_row("lemma4/uniform-bound", rep, d, n, s, distance)]
     uniform = uniform_probabilities(d)
     tuned = np.empty(200)
     untuned = np.empty(200)
@@ -312,7 +275,7 @@ def _suite_lemma4(seed: int, trials: int | None, width: int) -> list[ResultRow]:
     gap_se = float((tuned - untuned).std(ddof=1) / math.sqrt(200))
     rows.append(
         ResultRow(
-            "lemma4/p0-beats-uniform", seed, d, n, s, "lemma4",
+            "lemma4/p0-beats-uniform", 0, d, n, s, "",
             float(tuned.mean()), float(untuned.mean()), "upper-bound",
             gap_se, math.nan, passed=bool(tuned.mean() < untuned.mean()),
         )
@@ -320,44 +283,36 @@ def _suite_lemma4(seed: int, trials: int | None, width: int) -> list[ResultRow]:
     return rows
 
 
-def _suite_synflow_equiv(seed: int, trials: int | None, width: int) -> list[ResultRow]:
-    count = trials or 100
-    rng = RngStream(seed, 106)
-    worst = 0.0
-    for _ in range(count):
-        d = int(rng.integers(2, 51))
-        n = int(rng.integers(1, 21))
-        X = DataMatrix(rng.normal((d, n)))
-        w = rng.normal(d)
-        via_scores = scores_to_probabilities(synflow_scores(row_norms(X), w))
-        direct = optimal_probabilities(X, w)
-        worst = max(worst, _relative_gap(via_scores.values, direct.values))
-    return [
-        ResultRow(
-            "synflow-equiv/row-norm-probe", seed, 0, 0, 0, "synflow-equiv",
-            worst, 1e-12, "equality", 0.0, math.nan, passed=worst <= 1e-12,
-        )
-    ]
+def _score_equiv_suite(stream: int, gen_X, score, run_id: str):
+    """A suite checking that probabilities proportional to score(X, w) equal
+    the optimal p0, worst case over random instances from gen_X."""
+
+    def suite(seed: int, trials: int, width: int) -> list[ResultRow]:
+        rng = RngStream(seed, stream)
+        worst = 0.0
+        for _ in range(trials):
+            d = int(rng.integers(2, 51))
+            n = int(rng.integers(1, 21))
+            X = gen_X(d, n, rng)
+            w = rng.normal(d)
+            via_scores = scores_to_probabilities(score(X, w))
+            direct = optimal_probabilities(X, w)
+            worst = max(worst, _relative_gap(via_scores.values, direct.values))
+        return [_gap_row(run_id, worst, 1e-12)]
+
+    return suite
 
 
-def _suite_snip_equiv(seed: int, trials: int | None, width: int) -> list[ResultRow]:
-    count = trials or 100
-    rng = RngStream(seed, 107)
-    worst = 0.0
-    for _ in range(count):
-        d = int(rng.integers(2, 51))
-        n = int(rng.integers(1, 21))
-        X = gen_sparse_X(d, n, rng)
-        w = rng.normal(d)
-        via_scores = scores_to_probabilities(snip_scores_l1(X, np.zeros(n), w))
-        direct = optimal_probabilities(X, w)
-        worst = max(worst, _relative_gap(via_scores.values, direct.values))
-    return [
-        ResultRow(
-            "snip-equiv/sparse-data", seed, 0, 0, 0, "snip-equiv",
-            worst, 1e-12, "equality", 0.0, math.nan, passed=worst <= 1e-12,
-        )
-    ]
+# the lambdas look the library functions up when called, so a rebinding of
+# those module names (as perfbench's tracer does) is seen
+_suite_synflow_equiv = _score_equiv_suite(
+    106, lambda d, n, rng: DataMatrix(rng.normal((d, n))),
+    lambda X, w: synflow_scores(row_norms(X), w), "synflow-equiv/row-norm-probe",
+)
+_suite_snip_equiv = _score_equiv_suite(
+    107, lambda d, n, rng: gen_sparse_X(d, n, rng),
+    lambda X, w: snip_scores_l1(X, np.zeros(X.n), w), "snip-equiv/sparse-data",
+)
 
 
 def _ntk_instance(width: int, seed: int, steps: int):
@@ -369,11 +324,10 @@ def _ntk_instance(width: int, seed: int, steps: int):
     trajectory = train_linearized_gd(
         snapshot, y, eta0=1.0 / snapshot.lambda_max, steps=steps
     )
-    return model, X, y, snapshot, trajectory, rng
+    return model, X, snapshot, trajectory, rng
 
 
-def _suite_ntk(seed: int, trials: int | None, width: int) -> list[ResultRow]:
-    mask_trials = trials or 200
+def _suite_ntk(seed: int, trials: int, width: int) -> list[ResultRow]:
     rng = RngStream(seed, 109)
     worst = 0.0
     for k in range(5):
@@ -383,70 +337,58 @@ def _suite_ntk(seed: int, trials: int | None, width: int) -> list[ResultRow]:
         J = analytic_jacobian(model, X)
         J_fd = finite_difference_jacobian(model, X, step=1e-5)
         worst = max(worst, float(np.abs(J - J_fd).max() / np.abs(J).max()))
-    rows = [
-        ResultRow(
-            "ntk/jacobian-vs-fd", seed, 0, 0, 0, "ntk",
-            worst, 1e-5, "equality", 0.0, math.nan, passed=worst <= 1e-5,
-        )
-    ]
+    fd_row = _gap_row("ntk/jacobian-vs-fd", worst, 1e-5)
 
-    model, X, y, snapshot, trajectory, inst_rng = _ntk_instance(width, seed, steps=100)
+    model, X, snapshot, trajectory, inst_rng = _ntk_instance(width, seed, steps=100)
     s = math.isqrt(model.n_params - 1) + 1
-    rep = theorem2_report(model, snapshot, trajectory, X, s, mask_trials, inst_rng)
-    rows.append(
-        ResultRow(
-            "ntk/masked-error-bound", seed, model.n_params, 8, s, "ntk",
-            rep.empirical_error, rep.closed_form_or_bound, rep.kind,
-            rep.standard_error, float(trajectory.movement[-1]),
-            passed=rep.satisfied(),
-        )
-    )
+    rep = theorem2_report(model, snapshot, trajectory, X, s, trials, inst_rng)
+    movement = float(trajectory.movement[-1])
+    masked = _report_row("ntk/masked-error-bound", rep, model.n_params, 8, s, movement)
 
-    model, X, y, snapshot, trajectory, inst_rng = _ntk_instance(4, seed + 1, steps=0)
+    model, X, snapshot, trajectory, inst_rng = _ntk_instance(4, seed + 1, steps=0)
     rep = theorem2_report(model, snapshot, trajectory, X, 2, 4_000, inst_rng)
     exact = enumerate_exact_error(
         DataMatrix(snapshot.jacobian.T), snapshot.theta0, mask_probabilities(snapshot), 2
     )
-    gap = abs(rep.empirical_error - exact)
-    rows.append(
-        ResultRow(
-            "ntk/zero-step-enumeration", seed, model.n_params, 8, 2, "ntk",
-            rep.empirical_error, exact, "equality", rep.standard_error, 0.0,
-            passed=gap <= 4.0 * rep.standard_error,
-        )
-    )
-    return rows
+    # with no training steps the masked error's expectation is exactly the
+    # enumerated one, so the report is checked as an equality against it
+    rep = dataclasses.replace(rep, closed_form_or_bound=exact, kind="equality")
+    zero_step = _report_row("ntk/zero-step-enumeration", rep, model.n_params, 8, 2, 0.0)
+    return [fd_row, masked, zero_step]
 
 
-# Suites run in this order; each takes (seed, trials or None for the
-# per-suite default, ntk width).
+# Suites run in this order, each next to its default trial count (None for
+# lemma3, which draws no Monte Carlo trials) and called with (seed, trials,
+# ntk width).
 _SUITES = {
-    "lemma1": _suite_lemma1,
-    "lemma2": _suite_lemma2,
-    "lemma3": _suite_lemma3,
-    "theorem1": _suite_theorem1,
-    "lemma4": _suite_lemma4,
-    "synflow-equiv": _suite_synflow_equiv,
-    "snip-equiv": _suite_snip_equiv,
-    "ntk": _suite_ntk,
+    "lemma1": (_suite_lemma1, 20_000),
+    "lemma2": (_suite_lemma2, 2_000),
+    "lemma3": (_suite_lemma3, None),
+    "theorem1": (_suite_theorem1, 2_000),
+    "lemma4": (_suite_lemma4, 2_000),
+    "synflow-equiv": (_suite_synflow_equiv, 100),
+    "snip-equiv": (_suite_snip_equiv, 100),
+    "ntk": (_suite_ntk, 200),
 }
 VERIFY_SUITES = tuple(_SUITES)
 
 
-def _cmd_verify(settings: dict) -> tuple[list[ResultRow], bool]:
+def _cmd_verify(settings: dict) -> list[ResultRow]:
     rows: list[ResultRow] = []
     for suite in settings["suites"]:
+        run, default_trials = _SUITES[suite]
+        trials = default_trials if settings["trials"] is None else settings["trials"]
         started = time.perf_counter()
-        produced = _SUITES[suite](
-            settings["seed"], settings["trials"], settings["width"]
+        produced = run(settings["seed"], trials, settings["width"])
+        elapsed_ms = (time.perf_counter() - started) * 1000.0 / len(produced)
+        rows.extend(
+            dataclasses.replace(
+                row, seed=settings["seed"], method=suite,
+                wall_time_ms=elapsed_ms if settings["timing"] else 0.0,
+            )
+            for row in produced
         )
-        if settings["timing"]:
-            elapsed_ms = (time.perf_counter() - started) * 1000.0 / len(produced)
-            produced = [
-                dataclasses.replace(row, wall_time_ms=elapsed_ms) for row in produced
-            ]
-        rows.extend(produced)
-    return rows, all(row.passed for row in rows)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -470,11 +412,7 @@ def _cmd_pipeline(settings: dict) -> list[ResultRow]:
                 )
                 started = time.perf_counter()
                 result = run_prune_pipeline(config)
-                elapsed = (
-                    (time.perf_counter() - started) * 1000.0
-                    if settings["timing"]
-                    else 0.0
-                )
+                elapsed = (time.perf_counter() - started) * 1000.0
                 rows.append(
                     ResultRow(
                         run_id=f"pipeline/{seed}/{method}/{s}",
@@ -488,7 +426,7 @@ def _cmd_pipeline(settings: dict) -> list[ResultRow]:
                         kind="upper-bound" if math.isfinite(result.bound) else "none",
                         standard_error=math.nan,
                         distance=result.w0_wstar_distance,
-                        wall_time_ms=elapsed,
+                        wall_time_ms=elapsed if settings["timing"] else 0.0,
                     )
                 )
     rows.sort(key=lambda r: (r.seed, r.method, r.s))
@@ -498,13 +436,12 @@ def _cmd_pipeline(settings: dict) -> list[ResultRow]:
 def _cmd_histogram(settings: dict) -> str:
     d = settings["d"]
     bins = settings["bins"]
-    s = math.ceil(settings["density"] * d)
-    if not 1 <= s <= d:
-        raise ConfigError(f"density {settings['density']} gives keep count {s}")
     root = RngStream(settings["seed"])
     w = root.substream(0).normal(d)
     X = gen_normal_X(d, 128, root.substream(1))
-    mask = MASK_METHODS[settings["method"]].build(X, w, s, root.substream(2))
+    mask = MASK_METHODS[settings["method"]].build(
+        X, w, settings["s"], root.substream(2)
+    )
     magnitudes = np.abs(w)
     edges = np.linspace(0.0, float(magnitudes.max()), bins + 1)
     count_all, _ = np.histogram(magnitudes, bins=edges)
@@ -520,10 +457,12 @@ def _cmd_histogram(settings: dict) -> str:
 
 def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
     started = time.perf_counter()
-    model, X, y, snapshot, trajectory, rng = _ntk_instance(
+    model, X, snapshot, trajectory, rng = _ntk_instance(
         settings["width"], settings["seed"], settings["steps"]
     )
-    s = settings["s"] or math.isqrt(model.n_params - 1) + 1
+    s = settings["s"]
+    if s is None:
+        s = math.isqrt(model.n_params - 1) + 1
     if not 1 <= s <= model.n_params:
         raise ConfigError(f"keep count {s} outside [1, {model.n_params}]")
     rep = theorem2_report(model, snapshot, trajectory, X, s, settings["trials"], rng)
@@ -535,20 +474,12 @@ def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
         f"movement={trajectory.movement[-1]:.6g} "
         f"empirical={rep.empirical_error:.6g} bound={rep.closed_form_or_bound:.6g}"
     )
+    row = _report_row(
+        "ntk-demo", rep, model.n_params, X.n, s, float(trajectory.movement[-1])
+    )
     return [
-        ResultRow(
-            run_id="ntk-demo",
-            seed=settings["seed"],
-            d=model.n_params,
-            n=X.n,
-            s=s,
-            method="ntk-sketch",
-            empirical_error=rep.empirical_error,
-            bound=rep.closed_form_or_bound,
-            kind=rep.kind,
-            standard_error=rep.standard_error,
-            distance=float(trajectory.movement[-1]),
-            wall_time_ms=elapsed,
+        dataclasses.replace(
+            row, seed=settings["seed"], method="ntk-sketch", wall_time_ms=elapsed
         )
     ]
 
@@ -683,44 +614,61 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-def _split_list(raw: str) -> list[str]:
-    items = [item.strip() for item in raw.split(",")]
-    return [item for item in items if item]
+def _split_list(raw: str, flag: str) -> list[str]:
+    items = [item for item in (part.strip() for part in raw.split(",")) if item]
+    if not items:
+        raise ConfigError(f"{flag} lists nothing: {raw!r}")
+    return items
+
+
+def _known(names: list[str], choices: tuple, what: str) -> list[str]:
+    for name in names:
+        if name not in choices:
+            raise ConfigError(
+                f"unknown {what} {name!r}; choose from {', '.join(choices)}"
+            )
+    return names
+
+
+# The smallest value each integer flag takes, by subcommand (verify's
+# --trials may also be absent, for the per-suite defaults).
+_MINIMUMS = {
+    "verify": {"trials": 2, "width": 1},
+    "pipeline": {"trials": 1},
+    "histogram": {"bins": 1, "d": 1},
+    "ntk-demo": {"width": 1, "steps": 0, "trials": 2},
+}
 
 
 def _resolve_settings(args) -> dict:
     """Parsed flags plus the values derived from them, range-checked."""
     settings = dict(vars(args), seed=_resolve_seed(args.seed))
+    for key, low in _MINIMUMS[args.command].items():
+        if settings[key] is not None and settings[key] < low:
+            raise ConfigError(f"{key} must be >= {low}")
+    # a density of nan or inf fails this too, before math.ceil sees it
+    density = settings.get("density")
+    if density is not None and not 0 < density <= 1:
+        raise ConfigError(f"density must lie in (0, 1], got {density}")
 
     if args.command == "verify":
-        suites = _split_list(args.methods) if args.methods else list(VERIFY_SUITES)
-        for suite in suites:
-            if suite not in VERIFY_SUITES:
-                raise ConfigError(
-                    f"unknown suite {suite!r}; choose from {', '.join(VERIFY_SUITES)}"
-                )
-        settings["suites"] = suites
-        if args.trials is not None and args.trials < 2:
-            raise ConfigError("trials must be >= 2")
-        if args.width < 1:
-            raise ConfigError("width must be >= 1")
+        suites = (
+            _split_list(args.methods, "--methods") if args.methods
+            else list(VERIFY_SUITES)
+        )
+        settings["suites"] = _known(suites, VERIFY_SUITES, "suite")
 
     elif args.command == "pipeline":
         if args.methods:
-            methods = _split_list(args.methods)
+            methods = _split_list(args.methods, "--methods")
         elif args.method:
             methods = [args.method]
         else:
             methods = list(METHODS)
-        for method in methods:
-            if method not in METHODS:
-                raise ConfigError(
-                    f"unknown method {method!r}; choose from {', '.join(METHODS)}"
-                )
-        settings["methods"] = methods
+        settings["methods"] = _known(methods, METHODS, "method")
         if args.s is not None:
             try:
-                s_values = [int(part) for part in _split_list(args.s)]
+                s_values = [int(part) for part in _split_list(args.s, "--s")]
             except ValueError as exc:
                 raise ConfigError(f"bad keep counts {args.s!r}") from exc
         elif args.density is not None:
@@ -731,8 +679,6 @@ def _resolve_settings(args) -> dict:
             if not 1 <= s <= args.d:
                 raise ConfigError(f"keep count {s} outside [1, {args.d}]")
         settings["s_values"] = s_values
-        if args.trials < 1:
-            raise ConfigError("trials must be >= 1")
 
     elif args.command == "histogram":
         if args.method not in HISTOGRAM_METHODS:
@@ -740,18 +686,8 @@ def _resolve_settings(args) -> dict:
                 f"histogram needs a binary-mask method, one of "
                 f"{', '.join(HISTOGRAM_METHODS)}"
             )
-        if args.bins < 1:
-            raise ConfigError("bins must be >= 1")
-        if args.d < 1:
-            raise ConfigError("d must be >= 1")
-
-    else:  # ntk-demo
-        if args.width < 1:
-            raise ConfigError("width must be >= 1")
-        if args.steps < 0:
-            raise ConfigError("steps must be >= 0")
-        if args.trials < 2:
-            raise ConfigError("trials must be >= 2")
+        # in [1, d], since 0 < density <= 1
+        settings["s"] = math.ceil(args.density * args.d)
 
     return settings
 
@@ -769,22 +705,17 @@ def main(argv=None) -> int:
         settings = _resolve_settings(args)
         out = Path(settings["out"])
         if args.command == "verify":
-            rows, ok = _cmd_verify(settings)
+            rows = _cmd_verify(settings)
             _atomic_write(out, _result_lines(rows, include_passed=True))
             failed = [row.run_id for row in rows if not row.passed]
             if failed:
                 print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
                 return 1
-            return 0
-        if args.command == "pipeline":
-            rows = _cmd_pipeline(settings)
-            _atomic_write(out, _result_lines(rows, include_passed=False))
-            return 0
-        if args.command == "histogram":
+        elif args.command == "histogram":
             _atomic_write(out, _cmd_histogram(settings))
-            return 0
-        rows = _cmd_ntk_demo(settings)
-        _atomic_write(out, _result_lines(rows, include_passed=False))
+        else:
+            run = _cmd_pipeline if args.command == "pipeline" else _cmd_ntk_demo
+            _atomic_write(out, _result_lines(run(settings), include_passed=False))
         return 0
     except (ValueError, OSError, DivergenceError, MemoryError) as exc:
         # exit code 1 is reserved for failed verify checks

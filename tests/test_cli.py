@@ -37,16 +37,25 @@ class TestVerifyCommand:
         assert all(line.endswith(",true") for line in lines[1:])
 
     def test_unknown_suite_is_usage_error(self, tmp_path, capsys):
-        code = main(["verify", "--methods", "lemma9", "--out", str(tmp_path / "v.csv")])
-        assert code == 2
-        assert "lemma9" in capsys.readouterr().err
+        # an empty list selects nothing, which is as much a usage error
+        for methods, named in (("lemma9", "lemma9"), (",", "--methods")):
+            out = tmp_path / "v.csv"
+            assert main(["verify", "--methods", methods, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert named in err
+            assert not out.exists()
 
     def test_suite_names_cover_all_checks(self, tmp_path):
         out = tmp_path / "v.csv"
-        suites = "lemma3,synflow-equiv,snip-equiv"
-        assert main(["verify", "--methods", suites, "--out", str(out)]) == 0
-        methods = {line.split(",")[5] for line in read_lines(out)[1:]}
-        assert methods == set(suites.split(","))
+        suites = "lemma3,lemma4,synflow-equiv,snip-equiv"
+        args = ["verify", "--methods", suites, "--seed", "5", "--out", str(out)]
+        assert main(args) == 0
+        rows = [line.split(",") for line in read_lines(out)[1:]]
+        assert {row[5] for row in rows} == set(suites.split(","))
+        for row in rows:
+            assert row[0].startswith(row[5] + "/")
+            assert row[1] == "5"
 
     def test_all_suites_listed(self):
         assert set(VERIFY_SUITES) == {
@@ -83,11 +92,14 @@ class TestPipelineCommand:
         row = read_lines(out)[1].split(",")
         assert row[4] == "3"
 
-    def test_unknown_method(self, tmp_path):
-        code = main([
-            "pipeline", "--method", "oracle", "--out", str(tmp_path / "p.csv"),
-        ])
-        assert code == 2
+    def test_unknown_method(self, tmp_path, capsys):
+        # empty method and keep-count lists select nothing
+        for flags in (["--method", "oracle"], ["--methods", ","], ["--s", ","]):
+            out = tmp_path / "p.csv"
+            assert main(["pipeline", *flags, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
 
     def test_budget_beyond_dimension(self, tmp_path):
         code = main([
@@ -136,11 +148,12 @@ class TestNtkDemoCommand:
         assert "lambda_min=" in capsys.readouterr().out
 
     def test_budget_validation(self, tmp_path):
-        code = main([
-            "ntk-demo", "--width", "8", "--s", "100000",
-            "--out", str(tmp_path / "n.csv"),
-        ])
-        assert code == 2
+        for s in ("100000", "0"):
+            code = main([
+                "ntk-demo", "--width", "8", "--s", s,
+                "--out", str(tmp_path / "n.csv"),
+            ])
+            assert code == 2
 
 
 class TestConfigResolution:
@@ -253,6 +266,16 @@ class TestExitCodes:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", ["pipeline", "histogram"])
+    @pytest.mark.parametrize("density", ["inf", "nan", "0", "1.5"])
+    def test_density_outside_unit_interval(self, tmp_path, capsys, command, density):
+        out = tmp_path / "o.csv"
+        assert main([command, "--density", density, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "density" in err
+        assert not out.exists()
 
 
 class TestDeterminism:
