@@ -5,152 +5,23 @@ expected approximation error against closed forms and Monte Carlo estimates,
 relates saliency scores (synflow, snip) to the variance-optimal sampling
 distribution, and extends the machinery to the kernel regime of a small
 dense network.
+
+Every public name is declared once, in its module's ``__all__``; the package
+re-exports the union. The command-line module ``cli`` is not imported here.
 """
 
-from .bounds import (
-    ENUMERATION_LIMIT,
-    BoundReport,
-    enumerate_exact_error,
-    exact_expected_error,
-    lemma1_exact_error,
-    lemma2_bound,
-    lemma3_bound,
-    lemma4_uniform_bound,
-    mc_error_over_data,
-    mc_error_over_masks,
-    theorem1_bound,
-)
-from .core import (
-    DataMatrix,
-    DegenerateDistributionError,
-    DimensionMismatchError,
-    DivergenceError,
-    EnumerationLimitError,
-    InvalidDensityError,
-    Mask,
-    ProbabilityVector,
-    RngStream,
-    StepSizeError,
-    SupportError,
-    WeightVector,
-    ZeroColumnError,
-    apply_mask,
-    as_vector,
-    features,
-    row_norms,
-)
-from .experiments import (
-    METHODS,
-    PipelineConfig,
-    PipelineResult,
-    SyntheticDataset,
-    gen_chi_input,
-    gen_normal_X,
-    gen_sparse_X,
-    make_dataset,
-    max_hessian_eigenvalue,
-    run_prune_pipeline,
-    train_least_squares,
-)
-from .ntk import (
-    ACTIVATIONS,
-    LinearTrajectory,
-    NtkSnapshot,
-    TinyMLP,
-    analytic_jacobian,
-    capital_F,
-    empirical_ntk,
-    finite_difference_jacobian,
-    linearized_features,
-    mask_probabilities,
-    ntk_mask,
-    take_snapshot,
-    theorem2_report,
-    train_linearized_gd,
-)
-from .scores import (
-    ScoreVector,
-    layerwise_randomized_selection,
-    magnitude_scores,
-    scores_to_probabilities,
-    select_randomized,
-    select_topk,
-    snip_scores_l1,
-    synflow_scores,
-)
-from .sketch import (
-    approximation_error,
-    optimal_probabilities,
-    sample_sketch_mask,
-    uniform_probabilities,
-)
+from . import bounds, core, experiments, ntk, scores, sketch
+from .bounds import *
+from .core import *
+from .experiments import *
+from .ntk import *
+from .scores import *
+from .sketch import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ACTIVATIONS",
-    "BoundReport",
-    "DataMatrix",
-    "DegenerateDistributionError",
-    "DimensionMismatchError",
-    "DivergenceError",
-    "ENUMERATION_LIMIT",
-    "EnumerationLimitError",
-    "InvalidDensityError",
-    "LinearTrajectory",
-    "METHODS",
-    "Mask",
-    "NtkSnapshot",
-    "PipelineConfig",
-    "PipelineResult",
-    "ProbabilityVector",
-    "RngStream",
-    "ScoreVector",
-    "StepSizeError",
-    "SupportError",
-    "SyntheticDataset",
-    "TinyMLP",
-    "WeightVector",
-    "ZeroColumnError",
-    "analytic_jacobian",
-    "apply_mask",
-    "approximation_error",
-    "as_vector",
-    "capital_F",
-    "empirical_ntk",
-    "enumerate_exact_error",
-    "exact_expected_error",
-    "features",
-    "finite_difference_jacobian",
-    "gen_chi_input",
-    "gen_normal_X",
-    "gen_sparse_X",
-    "layerwise_randomized_selection",
-    "lemma1_exact_error",
-    "lemma2_bound",
-    "lemma3_bound",
-    "lemma4_uniform_bound",
-    "linearized_features",
-    "magnitude_scores",
-    "make_dataset",
-    "mask_probabilities",
-    "max_hessian_eigenvalue",
-    "mc_error_over_data",
-    "mc_error_over_masks",
-    "ntk_mask",
-    "optimal_probabilities",
-    "row_norms",
-    "run_prune_pipeline",
-    "sample_sketch_mask",
-    "scores_to_probabilities",
-    "select_randomized",
-    "select_topk",
-    "snip_scores_l1",
-    "synflow_scores",
-    "take_snapshot",
-    "theorem1_bound",
-    "theorem2_report",
-    "train_least_squares",
-    "train_linearized_gd",
-    "uniform_probabilities",
+    name
+    for module in (core, sketch, scores, bounds, ntk, experiments)
+    for name in module.__all__
 ]

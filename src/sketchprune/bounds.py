@@ -31,6 +31,7 @@ from .core import (
 from .sketch import optimal_probabilities, sample_sketch_mask, uniform_probabilities
 
 __all__ = [
+    "ENUMERATION_LIMIT",
     "BoundReport",
     "exact_expected_error",
     "lemma1_exact_error",
@@ -181,15 +182,12 @@ def theorem1_bound(w0, w_star, s: int) -> float:
     return l1 * (float(delta @ delta) / linf + 2.0 * float(np.abs(delta).sum()) + l1) / s
 
 
-def lemma4_uniform_bound(w_star, d: int, s: int) -> float:
-    """Error bound (d/s) ||w*||^2 for uniformly sampled sketch masks."""
+def lemma4_uniform_bound(w_star, s: int) -> float:
+    """Error bound (d/s) ||w*||^2 for uniformly sampled sketch masks over
+    the d = len(w_star) weights."""
     _check_budget(s)
     wsv = as_vector(w_star)
-    if wsv.size != d:
-        raise DimensionMismatchError(
-            f"weight length {wsv.size} does not match d={d}"
-        )
-    return d / s * float(wsv @ wsv)
+    return wsv.size / s * float(wsv @ wsv)
 
 
 def mc_error_over_masks(
@@ -300,6 +298,6 @@ def mc_error_over_data(
         if distribution == "optimal":
             reference = theorem1_bound(w0v, wsv, s)
         else:
-            reference = lemma4_uniform_bound(wsv, d, s)
+            reference = lemma4_uniform_bound(wsv, s)
     se = float(errors.std(ddof=1) / math.sqrt(x_trials)) if x_trials > 1 else 0.0
     return BoundReport(float(errors.mean()), se, reference, "upper-bound", x_trials)

@@ -21,7 +21,6 @@ __all__ = [
     "ZeroColumnError",
     "SupportError",
     "DataMatrix",
-    "WeightVector",
     "ProbabilityVector",
     "Mask",
     "RngStream",
@@ -79,9 +78,7 @@ def _validated_array(values, name: str, ndim: int) -> np.ndarray:
 
 
 def as_vector(v) -> np.ndarray:
-    """Extract a validated float64 1-d array from a wrapper or array-like."""
-    if hasattr(v, "values"):
-        return v.values
+    """Read-only float64 copy of a nonempty, finite 1-d array-like."""
     return _validated_array(v, "vector", ndim=1)
 
 
@@ -113,22 +110,6 @@ class DataMatrix:
     def col(self, j: int) -> np.ndarray:
         """Example j as a length-d vector."""
         return self.values[:, j]
-
-
-@dataclass(frozen=True)
-class WeightVector:
-    """A length-d weight vector with finite float64 entries."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(
-            self, "values", _validated_array(self.values, "WeightVector", ndim=1)
-        )
-
-    @property
-    def d(self) -> int:
-        return self.values.size
 
 
 @dataclass(frozen=True)
@@ -254,11 +235,11 @@ def features(X: DataMatrix, w) -> np.ndarray:
     return X.values.T @ wv
 
 
-def apply_mask(w, m: Mask) -> WeightVector:
+def apply_mask(w, m: Mask) -> np.ndarray:
     """Entrywise product of a weight vector with a mask."""
     wv = as_vector(w)
     if wv.size != m.values.size:
         raise DimensionMismatchError(
             f"mask length {m.values.size} does not match weight length {wv.size}"
         )
-    return WeightVector(wv * m.values)
+    return as_vector(wv * m.values)

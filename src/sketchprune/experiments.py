@@ -17,7 +17,6 @@ from .core import (
     InvalidDensityError,
     Mask,
     RngStream,
-    WeightVector,
     as_vector,
     features,
     row_norms,
@@ -47,28 +46,41 @@ __all__ = [
 ]
 
 
+def _check_noise_std(noise_std: float):
+    if not 0 <= noise_std < math.inf:
+        raise ValueError(
+            f"noise level must be finite and nonnegative, got {noise_std}"
+        )
+
+
+def _check_lr(lr: float):
+    if not 0 < lr < math.inf:
+        raise ValueError(f"learning rate must be finite and positive, got {lr}")
+
+
 @dataclass(frozen=True)
 class SyntheticDataset:
     """A regression instance with labels y = X^T w_true + noise."""
 
     X: DataMatrix
     y: np.ndarray
-    w_true: WeightVector
+    w_true: np.ndarray
     noise_std: float
 
     def __post_init__(self):
+        _check_noise_std(self.noise_std)
         yv = as_vector(self.y)
+        wv = as_vector(self.w_true)
         if yv.size != self.X.n:
             raise DimensionMismatchError(
                 f"label length {yv.size} does not match {self.X.n} examples"
             )
-        if self.w_true.d != self.X.d:
+        if wv.size != self.X.d:
             raise DimensionMismatchError(
-                f"weight length {self.w_true.d} does not match {self.X.d} rows"
+                f"weight length {wv.size} does not match {self.X.d} rows"
             )
-        if self.noise_std < 0:
-            raise ValueError("noise level must be nonnegative")
         object.__setattr__(self, "y", yv)
+        object.__setattr__(self, "w_true", wv)
 
 
 @dataclass(frozen=True)
@@ -97,10 +109,9 @@ class PipelineConfig:
             raise ValueError("seed must be nonnegative")
         if self.steps < 0:
             raise ValueError("steps must be nonnegative")
-        if self.noise_std < 0:
-            raise ValueError("noise level must be nonnegative")
-        if self.lr is not None and self.lr <= 0:
-            raise ValueError("learning rate must be positive")
+        _check_noise_std(self.noise_std)
+        if self.lr is not None:
+            _check_lr(self.lr)
 
 
 @dataclass(frozen=True)
@@ -137,8 +148,9 @@ def gen_sparse_X(d: int, n: int, rng: RngStream) -> DataMatrix:
 
 def make_dataset(d: int, n: int, noise_std: float, rng: RngStream) -> SyntheticDataset:
     """Draw X, a ground-truth w_true ~ N(0, I/d), and noisy labels."""
+    _check_noise_std(noise_std)
     X = gen_normal_X(d, n, rng)
-    w_true = WeightVector(rng.normal(d) / math.sqrt(d))
+    w_true = rng.normal(d) / math.sqrt(d)
     y = features(X, w_true) + noise_std * rng.normal(n)
     return SyntheticDataset(X, y, w_true, noise_std)
 
@@ -159,13 +171,14 @@ def max_hessian_eigenvalue(X: DataMatrix, iters: int = 20) -> float:
 
 def train_least_squares(
     X: DataMatrix, y, w0, steps: int, lr: float | None = None
-) -> WeightVector:
+) -> np.ndarray:
     """Gradient descent on the mean squared residual (1/n) ||X^T w - y||^2.
 
-    steps=0 returns w0 unchanged. When lr is omitted it is set to 0.9 times
-    the stability threshold 2/lambda_max of the Hessian, with lambda_max
-    estimated by 20 power-iteration steps. Two consecutive loss increases
-    raise DivergenceError.
+    Returns read-only weights; steps=0 returns a copy of w0. When lr is
+    omitted it is set to 0.9 times the stability threshold 2/lambda_max of
+    the Hessian, with lambda_max estimated by 20 power-iteration steps. Two
+    consecutive loss increases raise DivergenceError, and non-finite trained
+    weights raise ValueError.
     """
     yv = as_vector(y)
     w0v = as_vector(w0)
@@ -177,11 +190,10 @@ def train_least_squares(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if steps == 0:
-        return WeightVector(w0v)
+        return w0v
     if lr is None:
         lr = 0.9 * 2.0 / max_hessian_eigenvalue(X)
-    if lr <= 0:
-        raise ValueError("learning rate must be positive")
+    _check_lr(lr)
     Xv = X.values
     n = X.n
     w = w0v.copy()
@@ -203,7 +215,7 @@ def train_least_squares(
         else:
             rises = 0
         prev = loss
-    return WeightVector(w)
+    return as_vector(w)
 
 
 @dataclass(frozen=True)
@@ -219,7 +231,7 @@ class MaskMethod:
     name: str
     build: Callable[[DataMatrix, np.ndarray, int, RngStream], Mask]
     binary: bool
-    bound: Callable[[WeightVector, WeightVector, int], float] | None = None
+    bound: Callable[[np.ndarray, np.ndarray, int], float] | None = None
 
 
 def _snip_sparse_mask(X: DataMatrix, w, s: int, rng: RngStream) -> Mask:
@@ -245,7 +257,7 @@ MASK_METHODS = {
             "sketch-uniform",
             lambda X, w, s, rng: sample_sketch_mask(uniform_probabilities(X.d), s, rng),
             binary=False,
-            bound=lambda w0, w_star, s: lemma4_uniform_bound(w_star, w_star.d, s),
+            bound=lambda w0, w_star, s: lemma4_uniform_bound(w_star, s),
         ),
         MaskMethod(
             "topk-synflow",
@@ -288,7 +300,7 @@ def run_prune_pipeline(config: PipelineConfig) -> PipelineResult:
     data_rng, init_rng, mask_rng, test_rng = (root.substream(k) for k in range(4))
 
     dataset = make_dataset(config.d, config.n, config.noise_std, data_rng)
-    w0 = WeightVector(init_rng.normal(config.d) / math.sqrt(config.d))
+    w0 = init_rng.normal(config.d) / math.sqrt(config.d)
     method = MASK_METHODS[config.method]
     mask = method.build(dataset.X, w0, config.s, mask_rng)
     w_star = train_least_squares(
@@ -298,7 +310,7 @@ def run_prune_pipeline(config: PipelineConfig) -> PipelineResult:
     masked_error = approximation_error(X_test, w_star, mask) ** 2
 
     bound = method.bound(w0, w_star, config.s) if method.bound else math.nan
-    distance = float(np.linalg.norm(w_star.values - w0.values))
+    distance = float(np.linalg.norm(w_star - w0))
     return PipelineResult(
         method=config.method,
         density=config.s / config.d,

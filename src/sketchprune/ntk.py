@@ -21,14 +21,13 @@ from .core import (
     DataMatrix,
     DimensionMismatchError,
     DivergenceError,
-    Mask,
     ProbabilityVector,
     RngStream,
     StepSizeError,
     ZeroColumnError,
     as_vector,
 )
-from .sketch import optimal_probabilities, sample_sketch_mask
+from .sketch import optimal_probabilities
 
 __all__ = [
     "ACTIVATIONS",
@@ -37,10 +36,9 @@ __all__ = [
     "LinearTrajectory",
     "analytic_jacobian",
     "finite_difference_jacobian",
-    "linearized_features",
     "capital_F",
+    "empirical_ntk",
     "mask_probabilities",
-    "ntk_mask",
     "take_snapshot",
     "train_linearized_gd",
     "theorem2_report",
@@ -168,16 +166,6 @@ def finite_difference_jacobian(
     return np.stack(columns, axis=1)
 
 
-def linearized_features(J: np.ndarray, theta) -> np.ndarray:
-    """Linearized output vector J theta."""
-    tv = as_vector(theta)
-    if J.ndim != 2 or J.shape[1] != tv.size:
-        raise DimensionMismatchError(
-            f"Jacobian shape {J.shape} incompatible with theta length {tv.size}"
-        )
-    return J @ tv
-
-
 def capital_F(A) -> float:
     """Sum of reciprocal column norms of a matrix (entry magnitudes for a
     vector). Any zero column raises, since its reciprocal is undefined."""
@@ -252,11 +240,6 @@ def mask_probabilities(snapshot: NtkSnapshot) -> ProbabilityVector:
     return optimal_probabilities(
         DataMatrix(snapshot.jacobian.T), snapshot.theta0
     )
-
-
-def ntk_mask(snapshot: NtkSnapshot, s: int, rng: RngStream) -> Mask:
-    """Sketch mask over parameters from the snapshot's distribution."""
-    return sample_sketch_mask(mask_probabilities(snapshot), s, rng)
 
 
 @dataclass(frozen=True)

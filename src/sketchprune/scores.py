@@ -4,7 +4,6 @@ built on them."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -17,14 +16,12 @@ from .core import (
     Mask,
     ProbabilityVector,
     RngStream,
-    _validated_array,
     as_vector,
     features,
 )
 from .sketch import _categorical_indices
 
 __all__ = [
-    "ScoreVector",
     "synflow_scores",
     "snip_scores_l1",
     "magnitude_scores",
@@ -35,24 +32,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ScoreVector:
-    """Nonnegative per-weight saliency scores."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        arr = _validated_array(self.values, "ScoreVector", ndim=1)
-        if np.any(arr < 0.0):
-            raise ValueError("scores must be nonnegative")
-        object.__setattr__(self, "values", arr)
-
-    @property
-    def d(self) -> int:
-        return self.values.size
-
-
-def synflow_scores(inputs, w) -> ScoreVector:
+def synflow_scores(inputs, w) -> np.ndarray:
     """Path-product saliency of a linear map at a nonnegative probe input.
 
     score_i = inputs_i * |w_i|. Probing with the row norms of a data matrix
@@ -67,10 +47,10 @@ def synflow_scores(inputs, w) -> ScoreVector:
         )
     if np.any(iv < 0.0):
         raise ValueError("probe input must be nonnegative")
-    return ScoreVector(iv * np.abs(wv))
+    return as_vector(iv * np.abs(wv))
 
 
-def snip_scores_l1(X: DataMatrix, y, w) -> ScoreVector:
+def snip_scores_l1(X: DataMatrix, y, w) -> np.ndarray:
     """Connection sensitivity of the mean absolute residual at a full mask.
 
     score_j = (1/n) |w_j| |sum_i sign(x_i^T w - y_i) X_{j,i}|, with the sign
@@ -83,12 +63,12 @@ def snip_scores_l1(X: DataMatrix, y, w) -> ScoreVector:
             f"label length {yv.size} does not match {X.n} examples"
         )
     signs = np.sign(features(X, wv) - yv)
-    return ScoreVector(np.abs(wv) * np.abs(X.values @ signs) / X.n)
+    return as_vector(np.abs(wv) * np.abs(X.values @ signs) / X.n)
 
 
-def magnitude_scores(w) -> ScoreVector:
+def magnitude_scores(w) -> np.ndarray:
     """Plain absolute-value saliency |w_i|."""
-    return ScoreVector(np.abs(as_vector(w)))
+    return as_vector(np.abs(w))
 
 
 def scores_to_probabilities(scores) -> ProbabilityVector:

@@ -136,20 +136,20 @@ class TestTheorem1:
 
 class TestLemma4:
     def test_hand_value(self):
-        assert lemma4_uniform_bound([1.0, 1.0], 2, 1) == pytest.approx(4.0)
+        assert lemma4_uniform_bound([1.0, 1.0], 1) == pytest.approx(4.0)
 
     def test_zero_target(self):
-        assert lemma4_uniform_bound([0.0, 0.0], 2, 1) == 0.0
+        assert lemma4_uniform_bound([0.0, 0.0], 1) == 0.0
 
     def test_full_budget(self):
         w = [1.0, -2.0, 3.0]
-        assert lemma4_uniform_bound(w, 3, 3) == pytest.approx(float(np.dot(w, w)))
+        assert lemma4_uniform_bound(w, 3) == pytest.approx(float(np.dot(w, w)))
 
     def test_dimension_factor_vs_lemma2(self):
         rng = RngStream(4)
         w0 = rng.normal(6)
         w_star = rng.normal(6)
-        ratio = lemma4_uniform_bound(w_star, 6, 2) / lemma2_bound(w0, 2)
+        ratio = lemma4_uniform_bound(w_star, 2) / lemma2_bound(w0, 2)
         expected = 6 * float(w_star @ w_star) / float(w0 @ w0)
         assert ratio == pytest.approx(expected, rel=1e-12)
 
@@ -298,7 +298,7 @@ class TestMcOverData:
         rng = RngStream(20)
         w = rng.normal(16) / 4.0
         rep = mc_error_over_data(w, w, 4, 16, 300, rng, distribution="uniform")
-        assert rep.closed_form_or_bound == pytest.approx(lemma4_uniform_bound(w, 16, 4))
+        assert rep.closed_form_or_bound == pytest.approx(lemma4_uniform_bound(w, 4))
         assert rep.satisfied()
 
     def test_unknown_distribution_rejected(self):

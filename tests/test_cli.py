@@ -277,6 +277,19 @@ class TestExitCodes:
         assert "density" in err
         assert not out.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("flag", ["--lr", "--noise-std"])
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_training_setting(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "p.csv"
+        code = main(["pipeline", "--d", "8", "--n", "4", "--s", "2", "--trials", "1",
+                     flag, value, "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert {"--lr": "learning rate", "--noise-std": "noise level"}[flag] in err
+        assert not out.exists()
+
 
 class TestDeterminism:
     def test_pipeline_repeat_is_byte_identical(self, tmp_path):

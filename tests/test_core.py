@@ -9,8 +9,8 @@ from sketchprune import (
     Mask,
     ProbabilityVector,
     RngStream,
-    WeightVector,
     apply_mask,
+    as_vector,
     features,
     row_norms,
 )
@@ -41,15 +41,34 @@ class TestDataMatrix:
             X.values[0, 0] = 9.0
 
 
-class TestWeightVector:
-    def test_round_trip(self):
-        w = WeightVector([1.0, -2.0])
-        np.testing.assert_array_equal(w.values, [1.0, -2.0])
-        assert w.d == 2
+class TestAsVector:
+    def test_read_only_float64_copy(self):
+        source = np.array([1, -2])
+        v = as_vector(source)
+        np.testing.assert_array_equal(v, [1.0, -2.0])
+        assert v.dtype == np.float64 and not v.flags.writeable
+        source[0] = 5
+        assert v[0] == 1.0
 
     def test_rejects_matrix(self):
-        with pytest.raises(ValueError):
-            WeightVector([[1.0], [2.0]])
+        with pytest.raises(DimensionMismatchError):
+            as_vector([[1.0], [2.0]])
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError):
+                as_vector([1.0, bad])
+
+    def test_rejects_wrapper_types(self):
+        for wrapper in (
+            DataMatrix(np.ones((3, 1))),
+            Mask([1.0, 0.0]),
+            ProbabilityVector([0.5, 0.5]),
+        ):
+            with pytest.raises(TypeError):
+                as_vector(wrapper)
+        with pytest.raises(TypeError):
+            features(DataMatrix(np.ones((3, 1))), DataMatrix(np.ones((3, 1))))
 
 
 class TestProbabilityVector:
@@ -166,12 +185,12 @@ def test_features_dimension_error():
 
 def test_apply_mask_binary():
     out = apply_mask([1.0, 2.0], Mask([0.0, 1.0], kind="binary"))
-    np.testing.assert_array_equal(out.values, [0.0, 2.0])
+    np.testing.assert_array_equal(out, [0.0, 2.0])
 
 
 def test_apply_mask_fractional():
     out = apply_mask([1.0, 1.0], Mask([2.0, 0.0], kind="sketch"))
-    np.testing.assert_array_equal(out.values, [2.0, 0.0])
+    np.testing.assert_array_equal(out, [2.0, 0.0])
 
 
 def test_apply_mask_identity_preserves_features():
@@ -179,7 +198,7 @@ def test_apply_mask_identity_preserves_features():
     X = DataMatrix(rng.normal((6, 4)))
     w = rng.normal(6)
     ones = Mask(np.ones(6), kind="binary")
-    np.testing.assert_array_equal(features(X, apply_mask(w, ones).values), features(X, w))
+    np.testing.assert_array_equal(features(X, apply_mask(w, ones)), features(X, w))
 
 
 def test_apply_mask_dimension_error():

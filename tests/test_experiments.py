@@ -16,7 +16,6 @@ from sketchprune import (
     make_dataset,
     max_hessian_eigenvalue,
     run_prune_pipeline,
-    WeightVector,
     train_least_squares,
 )
 from sketchprune.experiments import MASK_METHODS
@@ -96,7 +95,7 @@ class TestTrainLeastSquares:
         ds = make_dataset(5, 9, 0.0, rng)
         w0 = rng.normal(5)
         np.testing.assert_array_equal(
-            train_least_squares(ds.X, ds.y, w0, steps=0).values, w0
+            train_least_squares(ds.X, ds.y, w0, steps=0), w0
         )
 
     def test_converges_to_normal_equations(self):
@@ -105,7 +104,7 @@ class TestTrainLeastSquares:
         w0 = rng.normal(6) / math.sqrt(6)
         trained = train_least_squares(ds.X, ds.y, w0, steps=4_000)
         solution, *_ = np.linalg.lstsq(ds.X.values.T, ds.y, rcond=None)
-        np.testing.assert_allclose(trained.values, solution, atol=1e-8)
+        np.testing.assert_allclose(trained, solution, atol=1e-8)
 
     def test_training_reduces_loss(self):
         rng = RngStream(14)
@@ -117,7 +116,7 @@ class TestTrainLeastSquares:
             return float(r @ r) / ds.X.n
 
         trained = train_least_squares(ds.X, ds.y, w0, steps=200)
-        assert loss(trained.values) < loss(w0)
+        assert loss(trained) < loss(w0)
 
     def test_oversized_step_diverges(self):
         rng = RngStream(15)
@@ -129,8 +128,18 @@ class TestTrainLeastSquares:
     def test_invalid_lr_rejected(self):
         rng = RngStream(16)
         ds = make_dataset(4, 8, 0.0, rng)
-        with pytest.raises(ValueError):
-            train_least_squares(ds.X, ds.y, np.ones(4), steps=5, lr=-0.1)
+        for lr in (-0.1, math.inf, math.nan):
+            with pytest.raises(ValueError, match="learning rate"):
+                train_least_squares(ds.X, ds.y, np.ones(4), steps=5, lr=lr)
+
+    def test_returns_read_only_array(self):
+        rng = RngStream(17)
+        ds = make_dataset(4, 8, 0.0, rng)
+        w0 = rng.normal(4)
+        for steps in (0, 5):
+            w = train_least_squares(ds.X, ds.y, w0, steps=steps)
+            assert isinstance(w, np.ndarray) and w.dtype == np.float64
+            assert not w.flags.writeable
 
 
 class TestMaskMethods:
@@ -145,8 +154,8 @@ class TestMaskMethods:
         method = MASK_METHODS[name]
         rng = RngStream(4)
         X = gen_normal_X(20, 8, rng)
-        w0 = WeightVector(rng.normal(20))
-        w_star = WeightVector(rng.normal(20))
+        w0 = rng.normal(20)
+        w_star = rng.normal(20)
         mask = method.build(X, w0, 5, rng.substream(1))
         if method.binary:
             assert mask.kind == "binary" and mask.nnz == 5

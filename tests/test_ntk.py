@@ -15,9 +15,8 @@ from sketchprune import (
     empirical_ntk,
     enumerate_exact_error,
     finite_difference_jacobian,
-    linearized_features,
     mask_probabilities,
-    ntk_mask,
+    sample_sketch_mask,
     take_snapshot,
     theorem2_report,
     train_linearized_gd,
@@ -101,11 +100,6 @@ class TestSnapshot:
         assert snap.r0_hat == pytest.approx(np.linalg.norm(model.output_vector(X) - y))
 
 
-def test_linearized_features_is_matrix_product():
-    J = np.arange(6.0).reshape(2, 3)
-    np.testing.assert_array_equal(linearized_features(J, [1.0, 0.0, 1.0]), [2.0, 8.0])
-
-
 class TestCapitalF:
     def test_identity(self):
         assert capital_F(np.eye(2)) == pytest.approx(2.0)
@@ -130,7 +124,7 @@ class TestMaskFromSnapshot:
 
     def test_mask_respects_budget(self):
         model, X, y, rng = small_problem()
-        m = ntk_mask(take_snapshot(model, X, y), 4, rng)
+        m = sample_sketch_mask(mask_probabilities(take_snapshot(model, X, y)), 4, rng)
         assert m.kind == "sketch"
         assert m.nnz <= 4
 

@@ -27,15 +27,15 @@ from sketchprune import (
 class TestSynflowScores:
     def test_all_ones_input(self):
         np.testing.assert_array_equal(
-            synflow_scores([1.0, 1.0], [2.0, -3.0]).values, [2.0, 3.0]
+            synflow_scores([1.0, 1.0], [2.0, -3.0]), [2.0, 3.0]
         )
 
     def test_row_norm_input(self):
         norms = row_norms(DataMatrix([[3.0, 0.0], [0.0, 4.0]]))
-        np.testing.assert_array_equal(synflow_scores(norms, [2.0, 1.0]).values, [6.0, 4.0])
+        np.testing.assert_array_equal(synflow_scores(norms, [2.0, 1.0]), [6.0, 4.0])
 
     def test_zero_weights(self):
-        np.testing.assert_array_equal(synflow_scores([1.0, 1.0], [0.0, 0.0]).values, [0.0, 0.0])
+        np.testing.assert_array_equal(synflow_scores([1.0, 1.0], [0.0, 0.0]), [0.0, 0.0])
 
     def test_negative_input_rejected(self):
         with pytest.raises(ValueError):
@@ -46,12 +46,12 @@ class TestSnipScores:
     def test_hand_example(self):
         X = DataMatrix([[2.0, 0.0], [0.0, -3.0]])
         g = snip_scores_l1(X, [0.0, 0.0], [1.0, 1.0])
-        np.testing.assert_allclose(g.values, [1.0, 1.5])
+        np.testing.assert_allclose(g, [1.0, 1.5])
 
     def test_zero_weights_zero_residual(self):
         X = DataMatrix([[2.0, 0.0], [0.0, -3.0]])
         g = snip_scores_l1(X, [0.0, 0.0], [0.0, 0.0])
-        np.testing.assert_array_equal(g.values, [0.0, 0.0])
+        np.testing.assert_array_equal(g, [0.0, 0.0])
 
     def test_invariant_to_label_scaling_preserving_signs(self):
         rng = RngStream(2)
@@ -60,13 +60,24 @@ class TestSnipScores:
         f = features(X, w)
         a = snip_scores_l1(X, 0.1 * f, w)
         b = snip_scores_l1(X, 0.5 * f, w)
-        np.testing.assert_allclose(a.values, b.values, rtol=1e-12)
+        np.testing.assert_allclose(a, b, rtol=1e-12)
+
+
+def test_scores_are_read_only_arrays():
+    X = DataMatrix([[2.0, 0.0], [0.0, -3.0]])
+    for scores in (
+        synflow_scores([1.0, 1.0], [2.0, -3.0]),
+        snip_scores_l1(X, [0.0, 0.0], [1.0, 1.0]),
+        magnitude_scores([-2.0, 1.0]),
+    ):
+        assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
+        assert not scores.flags.writeable
 
 
 def test_magnitude_scores():
-    np.testing.assert_array_equal(magnitude_scores([-2.0, 1.0]).values, [2.0, 1.0])
-    np.testing.assert_array_equal(magnitude_scores([0.0, 0.0]).values, [0.0, 0.0])
-    np.testing.assert_array_equal(magnitude_scores([3.0, 3.0]).values, [3.0, 3.0])
+    np.testing.assert_array_equal(magnitude_scores([-2.0, 1.0]), [2.0, 1.0])
+    np.testing.assert_array_equal(magnitude_scores([0.0, 0.0]), [0.0, 0.0])
+    np.testing.assert_array_equal(magnitude_scores([3.0, 3.0]), [3.0, 3.0])
 
 
 class TestScoresToProbabilities:
