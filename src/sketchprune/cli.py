@@ -7,10 +7,10 @@ Four subcommands, all writing CSV atomically (temp file then rename):
 * histogram  -- selected-vs-all weight-magnitude histogram for one method
 * ntk-demo   -- kernel-regime bound demo on a tiny dense network
 
-Every invocation is deterministic for a fixed flag set: wall_time_ms is
-written as 0 unless --timing is passed, and all randomness derives from
---seed (or the SKETCHPRUNE_SEED environment variable when the flag and
-config file are silent).
+Every invocation is deterministic for a fixed flag set: all randomness
+derives from --seed (or the SKETCHPRUNE_SEED environment variable when the
+flag and config file are silent). List flags (--methods, --s) take
+comma-separated items, none of them twice.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import math
 import os
 import sys
 import tempfile
-import time
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +78,6 @@ class ResultRow:
     kind: str
     standard_error: float
     distance: float
-    wall_time_ms: float = 0.0
     passed: bool | None = None
 
 
@@ -378,15 +376,9 @@ def _cmd_verify(settings: dict) -> list[ResultRow]:
     for suite in settings["suites"]:
         run, default_trials = _SUITES[suite]
         trials = default_trials if settings["trials"] is None else settings["trials"]
-        started = time.perf_counter()
-        produced = run(settings["seed"], trials, settings["width"])
-        elapsed_ms = (time.perf_counter() - started) * 1000.0 / len(produced)
         rows.extend(
-            dataclasses.replace(
-                row, seed=settings["seed"], method=suite,
-                wall_time_ms=elapsed_ms if settings["timing"] else 0.0,
-            )
-            for row in produced
+            dataclasses.replace(row, seed=settings["seed"], method=suite)
+            for row in run(settings["seed"], trials, settings["width"])
         )
     return rows
 
@@ -410,9 +402,7 @@ def _cmd_pipeline(settings: dict) -> list[ResultRow]:
                     steps=settings["steps"],
                     lr=settings["lr"],
                 )
-                started = time.perf_counter()
                 result = run_prune_pipeline(config)
-                elapsed = (time.perf_counter() - started) * 1000.0
                 rows.append(
                     ResultRow(
                         run_id=f"pipeline/{seed}/{method}/{s}",
@@ -426,7 +416,6 @@ def _cmd_pipeline(settings: dict) -> list[ResultRow]:
                         kind="upper-bound" if math.isfinite(result.bound) else "none",
                         standard_error=math.nan,
                         distance=result.w0_wstar_distance,
-                        wall_time_ms=elapsed if settings["timing"] else 0.0,
                     )
                 )
     rows.sort(key=lambda r: (r.seed, r.method, r.s))
@@ -456,7 +445,6 @@ def _cmd_histogram(settings: dict) -> str:
 
 
 def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
-    started = time.perf_counter()
     model, X, snapshot, trajectory, rng = _ntk_instance(
         settings["width"], settings["seed"], settings["steps"]
     )
@@ -466,7 +454,6 @@ def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
     if not 1 <= s <= model.n_params:
         raise ConfigError(f"keep count {s} outside [1, {model.n_params}]")
     rep = theorem2_report(model, snapshot, trajectory, X, s, settings["trials"], rng)
-    elapsed = (time.perf_counter() - started) * 1000.0 if settings["timing"] else 0.0
     print(
         f"width={settings['width']} n_params={model.n_params} s={s} "
         f"lambda_min={snapshot.lambda_min:.6g} lambda_max={snapshot.lambda_max:.6g} "
@@ -477,11 +464,7 @@ def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
     row = _report_row(
         "ntk-demo", rep, model.n_params, X.n, s, float(trajectory.movement[-1])
     )
-    return [
-        dataclasses.replace(
-            row, seed=settings["seed"], method="ntk-sketch", wall_time_ms=elapsed
-        )
-    ]
+    return [dataclasses.replace(row, seed=settings["seed"], method="ntk-sketch")]
 
 
 # ---------------------------------------------------------------------------
@@ -505,8 +488,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                        help="output CSV path")
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with flag defaults; flags override it")
-        p.add_argument("--timing", action="store_true",
-                       help="record real wall_time_ms (breaks byte determinism)")
 
     p = sub.add_parser("verify", help="run numerical verification suites")
     p.add_argument("--methods", type=str, default=None,
@@ -524,7 +505,6 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                    help="comma-separated keep counts")
     p.add_argument("--density", type=float, default=None,
                    help="keep ceil(density*d) weights when --s is absent")
-    p.add_argument("--method", type=str, default=None, help="single method")
     p.add_argument("--methods", type=str, default=None,
                    help="comma-separated methods (default: all)")
     p.add_argument("--trials", type=int, default=10,
@@ -565,9 +545,9 @@ def _load_config_file(path: str) -> dict:
     return payload
 
 
-# JSON types a config value may have, by the type of its flag (None for a
-# store_true flag). bool is an int subclass, so it is checked apart.
-_CONFIG_TYPES = {int: int, float: (int, float), str: str, None: bool}
+# JSON types a config value may have, by the type of its flag. bool is an int
+# subclass, so it is rejected apart.
+_CONFIG_TYPES = {int: int, float: (int, float), str: str}
 
 
 def _config_defaults(command: str, subparser: argparse.ArgumentParser, path: str):
@@ -587,13 +567,11 @@ def _config_defaults(command: str, subparser: argparse.ArgumentParser, path: str
     defaults = {}
     for key, value in file_config.items():
         action = actions[key]
-        if isinstance(value, bool) != (action.type is None) or not isinstance(
-            value, _CONFIG_TYPES[action.type]
-        ):
+        if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[action.type]):
             raise ConfigError(
                 f"config value {key}={value!r} does not have the type of --{key}"
             )
-        defaults[action.dest] = action.type(value) if action.type else value
+        defaults[action.dest] = action.type(value)
     return defaults
 
 
@@ -621,7 +599,19 @@ def _split_list(raw: str, flag: str) -> list[str]:
     return items
 
 
-def _known(names: list[str], choices: tuple, what: str) -> list[str]:
+def _check_distinct(items: list, flag: str) -> None:
+    # a repeated item would repeat a run_id and its work
+    for k, item in enumerate(items):
+        if item in items[:k]:
+            raise ConfigError(f"{flag} lists {item} more than once")
+
+
+def _chosen(raw: str | None, choices: tuple, what: str) -> list[str]:
+    """The choices a --methods list names, every one when it is absent."""
+    if not raw:
+        return list(choices)
+    names = _split_list(raw, "--methods")
+    _check_distinct(names, "--methods")
     for name in names:
         if name not in choices:
             raise ConfigError(
@@ -652,25 +642,16 @@ def _resolve_settings(args) -> dict:
         raise ConfigError(f"density must lie in (0, 1], got {density}")
 
     if args.command == "verify":
-        suites = (
-            _split_list(args.methods, "--methods") if args.methods
-            else list(VERIFY_SUITES)
-        )
-        settings["suites"] = _known(suites, VERIFY_SUITES, "suite")
+        settings["suites"] = _chosen(args.methods, VERIFY_SUITES, "suite")
 
     elif args.command == "pipeline":
-        if args.methods:
-            methods = _split_list(args.methods, "--methods")
-        elif args.method:
-            methods = [args.method]
-        else:
-            methods = list(METHODS)
-        settings["methods"] = _known(methods, METHODS, "method")
+        settings["methods"] = _chosen(args.methods, METHODS, "method")
         if args.s is not None:
             try:
                 s_values = [int(part) for part in _split_list(args.s, "--s")]
             except ValueError as exc:
                 raise ConfigError(f"bad keep counts {args.s!r}") from exc
+            _check_distinct(s_values, "--s")
         elif args.density is not None:
             s_values = [math.ceil(args.density * args.d)]
         else:

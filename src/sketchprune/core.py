@@ -27,7 +27,6 @@ __all__ = [
     "as_vector",
     "row_norms",
     "features",
-    "apply_mask",
 ]
 
 
@@ -196,10 +195,6 @@ class RngStream:
             self, "_generator", np.random.default_rng((self.seed, self.stream))
         )
 
-    @property
-    def generator(self) -> np.random.Generator:
-        return self._generator
-
     def uniform(self, size=None):
         """Draws from U[0, 1)."""
         return self._generator.random(size)
@@ -233,13 +228,3 @@ def features(X: DataMatrix, w) -> np.ndarray:
             f"weight length {wv.size} does not match {X.d} matrix rows"
         )
     return X.values.T @ wv
-
-
-def apply_mask(w, m: Mask) -> np.ndarray:
-    """Entrywise product of a weight vector with a mask."""
-    wv = as_vector(w)
-    if wv.size != m.values.size:
-        raise DimensionMismatchError(
-            f"mask length {m.values.size} does not match weight length {wv.size}"
-        )
-    return as_vector(wv * m.values)

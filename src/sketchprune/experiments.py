@@ -189,11 +189,12 @@ def train_least_squares(
         )
     if steps < 0:
         raise ValueError("steps must be nonnegative")
+    if lr is None and steps > 0:
+        lr = 0.9 * 2.0 / max_hessian_eigenvalue(X)
+    if lr is not None:
+        _check_lr(lr)
     if steps == 0:
         return w0v
-    if lr is None:
-        lr = 0.9 * 2.0 / max_hessian_eigenvalue(X)
-    _check_lr(lr)
     Xv = X.values
     n = X.n
     w = w0v.copy()

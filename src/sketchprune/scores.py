@@ -24,7 +24,6 @@ from .sketch import _categorical_indices
 __all__ = [
     "synflow_scores",
     "snip_scores_l1",
-    "magnitude_scores",
     "scores_to_probabilities",
     "select_topk",
     "select_randomized",
@@ -64,11 +63,6 @@ def snip_scores_l1(X: DataMatrix, y, w) -> np.ndarray:
         )
     signs = np.sign(features(X, wv) - yv)
     return as_vector(np.abs(wv) * np.abs(X.values @ signs) / X.n)
-
-
-def magnitude_scores(w) -> np.ndarray:
-    """Plain absolute-value saliency |w_i|."""
-    return as_vector(np.abs(w))
 
 
 def scores_to_probabilities(scores) -> ProbabilityVector:

@@ -37,8 +37,11 @@ class TestVerifyCommand:
         assert all(line.endswith(",true") for line in lines[1:])
 
     def test_unknown_suite_is_usage_error(self, tmp_path, capsys):
-        # an empty list selects nothing, which is as much a usage error
-        for methods, named in (("lemma9", "lemma9"), (",", "--methods")):
+        # an empty list selects nothing, which is as much a usage error, and a
+        # repeated suite would write two rows under one run_id
+        for methods, named in (
+            ("lemma9", "lemma9"), (",", "--methods"), ("lemma3,lemma3", "lemma3"),
+        ):
             out = tmp_path / "v.csv"
             assert main(["verify", "--methods", methods, "--out", str(out)]) == 2
             err = capsys.readouterr().err
@@ -80,21 +83,25 @@ class TestPipelineCommand:
         keys = [(int(r[1]), r[5], int(r[4])) for r in rows]
         assert keys == sorted(keys)
         assert {r[1] for r in rows} == {"7", "8"}
-        assert all(r[11] == "0" for r in rows)
+        assert all(len(r) == len(RESULT_HEADER) for r in rows)
 
     def test_density_flag_sets_budget(self, tmp_path):
         out = tmp_path / "p.csv"
         code = main([
             "pipeline", "--d", "10", "--n", "4", "--density", "0.25",
-            "--method", "sketch-p0", "--trials", "1", "--out", str(out),
+            "--methods", "sketch-p0", "--trials", "1", "--out", str(out),
         ])
         assert code == 0
         row = read_lines(out)[1].split(",")
         assert row[4] == "3"
 
     def test_unknown_method(self, tmp_path, capsys):
-        # empty method and keep-count lists select nothing
-        for flags in (["--method", "oracle"], ["--methods", ","], ["--s", ","]):
+        # empty method and keep-count lists select nothing, and a repeated
+        # item (keep counts compared as integers) would repeat a run_id
+        for flags in (
+            ["--methods", "oracle"], ["--methods", ","], ["--s", ","],
+            ["--s", "2,2"], ["--s", "2,02"], ["--methods", "sketch-p0,sketch-p0"],
+        ):
             out = tmp_path / "p.csv"
             assert main(["pipeline", *flags, "--out", str(out)]) == 2
             err = capsys.readouterr().err
@@ -195,7 +202,7 @@ class TestConfigResolution:
         monkeypatch.setenv("SKETCHPRUNE_SEED", "31")
         out = tmp_path / "p.csv"
         code = main(["pipeline", "--d", "8", "--n", "4", "--s", "2",
-                     "--method", "sketch-p0", "--trials", "1", "--out", str(out)])
+                     "--methods", "sketch-p0", "--trials", "1", "--out", str(out)])
         assert code == 0
         assert read_lines(out)[1].split(",")[1] == "31"
 
@@ -203,7 +210,7 @@ class TestConfigResolution:
         monkeypatch.setenv("SKETCHPRUNE_SEED", "31")
         out = tmp_path / "p.csv"
         code = main(["pipeline", "--d", "8", "--n", "4", "--s", "2", "--seed", "5",
-                     "--method", "sketch-p0", "--trials", "1", "--out", str(out)])
+                     "--methods", "sketch-p0", "--trials", "1", "--out", str(out)])
         assert code == 0
         assert read_lines(out)[1].split(",")[1] == "5"
 
@@ -228,8 +235,50 @@ class TestConfigResolution:
         assert code == 2
         assert "threads" in capsys.readouterr().err
 
+    def test_long_options(self):
+        _, commands = cli._build_parser()
+        options = {
+            command: {
+                name for action in parser._actions for name in action.option_strings
+                if name.startswith("--") and name != "--help"
+            }
+            for command, parser in commands.items()
+        }
+        common = {"--seed", "--out", "--config"}
+        assert options == {
+            "verify": common | {"--methods", "--trials", "--width"},
+            "pipeline": common | {
+                "--d", "--n", "--s", "--density", "--methods", "--trials",
+                "--noise-std", "--steps", "--lr",
+            },
+            "histogram": common | {"--d", "--density", "--method", "--bins"},
+            "ntk-demo": common | {"--width", "--s", "--steps", "--trials"},
+        }
+        assert "wall_time_ms" not in RESULT_HEADER
+
+    @pytest.mark.parametrize("command", ["verify", "pipeline", "histogram", "ntk-demo"])
+    def test_timing_flag_removed(self, tmp_path, capsys, command):
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--timing", "--out", str(out)])
+        assert exc.value.code == 2
+        capsys.readouterr()
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"timing": True}))
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert "'timing'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_method_config_key_removed(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"method": "sketch-p0"}))
+        code = main(["pipeline", "--config", str(config),
+                     "--out", str(tmp_path / "p.csv")])
+        assert code == 2
+        assert "'method'" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
-        "key,value", [("timing", "false"), ("d", 8.7), ("d", True)]
+        "key,value", [("out", 3), ("d", 8.7), ("d", True)]
     )
     def test_config_value_of_wrong_type(self, tmp_path, capsys, key, value):
         config = tmp_path / "c.json"
@@ -244,7 +293,7 @@ class TestConfigResolution:
         config.write_text(json.dumps({"lr": 1, "steps": 0}))
         out = tmp_path / "p.csv"
         code = main(["pipeline", "--config", str(config), "--d", "8", "--n", "4",
-                     "--s", "2", "--method", "sketch-p0", "--trials", "1",
+                     "--s", "2", "--methods", "sketch-p0", "--trials", "1",
                      "--out", str(out)])
         assert code == 0
 
@@ -299,10 +348,3 @@ class TestDeterminism:
         assert main(args + ["--out", str(a)]) == 0
         assert main(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
-
-    def test_timing_flag_fills_wall_time(self, tmp_path):
-        out = tmp_path / "p.csv"
-        code = main(["pipeline", "--d", "10", "--n", "6", "--s", "3", "--trials", "1",
-                     "--method", "sketch-p0", "--timing", "--out", str(out)])
-        assert code == 0
-        assert float(read_lines(out)[1].split(",")[11]) > 0.0

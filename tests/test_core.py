@@ -9,7 +9,6 @@ from sketchprune import (
     Mask,
     ProbabilityVector,
     RngStream,
-    apply_mask,
     as_vector,
     features,
     row_norms,
@@ -181,26 +180,3 @@ def test_features_zero_weights():
 def test_features_dimension_error():
     with pytest.raises(DimensionMismatchError):
         features(DataMatrix(np.eye(2)), [1.0, 2.0, 3.0])
-
-
-def test_apply_mask_binary():
-    out = apply_mask([1.0, 2.0], Mask([0.0, 1.0], kind="binary"))
-    np.testing.assert_array_equal(out, [0.0, 2.0])
-
-
-def test_apply_mask_fractional():
-    out = apply_mask([1.0, 1.0], Mask([2.0, 0.0], kind="sketch"))
-    np.testing.assert_array_equal(out, [2.0, 0.0])
-
-
-def test_apply_mask_identity_preserves_features():
-    rng = RngStream(3)
-    X = DataMatrix(rng.normal((6, 4)))
-    w = rng.normal(6)
-    ones = Mask(np.ones(6), kind="binary")
-    np.testing.assert_array_equal(features(X, apply_mask(w, ones)), features(X, w))
-
-
-def test_apply_mask_dimension_error():
-    with pytest.raises(DimensionMismatchError):
-        apply_mask([1.0, 2.0, 3.0], Mask([1.0, 0.0], kind="binary"))

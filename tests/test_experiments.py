@@ -128,9 +128,10 @@ class TestTrainLeastSquares:
     def test_invalid_lr_rejected(self):
         rng = RngStream(16)
         ds = make_dataset(4, 8, 0.0, rng)
-        for lr in (-0.1, math.inf, math.nan):
-            with pytest.raises(ValueError, match="learning rate"):
-                train_least_squares(ds.X, ds.y, np.ones(4), steps=5, lr=lr)
+        for steps in (5, 0):
+            for lr in (-0.1, math.inf, math.nan):
+                with pytest.raises(ValueError, match="learning rate"):
+                    train_least_squares(ds.X, ds.y, np.ones(4), steps=steps, lr=lr)
 
     def test_returns_read_only_array(self):
         rng = RngStream(17)

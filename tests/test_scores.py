@@ -13,7 +13,6 @@ from sketchprune import (
     features,
     gen_sparse_X,
     layerwise_randomized_selection,
-    magnitude_scores,
     optimal_probabilities,
     row_norms,
     scores_to_probabilities,
@@ -68,16 +67,9 @@ def test_scores_are_read_only_arrays():
     for scores in (
         synflow_scores([1.0, 1.0], [2.0, -3.0]),
         snip_scores_l1(X, [0.0, 0.0], [1.0, 1.0]),
-        magnitude_scores([-2.0, 1.0]),
     ):
         assert isinstance(scores, np.ndarray) and scores.dtype == np.float64
         assert not scores.flags.writeable
-
-
-def test_magnitude_scores():
-    np.testing.assert_array_equal(magnitude_scores([-2.0, 1.0]), [2.0, 1.0])
-    np.testing.assert_array_equal(magnitude_scores([0.0, 0.0]), [0.0, 0.0])
-    np.testing.assert_array_equal(magnitude_scores([3.0, 3.0]), [3.0, 3.0])
 
 
 class TestScoresToProbabilities:
