@@ -75,10 +75,10 @@ class BoundReport:
         if not (math.isfinite(self.standard_error) and self.standard_error >= 0):
             raise ValueError("standard error must be finite and nonnegative")
 
-    def satisfied(self, num_se: float = 4.0) -> bool:
+    def satisfied(self) -> bool:
         """Whether the empirical value is consistent with the reference,
-        allowing num_se standard errors of Monte Carlo slack."""
-        slack = num_se * self.standard_error
+        allowing 4 standard errors of Monte Carlo slack."""
+        slack = 4.0 * self.standard_error
         if self.kind == "equality":
             return abs(self.empirical_error - self.closed_form_or_bound) <= slack
         return self.empirical_error <= self.closed_form_or_bound + slack

@@ -9,8 +9,9 @@ Four subcommands, all writing CSV atomically (temp file then rename):
 
 Every invocation is deterministic for a fixed flag set: all randomness
 derives from --seed (or the SKETCHPRUNE_SEED environment variable when the
-flag and config file are silent). List flags (--methods, --s) take
-comma-separated items, none of them twice.
+flag and config file are silent). Flags are spelled in full; a --config
+file's keys are the subcommand's other flags. List flags (--methods, --s)
+take comma-separated items, none of them twice.
 """
 
 from __future__ import annotations
@@ -85,37 +86,32 @@ def _fmt(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-# CSV text of a ResultRow field by its declared type; only verify writes the
-# final `passed` column
-_FIELD_FORMATS = {
-    "str": str,
-    "int": str,
-    "float": _fmt,
-    "bool | None": lambda passed: "true" if passed else "false",
-}
-_RESULT_FIELDS = dataclasses.fields(ResultRow)
-RESULT_HEADER = tuple(f.name for f in _RESULT_FIELDS[:-1])
+# only verify writes the final `passed` column
+RESULT_HEADER = tuple(f.name for f in dataclasses.fields(ResultRow))[:-1]
 HISTOGRAM_HEADER = ("bin_left", "bin_right", "count_selected", "count_all")
 # kept counts are only meaningful for binary masks
 HISTOGRAM_METHODS = tuple(name for name, m in MASK_METHODS.items() if m.binary)
 
 
-def _result_lines(rows: list[ResultRow], include_passed: bool) -> str:
-    fields = _RESULT_FIELDS if include_passed else _RESULT_FIELDS[:-1]
-    lines = [",".join(f.name for f in fields)]
-    for r in rows:
-        lines.append(
-            ",".join(_FIELD_FORMATS[f.type](getattr(r, f.name)) for f in fields)
-        )
+def _cell(value) -> str:
+    # a comparison of numpy floats gives np.bool_, which is no bool subclass
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return _fmt(value)
+    return str(value)
+
+
+def _csv(header: tuple, rows) -> str:
+    lines = [",".join(header)]
+    lines.extend(",".join(map(_cell, row)) for row in rows)
     return "\n".join(lines) + "\n"
 
 
 def _atomic_write(path: Path, text: str) -> None:
-    path = Path(path)
-    parent = path.parent if str(path.parent) else Path(".")
-    parent.mkdir(parents=True, exist_ok=True)
+    path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
-        dir=parent, prefix=path.name + ".", suffix=".tmp"
+        dir=path.parent, prefix=path.name + ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w") as handle:
@@ -172,7 +168,7 @@ def _report_row(run_id: str, rep, d: int, n: int, s: int, distance: float):
     )
 
 
-def _suite_lemma1(seed: int, trials: int, width: int) -> list[ResultRow]:
+def _suite_lemma1(seed: int, trials: int) -> list[ResultRow]:
     rng = RngStream(seed, 101)
     closed, enumerated = [], []
     for _ in range(30):
@@ -197,7 +193,7 @@ def _suite_lemma1(seed: int, trials: int, width: int) -> list[ResultRow]:
     return rows
 
 
-def _suite_lemma2(seed: int, trials: int, width: int) -> list[ResultRow]:
+def _suite_lemma2(seed: int, trials: int) -> list[ResultRow]:
     rng = RngStream(seed, 102)
     d, n = 64, 32
     w0 = _concentrated_weights(d)
@@ -210,10 +206,10 @@ def _suite_lemma2(seed: int, trials: int, width: int) -> list[ResultRow]:
     return rows
 
 
-def _suite_lemma3(seed: int, trials: int | None, width: int) -> list[ResultRow]:
+def _suite_lemma3(seed: int, trials: int | None) -> list[ResultRow]:
     rng = RngStream(seed, 103)
     closed, enumerated = [], []
-    bounded = True
+    worst_excess = -math.inf
     for _ in range(20):
         d = int(rng.integers(2, 7))
         n = int(rng.integers(1, 6))
@@ -226,19 +222,19 @@ def _suite_lemma3(seed: int, trials: int | None, width: int) -> list[ResultRow]:
         enumerated.append(
             enumerate_exact_error(X, w_star, optimal_probabilities(X, w0), s)
         )
-        bounded = bounded and exact <= bound + 1e-12
+        worst_excess = max(worst_excess, exact - bound)
     worst = _relative_gap(np.array(enumerated), np.array(closed))
     return [
         _gap_row("lemma3/exact-vs-enumeration", worst, 1e-10),
         ResultRow(
             "lemma3/exact-le-bound", 0, 0, 0, 0, "",
-            0.0 if bounded else 1.0, 0.0, "upper-bound", 0.0, math.nan,
-            passed=bounded,
+            worst_excess, 1e-12, "upper-bound", 0.0, math.nan,
+            passed=worst_excess <= 1e-12,
         ),
     ]
 
 
-def _suite_theorem1(seed: int, trials: int, width: int) -> list[ResultRow]:
+def _suite_theorem1(seed: int, trials: int) -> list[ResultRow]:
     rng = RngStream(seed, 104)
     d, n, s = 64, 32, 8
     rows = []
@@ -252,7 +248,7 @@ def _suite_theorem1(seed: int, trials: int, width: int) -> list[ResultRow]:
     return rows
 
 
-def _suite_lemma4(seed: int, trials: int, width: int) -> list[ResultRow]:
+def _suite_lemma4(seed: int, trials: int) -> list[ResultRow]:
     rng = RngStream(seed, 105)
     d, n, s = 64, 32, 8
     w0, w_star = _flat_pair_at_ratio(d, 0.5, rng)
@@ -285,7 +281,7 @@ def _score_equiv_suite(stream: int, gen_X, score, run_id: str):
     """A suite checking that probabilities proportional to score(X, w) equal
     the optimal p0, worst case over random instances from gen_X."""
 
-    def suite(seed: int, trials: int, width: int) -> list[ResultRow]:
+    def suite(seed: int, trials: int) -> list[ResultRow]:
         rng = RngStream(seed, stream)
         worst = 0.0
         for _ in range(trials):
@@ -325,7 +321,7 @@ def _ntk_instance(width: int, seed: int, steps: int):
     return model, X, snapshot, trajectory, rng
 
 
-def _suite_ntk(seed: int, trials: int, width: int) -> list[ResultRow]:
+def _suite_ntk(seed: int, trials: int) -> list[ResultRow]:
     rng = RngStream(seed, 109)
     worst = 0.0
     for k in range(5):
@@ -333,11 +329,11 @@ def _suite_ntk(seed: int, trials: int, width: int) -> list[ResultRow]:
         model = TinyMLP.init(3, 8, 2, activation, rng)
         X = DataMatrix(rng.normal((3, 4)))
         J = analytic_jacobian(model, X)
-        J_fd = finite_difference_jacobian(model, X, step=1e-5)
+        J_fd = finite_difference_jacobian(model, X)
         worst = max(worst, float(np.abs(J - J_fd).max() / np.abs(J).max()))
     fd_row = _gap_row("ntk/jacobian-vs-fd", worst, 1e-5)
 
-    model, X, snapshot, trajectory, inst_rng = _ntk_instance(width, seed, steps=100)
+    model, X, snapshot, trajectory, inst_rng = _ntk_instance(64, seed, steps=100)
     s = math.isqrt(model.n_params - 1) + 1
     rep = theorem2_report(model, snapshot, trajectory, X, s, trials, inst_rng)
     movement = float(trajectory.movement[-1])
@@ -356,8 +352,7 @@ def _suite_ntk(seed: int, trials: int, width: int) -> list[ResultRow]:
 
 
 # Suites run in this order, each next to its default trial count (None for
-# lemma3, which draws no Monte Carlo trials) and called with (seed, trials,
-# ntk width).
+# lemma3, which draws no Monte Carlo trials) and called with (seed, trials).
 _SUITES = {
     "lemma1": (_suite_lemma1, 20_000),
     "lemma2": (_suite_lemma2, 2_000),
@@ -378,7 +373,7 @@ def _cmd_verify(settings: dict) -> list[ResultRow]:
         trials = default_trials if settings["trials"] is None else settings["trials"]
         rows.extend(
             dataclasses.replace(row, seed=settings["seed"], method=suite)
-            for row in run(settings["seed"], trials, settings["width"])
+            for row in run(settings["seed"], trials)
         )
     return rows
 
@@ -435,13 +430,9 @@ def _cmd_histogram(settings: dict) -> str:
     edges = np.linspace(0.0, float(magnitudes.max()), bins + 1)
     count_all, _ = np.histogram(magnitudes, bins=edges)
     count_selected, _ = np.histogram(magnitudes[mask.values > 0], bins=edges)
-    lines = [",".join(HISTOGRAM_HEADER)]
-    for b in range(bins):
-        lines.append(
-            f"{_fmt(edges[b])},{_fmt(edges[b + 1])},"
-            f"{count_selected[b]},{count_all[b]}"
-        )
-    return "\n".join(lines) + "\n"
+    return _csv(
+        HISTOGRAM_HEADER, zip(edges, edges[1:], count_selected, count_all)
+    )
 
 
 def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
@@ -478,33 +469,33 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     parser = argparse.ArgumentParser(
         prog="sketchprune",
         description="Sketch-based pruning masks, error bounds, and experiments.",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, name: str):
+    def command(name: str, summary: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--seed", type=int, default=None,
                        help=f"base seed (falls back to ${SEED_ENV_VAR}, then 0)")
         p.add_argument("--out", type=str, default=f"{name}.csv",
                        help="output CSV path")
         p.add_argument("--config", type=str, default=None,
                        help="JSON file with flag defaults; flags override it")
+        return p
 
-    p = sub.add_parser("verify", help="run numerical verification suites")
+    p = command("verify", "run numerical verification suites")
     p.add_argument("--methods", type=str, default=None,
                    help="comma-separated suites (default: all)")
     p.add_argument("--trials", type=int, default=None,
                    help="Monte Carlo trials per check (default: per-suite)")
-    p.add_argument("--width", type=int, default=64,
-                   help="network width for the ntk suite")
-    common(p, "verify")
 
-    p = sub.add_parser("pipeline", help="prune, train, and measure")
+    p = command("pipeline", "prune, train, and measure")
     p.add_argument("--d", type=int, default=64)
     p.add_argument("--n", type=int, default=32)
     p.add_argument("--s", type=str, default=None,
                    help="comma-separated keep counts")
     p.add_argument("--density", type=float, default=None,
-                   help="keep ceil(density*d) weights when --s is absent")
+                   help="keep ceil(density*d) weights; excludes --s")
     p.add_argument("--methods", type=str, default=None,
                    help="comma-separated methods (default: all)")
     p.add_argument("--trials", type=int, default=10,
@@ -512,23 +503,20 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--noise-std", type=float, default=0.0)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--lr", type=float, default=None)
-    common(p, "pipeline")
 
-    p = sub.add_parser("histogram", help="weight-magnitude selection histogram")
+    p = command("histogram", "weight-magnitude selection histogram")
     p.add_argument("--d", type=int, default=1024)
     p.add_argument("--density", type=float, default=0.1)
     p.add_argument("--method", type=str, default="randomized-synflow",
                    help=f"one of {', '.join(HISTOGRAM_METHODS)}")
     p.add_argument("--bins", type=int, default=50)
-    common(p, "histogram")
 
-    p = sub.add_parser("ntk-demo", help="kernel-regime bound demo")
+    p = command("ntk-demo", "kernel-regime bound demo")
     p.add_argument("--width", type=int, default=64)
     p.add_argument("--s", type=int, default=None)
     p.add_argument("--steps", type=int, default=100)
     p.add_argument("--trials", type=int, default=200,
                    help="mask draws for the empirical error")
-    common(p, "ntk-demo")
 
     return parser, sub.choices
 
@@ -552,17 +540,17 @@ _CONFIG_TYPES = {int: int, float: (int, float), str: str}
 
 def _config_defaults(command: str, subparser: argparse.ArgumentParser, path: str):
     """Flag defaults from a config file keyed by long option name, each value
-    of its flag's type."""
+    of its flag's type. --help and --config itself are not settings."""
     file_config = _load_config_file(path)
     actions = {
         action.option_strings[-1][2:]: action
         for action in subparser._actions
-        if action.default is not argparse.SUPPRESS
+        if action.dest not in ("help", "config")
     }
     unknown = set(file_config) - set(actions)
     if unknown:
         raise ConfigError(
-            f"config keys {sorted(unknown)} are not flags of {command!r}"
+            f"config keys {sorted(unknown)} are not settings of {command!r}"
         )
     defaults = {}
     for key, value in file_config.items():
@@ -592,18 +580,20 @@ def _resolve_seed(seed: int | None) -> int:
     return seed
 
 
-def _split_list(raw: str, flag: str) -> list[str]:
-    items = [item for item in (part.strip() for part in raw.split(",")) if item]
+def _split_list(raw: str, flag: str, convert=str) -> list:
+    """The converted items of a comma-separated list flag: at least one, and
+    none twice, since a repeated item would repeat a run_id and its work."""
+    parts = [part.strip() for part in raw.split(",")]
+    try:
+        items = [convert(part) for part in parts if part]
+    except ValueError as exc:
+        raise ConfigError(f"bad {flag} list {raw!r}") from exc
     if not items:
         raise ConfigError(f"{flag} lists nothing: {raw!r}")
-    return items
-
-
-def _check_distinct(items: list, flag: str) -> None:
-    # a repeated item would repeat a run_id and its work
     for k, item in enumerate(items):
         if item in items[:k]:
             raise ConfigError(f"{flag} lists {item} more than once")
+    return items
 
 
 def _chosen(raw: str | None, choices: tuple, what: str) -> list[str]:
@@ -611,7 +601,6 @@ def _chosen(raw: str | None, choices: tuple, what: str) -> list[str]:
     if not raw:
         return list(choices)
     names = _split_list(raw, "--methods")
-    _check_distinct(names, "--methods")
     for name in names:
         if name not in choices:
             raise ConfigError(
@@ -623,7 +612,7 @@ def _chosen(raw: str | None, choices: tuple, what: str) -> list[str]:
 # The smallest value each integer flag takes, by subcommand (verify's
 # --trials may also be absent, for the per-suite defaults).
 _MINIMUMS = {
-    "verify": {"trials": 2, "width": 1},
+    "verify": {"trials": 2},
     "pipeline": {"trials": 1},
     "histogram": {"bins": 1, "d": 1},
     "ntk-demo": {"width": 1, "steps": 0, "trials": 2},
@@ -646,12 +635,10 @@ def _resolve_settings(args) -> dict:
 
     elif args.command == "pipeline":
         settings["methods"] = _chosen(args.methods, METHODS, "method")
+        if args.s is not None and args.density is not None:
+            raise ConfigError("--s and --density both set the keep counts")
         if args.s is not None:
-            try:
-                s_values = [int(part) for part in _split_list(args.s, "--s")]
-            except ValueError as exc:
-                raise ConfigError(f"bad keep counts {args.s!r}") from exc
-            _check_distinct(s_values, "--s")
+            s_values = _split_list(args.s, "--s", int)
         elif args.density is not None:
             s_values = [math.ceil(args.density * args.d)]
         else:
@@ -687,7 +674,8 @@ def main(argv=None) -> int:
         out = Path(settings["out"])
         if args.command == "verify":
             rows = _cmd_verify(settings)
-            _atomic_write(out, _result_lines(rows, include_passed=True))
+            header = (*RESULT_HEADER, "passed")
+            _atomic_write(out, _csv(header, map(dataclasses.astuple, rows)))
             failed = [row.run_id for row in rows if not row.passed]
             if failed:
                 print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
@@ -696,7 +684,8 @@ def main(argv=None) -> int:
             _atomic_write(out, _cmd_histogram(settings))
         else:
             run = _cmd_pipeline if args.command == "pipeline" else _cmd_ntk_demo
-            _atomic_write(out, _result_lines(run(settings), include_passed=False))
+            rows = (dataclasses.astuple(row)[:-1] for row in run(settings))
+            _atomic_write(out, _csv(RESULT_HEADER, rows))
         return 0
     except (ValueError, OSError, DivergenceError, MemoryError) as exc:
         # exit code 1 is reserved for failed verify checks

@@ -151,10 +151,10 @@ def analytic_jacobian(model: TinyMLP, X: DataMatrix) -> np.ndarray:
     )
 
 
-def finite_difference_jacobian(
-    model: TinyMLP, X: DataMatrix, step: float = 1e-5
-) -> np.ndarray:
-    """Central finite-difference Jacobian, for checking the analytic one."""
+def finite_difference_jacobian(model: TinyMLP, X: DataMatrix) -> np.ndarray:
+    """Central finite-difference Jacobian with step 1e-5, for checking the
+    analytic one."""
+    step = 1e-5
     theta = model.theta
     columns = []
     for j in range(theta.size):
@@ -261,10 +261,10 @@ def train_linearized_gd(
     y,
     eta0: float,
     steps: int,
-    checkpoints: int = 5,
 ) -> LinearTrajectory:
     """Gradient descent on the squared loss of the model linearized at
-    theta0, with the parameter step scaled by eta0/width.
+    theta0, with the parameter step scaled by eta0/width. Parameters are kept
+    at up to 5 evenly spaced steps, the first and the last among them.
 
     With that scaling the residual contracts by (I - eta0 * empirical_ntk)
     each step, so eta0 may not exceed 2/(lambda_min + lambda_max). The loss
@@ -293,7 +293,7 @@ def train_linearized_gd(
     movement[0] = 0.0
     tolerance = 1e-12 * max(1.0, losses[0])
     checkpoint_steps = np.unique(
-        np.linspace(0, steps, num=min(checkpoints, steps + 1)).astype(int)
+        np.linspace(0, steps, num=min(5, steps + 1)).astype(int)
     )
     checkpoint_set = set(checkpoint_steps.tolist())
     kept = [theta.copy()] if 0 in checkpoint_set else []

@@ -25,6 +25,16 @@ class TestVerifyCommand:
         assert len(lines) == 3
         assert all(line.endswith(",true") for line in lines[1:])
 
+    def test_lemma3_bound_row_reports_largest_excess(self, tmp_path):
+        # the row compares the largest exact - bound over its instances, a
+        # negative number when every bound holds, against a rounding slack
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--methods", "lemma3", "--out", str(out)]) == 0
+        rows = {line.split(",")[0]: line.split(",") for line in read_lines(out)[1:]}
+        row = rows["lemma3/exact-le-bound"]
+        assert row[8] == "upper-bound"
+        assert float(row[6]) < 0 and float(row[7]) == 1e-12
+
     def test_closed_forms_match_enumeration_near_zero_error(self, tmp_path):
         # this seed draws a lemma1 instance whose exact error is close enough
         # to zero that a cancelling closed form misses the enumeration by
@@ -106,6 +116,19 @@ class TestPipelineCommand:
             assert main(["pipeline", *flags, "--out", str(out)]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
+            assert not out.exists()
+
+    def test_keep_counts_and_density_exclude_each_other(self, tmp_path, capsys):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({"density": 0.25}))
+        out = tmp_path / "p.csv"
+        for flags in (
+            ["--s", "3", "--density", "0.25"], ["--s", "3", "--config", str(config)],
+        ):
+            assert main(["pipeline", *flags, "--out", str(out)]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "--density" in err
             assert not out.exists()
 
     def test_budget_beyond_dimension(self, tmp_path):
@@ -246,7 +269,7 @@ class TestConfigResolution:
         }
         common = {"--seed", "--out", "--config"}
         assert options == {
-            "verify": common | {"--methods", "--trials", "--width"},
+            "verify": common | {"--methods", "--trials"},
             "pipeline": common | {
                 "--d", "--n", "--s", "--density", "--methods", "--trials",
                 "--noise-std", "--steps", "--lr",
@@ -267,6 +290,34 @@ class TestConfigResolution:
         config.write_text(json.dumps({"timing": True}))
         assert main([command, "--config", str(config), "--out", str(out)]) == 2
         assert "'timing'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["pipeline", "--method", "sketch-p0"],
+        ["pipeline", "--meth", "sketch-p0"],
+        ["verify", "--tri", "2"],
+        ["verify", "--width", "8"],
+    ])
+    def test_only_declared_spellings(self, tmp_path, capsys, argv):
+        # argparse would otherwise read a unique prefix as the full flag
+        out = tmp_path / "o.csv"
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, "--out", str(out)])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command,key,value", [
+        ("pipeline", "config", "x.json"),
+        ("verify", "config", "x.json"),
+        ("verify", "width", 64),
+    ])
+    def test_config_keys_are_settings(self, tmp_path, capsys, command, key, value):
+        config = tmp_path / "c.json"
+        config.write_text(json.dumps({key: value}))
+        out = tmp_path / "o.csv"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 2
+        assert f"'{key}'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_method_config_key_removed(self, tmp_path, capsys):
