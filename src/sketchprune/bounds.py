@@ -28,7 +28,12 @@ from .core import (
     features,
     row_norms,
 )
-from .sketch import optimal_probabilities, sample_sketch_mask, uniform_probabilities
+from .sketch import (
+    _optimal_probabilities,
+    optimal_probabilities,
+    sample_sketch_mask,
+    uniform_probabilities,
+)
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -110,6 +115,14 @@ def exact_expected_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> floa
         raise DimensionMismatchError(
             f"distribution length {p.d} does not match {X.d} matrix rows"
         )
+    return _expected_error(X, wv, p, s)
+
+
+def _expected_error(
+    X: DataMatrix, wv: np.ndarray, p: ProbabilityVector, s: int
+) -> float:
+    """exact_expected_error for a budget, weights and distribution already
+    validated against X."""
     pv = p.values
     uncovered = (pv == 0.0) & (wv != 0.0)
     if uncovered.any() and np.any(row_norms(X)[uncovered] > 0.0):
@@ -117,7 +130,7 @@ def exact_expected_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> floa
             "sampling distribution has zero mass on an active weight"
         )
     scale = np.divide(wv, pv, out=np.zeros(X.d), where=pv > 0.0)
-    residual = X.values * scale[:, None] - features(X, wv)
+    residual = X.values * scale[:, None] - X.values.T @ wv
     return float(pv @ np.einsum("ij,ij->i", residual, residual)) / s
 
 
@@ -277,6 +290,7 @@ def mc_error_over_data(
         raise ValueError(f"x_trials must be >= 1, got {x_trials}")
     if distribution not in ("optimal", "uniform"):
         raise ValueError(f"unknown distribution {distribution!r}")
+    _check_budget(s)
     w0v = as_vector(w0)
     wsv = as_vector(w_star)
     if w0v.size != wsv.size:
@@ -290,10 +304,10 @@ def mc_error_over_data(
     for t in range(x_trials):
         X = DataMatrix(rng.normal((d, n)) * scale)
         if distribution == "optimal":
-            p = optimal_probabilities(X, w0v)
+            p = _optimal_probabilities(X, w0v)
         else:
             p = uniform
-        errors[t] = exact_expected_error(X, wsv, p, s)
+        errors[t] = _expected_error(X, wsv, p, s)
     if reference is None:
         if distribution == "optimal":
             reference = theorem1_bound(w0v, wsv, s)

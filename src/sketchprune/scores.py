@@ -19,7 +19,6 @@ from .core import (
     as_vector,
     features,
 )
-from .sketch import _categorical_indices
 
 __all__ = [
     "synflow_scores",
@@ -91,7 +90,15 @@ def select_topk(scores, s: int) -> Mask:
 
 def select_randomized(scores, s: int, rng: RngStream) -> Mask:
     """Binary mask of s indices drawn without replacement, each draw
-    proportional to the scores still unselected."""
+    proportional to the scores still unselected.
+
+    Uses the Efraimidis-Spirakis keys in O(d): one uniform u_i per weight
+    gives the key log(-log(1 - u_i)) - log(score_i), and the s smallest keys
+    are kept. That has the distribution of s sequential score-proportional
+    draws. Keys stay in the log domain so that a subnormal score still gets
+    a finite key; a zero score gets the key +inf and is never kept.
+    Exactly d uniform variates are consumed, whatever s is.
+    """
     sv = as_vector(scores)
     if np.any(sv < 0.0):
         raise ValueError("scores must be nonnegative")
@@ -99,18 +106,20 @@ def select_randomized(scores, s: int, rng: RngStream) -> Mask:
         raise InvalidDensityError(
             f"keep count must lie in [1, {sv.size}], got {s}"
         )
-    if int(np.count_nonzero(sv > 0.0)) < s:
+    positive = sv > 0.0
+    n_positive = int(np.count_nonzero(positive))
+    if n_positive < s:
         raise DegenerateDistributionError(
-            f"only {int(np.count_nonzero(sv > 0.0))} positive scores "
-            f"for a keep count of {s}"
+            f"only {n_positive} positive scores for a keep count of {s}"
         )
+    u = rng.uniform(sv.size)
+    keys = np.full(sv.size, np.inf)
+    # u_i == 0 gives an exponential of 0 and the key -inf, the smallest key
+    # there is, so the log of zero is expected there and not an error.
+    with np.errstate(divide="ignore"):
+        keys[positive] = np.log(-np.log1p(-u[positive])) - np.log(sv[positive])
     m = np.zeros(sv.size)
-    work = sv.copy()
-    for _ in range(s):
-        u = np.atleast_1d(rng.uniform())
-        idx = int(_categorical_indices(work / work.sum(), u)[0])
-        m[idx] = 1.0
-        work[idx] = 0.0
+    m[np.argpartition(keys, s - 1)[:s]] = 1.0
     return Mask(m, kind="binary")
 
 

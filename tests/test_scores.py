@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -134,6 +135,42 @@ class TestSelectRandomized:
         freq = hits / trials
         se = math.sqrt(0.75 * 0.25 / trials)
         assert abs(freq - 0.75) < 4.0 * se
+
+    def test_inclusion_probabilities_match_sequential_draws(self):
+        scores = np.array([3.0, 1.0, 1.0, 0.5])
+        s = 2
+        exact = np.zeros(scores.size)
+        for order in itertools.permutations(range(scores.size), s):
+            prob, left = 1.0, scores.sum()
+            for i in order:
+                prob *= scores[i] / left
+                left -= scores[i]
+            exact[list(order)] += prob
+        np.testing.assert_allclose(exact, [0.8424, 0.4586, 0.4586, 0.2404], atol=1e-4)
+        trials = 100_000
+        rng = RngStream(11)
+        kept = np.zeros(scores.size)
+        for _ in range(trials):
+            kept += select_randomized(scores, s, rng).values
+        se = np.sqrt(exact * (1.0 - exact) / trials)
+        assert np.all(np.abs(kept / trials - exact) < 4.0 * se)
+
+    @pytest.mark.filterwarnings("error")
+    def test_subnormal_score_beats_zero_scores(self):
+        rng = RngStream(0)
+        for zeros in (1, 3):
+            scores = [0.0] * zeros + [1e-310, 1.0]
+            expect = [0.0] * zeros + [1.0, 1.0]
+            for _ in range(1000):
+                np.testing.assert_array_equal(
+                    select_randomized(scores, 2, rng).values, expect
+                )
+
+    def test_consumes_one_uniform_per_weight(self):
+        rng, twin = RngStream(3), RngStream(3)
+        select_randomized([2.0, 0.0, 1.0, 5.0, 0.5], 2, rng)
+        twin.uniform(5)
+        assert rng.uniform() == twin.uniform()
 
     def test_insufficient_positive_scores(self):
         with pytest.raises(DegenerateDistributionError):
