@@ -29,7 +29,6 @@ from .core import (
     row_norms,
 )
 from .sketch import (
-    _optimal_probabilities,
     optimal_probabilities,
     sample_sketch_mask,
     uniform_probabilities,
@@ -52,6 +51,10 @@ __all__ = [
 ENUMERATION_LIMIT = 1_000_000
 
 _REPORT_KINDS = ("equality", "upper-bound")
+
+# mc_error_over_data draws X in blocks of at most this many entries
+# (256 KiB of float64; 16 trials at d=64, n=32).
+_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -115,23 +118,33 @@ def exact_expected_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> floa
         raise DimensionMismatchError(
             f"distribution length {p.d} does not match {X.d} matrix rows"
         )
-    return _expected_error(X, wv, p, s)
+    return float(_variance_form_errors(X.values[None], wv, p.values[None], s)[0])
 
 
-def _expected_error(
-    X: DataMatrix, wv: np.ndarray, p: ProbabilityVector, s: int
-) -> float:
-    """exact_expected_error for a budget, weights and distribution already
-    validated against X."""
-    pv = p.values
-    uncovered = (pv == 0.0) & (wv != 0.0)
-    if uncovered.any() and np.any(row_norms(X)[uncovered] > 0.0):
-        raise SupportError(
-            "sampling distribution has zero mass on an active weight"
-        )
-    scale = np.divide(wv, pv, out=np.zeros(X.d), where=pv > 0.0)
-    residual = X.values * scale[:, None] - X.values.T @ wv
-    return float(pv @ np.einsum("ij,ij->i", residual, residual)) / s
+def _variance_form_errors(
+    Xs: np.ndarray, wv: np.ndarray, ps: np.ndarray, s: int
+) -> np.ndarray:
+    """Exact expected error (variance form) for each of k matrices at once.
+
+    Xs is a (k, d, n) block of finite data matrices; ps holds one
+    distribution per matrix, (k, d), or one shared by all, (1, d). Raises
+    SupportError where a distribution misses an active weight on a nonzero
+    row. Xs is left unchanged.
+    """
+    uncovered = (ps == 0.0) & (wv != 0.0)
+    if uncovered.any():
+        norms = np.sqrt(np.add.reduce(Xs * Xs, axis=2))
+        if np.any(uncovered & (norms > 0.0)):
+            raise SupportError(
+                "sampling distribution has zero mass on an active weight"
+            )
+    scale = np.divide(wv, ps, out=np.zeros(ps.shape), where=ps > 0.0)
+    feats = np.matmul(Xs.transpose(0, 2, 1), wv)
+    residual = np.multiply(Xs, scale[:, :, None])
+    np.subtract(residual, feats[:, None, :], out=residual)
+    squared = np.einsum("kij,kij->ki", residual, residual)
+    # A batched vector product, which sums as p @ squared does for one matrix.
+    return (ps[:, None, :] @ squared[:, :, None])[:, 0, 0] / s
 
 
 def lemma1_exact_error(X: DataMatrix, w0, s: int) -> float:
@@ -285,9 +298,17 @@ def mc_error_over_data(
     trained-weights bound; distribution="uniform" samples uniformly and
     reports against the dimension-scaled bound. An explicit reference
     overrides either default.
+
+    The matrices are drawn in blocks of several trials, one (k, d, n) draw
+    per block, with at most _BLOCK_ELEMENTS entries in a block (one trial
+    when a single matrix is larger). A block consumes the stream exactly as
+    k draws of (d, n) do, so the draws are those of a trial-by-trial loop,
+    and memory stays flat in x_trials.
     """
     if x_trials < 1:
         raise ValueError(f"x_trials must be >= 1, got {x_trials}")
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     if distribution not in ("optimal", "uniform"):
         raise ValueError(f"unknown distribution {distribution!r}")
     _check_budget(s)
@@ -299,15 +320,30 @@ def mc_error_over_data(
         )
     d = w0v.size
     scale = 1.0 / math.sqrt(n)
-    uniform = uniform_probabilities(d)
+    uniform = uniform_probabilities(d).values[None]
+    w0_abs = np.abs(w0v)
+    per_block = max(1, _BLOCK_ELEMENTS // (d * n))
     errors = np.empty(x_trials)
-    for t in range(x_trials):
-        X = DataMatrix(rng.normal((d, n)) * scale)
+    for start in range(0, x_trials, per_block):
+        Xs = rng.normal((min(per_block, x_trials - start), d, n))
+        np.multiply(Xs, scale, out=Xs)
+        if not np.isfinite(Xs).all():
+            raise ValueError("DataMatrix entries must be finite")
         if distribution == "optimal":
-            p = _optimal_probabilities(X, w0v)
+            # p as _optimal_probabilities and ProbabilityVector compute it,
+            # with the row norms of row_norms.
+            weights = np.sqrt(np.add.reduce(Xs * Xs, axis=2))
+            np.multiply(weights, w0_abs, out=weights)
+            total = weights.sum(axis=1, keepdims=True)
+            if np.any(total <= 0.0):
+                raise DegenerateDistributionError(
+                    "every row-norm-times-weight product is zero"
+                )
+            ps = np.divide(weights, total, out=weights)
+            ps /= ps.sum(axis=1, keepdims=True)
         else:
-            p = uniform
-        errors[t] = _expected_error(X, wsv, p, s)
+            ps = uniform
+        errors[start : start + Xs.shape[0]] = _variance_form_errors(Xs, wsv, ps, s)
     if reference is None:
         if distribution == "optimal":
             reference = theorem1_bound(w0v, wsv, s)

@@ -134,6 +134,8 @@ def gen_chi_input(d: int, rng: RngStream, n: int = 128) -> np.ndarray:
     Each entry is the norm of n iid N(0, 1/n) variables; entries concentrate
     near 1, tighter for larger n.
     """
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
     return np.linalg.norm(rng.normal((d, n)), axis=1) / math.sqrt(n)
 
 

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -276,7 +277,84 @@ class TestMcOverMasks:
             previous = rep.empirical_error
 
 
+def _per_trial_mean_and_se(w0, w_star, s, n, x_trials, rng, distribution):
+    """mc_error_over_data's estimate built one matrix at a time from the
+    public API."""
+    d = len(w0)
+    errors = []
+    for _ in range(x_trials):
+        X = DataMatrix(rng.normal((d, n)) * (1.0 / math.sqrt(n)))
+        if distribution == "optimal":
+            p = optimal_probabilities(X, w0)
+        else:
+            p = uniform_probabilities(d)
+        errors.append(exact_expected_error(X, w_star, p, s))
+    errors = np.array(errors)
+    se = errors.std(ddof=1) / math.sqrt(x_trials) if x_trials > 1 else 0.0
+    return errors.mean(), se
+
+
 class TestMcOverData:
+    # At d=64, n=32 a block holds 16 trials, so 37 ends on a partial block;
+    # a 200 x 170 matrix alone exceeds a block.
+    @pytest.mark.parametrize("distribution", ["optimal", "uniform"])
+    @pytest.mark.parametrize(
+        "d, n, x_trials",
+        [(64, 32, 1), (64, 32, 37), (7, 3, 37), (200, 170, 3)],
+    )
+    def test_matches_per_trial_reference(self, distribution, d, n, x_trials):
+        source = RngStream(31)
+        w0 = source.normal(d)
+        w_star = w0 + 0.5 * source.normal(d)
+        rep = mc_error_over_data(
+            w0, w_star, 4, n, x_trials, RngStream(32), distribution=distribution
+        )
+        mean, se = _per_trial_mean_and_se(
+            w0, w_star, 4, n, x_trials, RngStream(32), distribution
+        )
+        assert rep.trials == x_trials
+        assert rep.empirical_error == pytest.approx(mean, rel=1e-12)
+        assert rep.standard_error == pytest.approx(se, rel=1e-12)
+
+    @pytest.mark.parametrize("d, n, x_trials", [(8, 5, 37), (200, 170, 2)])
+    def test_consumes_one_normal_per_entry(self, d, n, x_trials):
+        used, twin = RngStream(40), RngStream(40)
+        w = RngStream(41).normal(d)
+        mc_error_over_data(w, w, 2, n, x_trials, used)
+        twin.normal((x_trials, d, n))
+        np.testing.assert_array_equal(used.normal(4), twin.normal(4))
+
+    def test_inactive_initial_weight_under_active_target_raises(self):
+        w0 = np.array([1.0, 0.0, 2.0])
+        with pytest.raises(SupportError):
+            mc_error_over_data(w0, [1.0, 1.0, 2.0], 2, 4, 20, RngStream(42))
+
+    def test_zero_initial_weights_raise(self):
+        # An explicit reference skips theorem1_bound, which rejects zero w0 too.
+        with pytest.raises(DegenerateDistributionError, match="row-norm"):
+            mc_error_over_data(
+                np.zeros(3), np.ones(3), 2, 4, 20, RngStream(43), reference=1.0
+            )
+
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_sample_count_rejected_before_drawing(self, n):
+        used, twin = RngStream(44), RngStream(44)
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            mc_error_over_data([1.0, 2.0], [1.0, 2.0], 1, n, 5, used)
+        assert used.normal() == twin.normal()
+
+    def test_memory_stays_flat_in_trials(self):
+        # One unchunked block of 2000 trials would take 32 MiB.
+        w0 = RngStream(45).normal(64)
+        rng = RngStream(46)
+        tracemalloc.start()
+        try:
+            mc_error_over_data(w0, w0, 8, 32, 2000, rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+
     def test_zero_target_is_zero(self):
         rng = RngStream(5)
         w0 = rng.normal(8)

@@ -53,6 +53,11 @@ class TestGenChiInput:
         narrow = gen_chi_input(2_000, RngStream(6), n=8)
         assert wide.std(ddof=1) < narrow.std(ddof=1)
 
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_nonpositive_sample_count_rejected(self, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            gen_chi_input(5, RngStream(0), n=n)
+
 
 class TestGenSparseX:
     def test_one_nonzero_per_row(self):
