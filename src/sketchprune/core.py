@@ -63,7 +63,19 @@ class SupportError(ValueError):
 
 
 def _validated_array(values, name: str, ndim: int) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64)
+    # A float64 array that owns its memory and is already read-only is
+    # adopted, not copied: freezing a fresh array hands it over, which spares
+    # the data generators a second d x n copy. Writeable arrays and views are
+    # still copied.
+    if (
+        type(values) is np.ndarray
+        and values.dtype == np.float64
+        and values.base is None
+        and not values.flags.writeable
+    ):
+        arr = values
+    else:
+        arr = np.array(values, dtype=np.float64)
     if arr.ndim != ndim:
         raise DimensionMismatchError(
             f"{name} expects a {ndim}-d array, got ndim={arr.ndim}"
@@ -77,7 +89,8 @@ def _validated_array(values, name: str, ndim: int) -> np.ndarray:
 
 
 def as_vector(v) -> np.ndarray:
-    """Read-only float64 copy of a nonempty, finite 1-d array-like."""
+    """Read-only float64 copy of a nonempty, finite 1-d array-like; a
+    read-only float64 array that owns its memory is returned as it is."""
     return _validated_array(v, "vector", ndim=1)
 
 

@@ -36,12 +36,14 @@ __all__ = [
     "SyntheticDataset",
     "PipelineConfig",
     "PipelineResult",
+    "SeedState",
     "gen_normal_X",
     "gen_chi_input",
     "gen_sparse_X",
     "make_dataset",
     "max_hessian_eigenvalue",
     "train_least_squares",
+    "seed_state",
     "run_prune_pipeline",
 ]
 
@@ -123,9 +125,30 @@ class PipelineResult:
     w0_wstar_distance: float
 
 
+@dataclass(frozen=True)
+class SeedState:
+    """What every (method, budget) cell of one seed shares.
+
+    The mask is found at initialization, so a seed's cells differ only in
+    their mask: they train on the same data from the same w0 with the same
+    step size, and are scored on the same test matrix. `lr` is None only when
+    no step size was given and no training runs. `settings` holds the
+    (d, n, seed, noise_std, steps, lr) configuration it was drawn for.
+    """
+
+    settings: tuple
+    dataset: SyntheticDataset
+    w0: np.ndarray
+    X_test: DataMatrix
+    lr: float | None
+
+
 def gen_normal_X(d: int, n: int, rng: RngStream) -> DataMatrix:
     """Data matrix with iid N(0, 1/n) entries, so E||X_(k)||^2 = 1."""
-    return DataMatrix(rng.normal((d, n)) / math.sqrt(n))
+    x = rng.normal((d, n))
+    x /= math.sqrt(n)
+    x.setflags(write=False)
+    return DataMatrix(x)
 
 
 def gen_chi_input(d: int, rng: RngStream, n: int = 128) -> np.ndarray:
@@ -145,6 +168,7 @@ def gen_sparse_X(d: int, n: int, rng: RngStream) -> DataMatrix:
     cols = rng.integers(0, n, size=d)
     M = np.zeros((d, n))
     M[np.arange(d), cols] = rng.normal(d)
+    M.setflags(write=False)
     return DataMatrix(M)
 
 
@@ -171,16 +195,21 @@ def max_hessian_eigenvalue(X: DataMatrix, iters: int = 20) -> float:
     return 2.0 * float(v @ (Xv @ (Xv.T @ v))) / X.n
 
 
+def _default_lr(X: DataMatrix) -> float:
+    """0.9 times the stability threshold 2/lambda_max of the loss Hessian."""
+    return 0.9 * 2.0 / max_hessian_eigenvalue(X)
+
+
 def train_least_squares(
     X: DataMatrix, y, w0, steps: int, lr: float | None = None
 ) -> np.ndarray:
     """Gradient descent on the mean squared residual (1/n) ||X^T w - y||^2.
 
-    Returns read-only weights; steps=0 returns a copy of w0. When lr is
-    omitted it is set to 0.9 times the stability threshold 2/lambda_max of
-    the Hessian, with lambda_max estimated by 20 power-iteration steps. Two
-    consecutive loss increases raise DivergenceError, and non-finite trained
-    weights raise ValueError.
+    Returns read-only weights; steps=0 returns w0 as a read-only vector.
+    When lr is omitted it is set to 0.9 times the stability threshold
+    2/lambda_max of the Hessian, with lambda_max estimated by 20
+    power-iteration steps. A non-finite loss, or a loss that rises on two
+    consecutive steps, raises DivergenceError.
     """
     yv = as_vector(y)
     w0v = as_vector(w0)
@@ -192,7 +221,7 @@ def train_least_squares(
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if lr is None and steps > 0:
-        lr = 0.9 * 2.0 / max_hessian_eigenvalue(X)
+        lr = _default_lr(X)
     if lr is not None:
         _check_lr(lr)
     if steps == 0:
@@ -200,24 +229,30 @@ def train_least_squares(
     Xv = X.values
     n = X.n
     w = w0v.copy()
-    residual = Xv.T @ w - yv
-    prev = float(residual @ residual) / n
-    tolerance = 1e-12 * max(1.0, prev)
-    rises = 0
-    for step in range(steps):
-        w -= lr * (2.0 / n) * (Xv @ residual)
+    # an overflow shows as a non-finite loss, which is reported below
+    with np.errstate(over="ignore", invalid="ignore"):
         residual = Xv.T @ w - yv
-        loss = float(residual @ residual) / n
-        if loss > prev + tolerance:
-            rises += 1
-            if rises >= 2:
+        prev = float(residual @ residual) / n
+        tolerance = 1e-12 * max(1.0, prev)
+        rises = 0
+        for step in range(steps):
+            w -= lr * (2.0 / n) * (Xv @ residual)
+            residual = Xv.T @ w - yv
+            loss = float(residual @ residual) / n
+            if not math.isfinite(loss):
                 raise DivergenceError(
-                    f"loss rose on consecutive steps ending at {step + 1} "
-                    f"(lr={lr:.6g})"
+                    f"loss is not finite at step {step + 1} (lr={lr:.6g})"
                 )
-        else:
-            rises = 0
-        prev = loss
+            if loss > prev + tolerance:
+                rises += 1
+                if rises >= 2:
+                    raise DivergenceError(
+                        f"loss rose on consecutive steps ending at {step + 1} "
+                        f"(lr={lr:.6g})"
+                    )
+            else:
+                rises = 0
+            prev = loss
     return as_vector(w)
 
 
@@ -291,29 +326,50 @@ MASK_METHODS = {
 METHODS = tuple(name for name in MASK_METHODS if name != "uniform")
 
 
-def run_prune_pipeline(config: PipelineConfig) -> PipelineResult:
-    """Draw data, prune at initialization, train, and measure the squared
-    masked-feature error on fresh test data.
+def _seed_settings(config: PipelineConfig) -> tuple:
+    return (config.d, config.n, config.seed, config.noise_std, config.steps, config.lr)
 
-    The seed is split into fixed substreams for data, initialization, mask
-    sampling, and test data, so runs with different methods but the same seed
-    share everything except the mask.
+
+def seed_state(config: PipelineConfig) -> SeedState:
+    """Draw the state shared by every cell of config's seed; config's method
+    and budget are not used.
+
+    The seed is split into fixed substreams: 0 draws the data, 1 the initial
+    weights w0, and 3 the test matrix (2 is each cell's mask). The step size
+    is config.lr, or the default of `train_least_squares` when training runs.
     """
     root = RngStream(config.seed)
-    data_rng, init_rng, mask_rng, test_rng = (root.substream(k) for k in range(4))
+    dataset = make_dataset(config.d, config.n, config.noise_std, root.substream(0))
+    w0 = as_vector(root.substream(1).normal(config.d) / math.sqrt(config.d))
+    X_test = gen_normal_X(config.d, config.n, root.substream(3))
+    lr = config.lr
+    if lr is None and config.steps > 0:
+        lr = _default_lr(dataset.X)
+    return SeedState(_seed_settings(config), dataset, w0, X_test, lr)
 
-    dataset = make_dataset(config.d, config.n, config.noise_std, data_rng)
-    w0 = init_rng.normal(config.d) / math.sqrt(config.d)
+
+def run_prune_pipeline(config: PipelineConfig, state: SeedState) -> PipelineResult:
+    """Prune one (method, budget) cell at initialization, train, and measure
+    the squared masked-feature error on the seed's test data.
+
+    `state` is `seed_state` of a config that differs from this one at most in
+    method and budget: each seed's data, w0, test matrix and step size are
+    drawn once and shared by its cells. Only the mask is the cell's own,
+    drawn from a fresh substream 2 of the seed.
+    """
+    if state.settings != _seed_settings(config):
+        raise ValueError(
+            f"seed state drawn for (d, n, seed, noise_std, steps, lr) = "
+            f"{state.settings}, not {_seed_settings(config)}"
+        )
+    X = state.dataset.X
     method = MASK_METHODS[config.method]
-    mask = method.build(dataset.X, w0, config.s, mask_rng)
-    w_star = train_least_squares(
-        dataset.X, dataset.y, w0, config.steps, config.lr
-    )
-    X_test = gen_normal_X(config.d, config.n, test_rng)
-    masked_error = approximation_error(X_test, w_star, mask) ** 2
+    mask = method.build(X, state.w0, config.s, RngStream(config.seed).substream(2))
+    w_star = train_least_squares(X, state.dataset.y, state.w0, config.steps, state.lr)
+    masked_error = approximation_error(state.X_test, w_star, mask) ** 2
 
-    bound = method.bound(w0, w_star, config.s) if method.bound else math.nan
-    distance = float(np.linalg.norm(w_star - w0))
+    bound = method.bound(state.w0, w_star, config.s) if method.bound else math.nan
+    distance = float(np.linalg.norm(w_star - state.w0))
     return PipelineResult(
         method=config.method,
         density=config.s / config.d,

@@ -292,10 +292,11 @@ def train_linearized_gd(
     losses[0] = residual @ residual
     movement[0] = 0.0
     tolerance = 1e-12 * max(1.0, losses[0])
-    checkpoint_steps = np.unique(
-        np.linspace(0, steps, num=min(5, steps + 1)).astype(int)
+    # sorted(set(...)), not np.unique, whose first call imports numpy.ma
+    checkpoint_set = set(
+        np.linspace(0, steps, num=min(5, steps + 1)).astype(int).tolist()
     )
-    checkpoint_set = set(checkpoint_steps.tolist())
+    checkpoint_steps = np.array(sorted(checkpoint_set))
     kept = [theta.copy()] if 0 in checkpoint_set else []
     for t in range(1, steps + 1):
         theta -= scale * (J.T @ residual)

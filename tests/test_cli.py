@@ -1,18 +1,44 @@
 import json
+import math
+import warnings
 
+import numpy as np
 import pytest
 
-from sketchprune import cli
+from sketchprune import cli, experiments
 from sketchprune.cli import (
     HISTOGRAM_HEADER,
     RESULT_HEADER,
     VERIFY_SUITES,
     main,
 )
+from sketchprune.core import RngStream
+from sketchprune.experiments import (
+    MASK_METHODS,
+    METHODS,
+    gen_normal_X,
+    make_dataset,
+    train_least_squares,
+)
+from sketchprune.sketch import approximation_error
 
 
 def read_lines(path):
     return path.read_text().splitlines()
+
+
+def reference_cell(d, n, s, method, seed, noise_std=0.0, steps=100, lr=None):
+    """(error, bound, distance) of one pipeline cell drawn from scratch."""
+    root = RngStream(seed)
+    data = make_dataset(d, n, noise_std, root.substream(0))
+    w0 = root.substream(1).normal(d) / math.sqrt(d)
+    spec = MASK_METHODS[method]
+    mask = spec.build(data.X, w0, s, root.substream(2))
+    w_star = train_least_squares(data.X, data.y, w0, steps, lr)
+    X_test = gen_normal_X(d, n, root.substream(3))
+    error = approximation_error(X_test, w_star, mask) ** 2
+    bound = spec.bound(w0, w_star, s) if spec.bound else math.nan
+    return error, bound, float(np.linalg.norm(w_star - w0))
 
 
 class TestVerifyCommand:
@@ -130,6 +156,75 @@ class TestPipelineCommand:
             assert err.startswith("error: ") and err.count("\n") == 1
             assert "--density" in err
             assert not out.exists()
+
+    @pytest.mark.parametrize("flags, cell", [
+        ([], {}),
+        (["--noise-std", "0.1"], {"noise_std": 0.1}),
+        (["--lr", "0.05"], {"lr": 0.05}),
+        (["--steps", "0"], {"steps": 0}),
+    ])
+    def test_rows_equal_cells_drawn_from_scratch(self, tmp_path, flags, cell):
+        # the cells of a seed share its data, w0, test set and step size;
+        # sharing them must give what drawing them per cell gives, bit for bit
+        out = tmp_path / "p.csv"
+        assert main([
+            "pipeline", "--d", "16", "--n", "8", "--s", "2,5", "--trials", "2",
+            "--seed", "3", *flags, "--out", str(out),
+        ]) == 0
+        rows = [line.split(",") for line in read_lines(out)[1:]]
+        assert len(rows) == 2 * len(METHODS) * 2
+        for row in rows:
+            seed, s, method = int(row[1]), int(row[4]), row[5]
+            want = reference_cell(16, 8, s, method, seed, **cell)
+            assert [row[6], row[7], row[10]] == [cli._cell(v) for v in want]
+
+    @pytest.mark.parametrize("steps, eigen_calls", [("100", 2), ("0", 0)])
+    def test_seed_state_drawn_once_per_seed(
+        self, tmp_path, monkeypatch, steps, eigen_calls
+    ):
+        calls = {}
+
+        def count(module, name):
+            fn = getattr(module, name)
+            calls[name] = 0
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        count(cli, "run_prune_pipeline")
+        for name in (
+            "make_dataset", "gen_normal_X", "max_hessian_eigenvalue",
+            "train_least_squares",
+        ):
+            count(experiments, name)
+        assert main([
+            "pipeline", "--d", "16", "--n", "8", "--s", "2,5", "--trials", "2",
+            "--steps", steps, "--out", str(tmp_path / "p.csv"),
+        ]) == 0
+        # per seed one dataset and one test matrix; each cell trains once
+        cells = 2 * len(METHODS) * 2
+        assert calls == {
+            "run_prune_pipeline": cells, "train_least_squares": cells,
+            "make_dataset": 2, "gen_normal_X": 4,
+            "max_hessian_eigenvalue": eigen_calls,
+        }
+
+    def test_overflowing_step_size_is_divergence(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = main([
+                "pipeline", "--d", "8", "--n", "4", "--s", "2", "--trials", "1",
+                "--steps", "5", "--lr", "1e300", "--out", str(out),
+            ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: loss is not finite at step ")
+        assert err.count("\n") == 1
+        assert not out.exists()
 
     def test_budget_beyond_dimension(self, tmp_path):
         code = main([

@@ -40,6 +40,37 @@ class TestDataMatrix:
             X.values[0, 0] = 9.0
 
 
+    def test_writeable_input_is_copied(self):
+        source = np.ones((2, 2))
+        X = DataMatrix(source)
+        source[0, 0] = 9.0
+        assert X.values[0, 0] == 1.0 and source.flags.writeable
+
+    def test_read_only_view_is_copied(self):
+        base = np.ones((2, 3))
+        view = base[:, :2]
+        view.setflags(write=False)
+        X = DataMatrix(view)
+        base[0, 0] = 9.0
+        assert X.values is not view and X.values[0, 0] == 1.0
+
+    def test_read_only_owner_is_adopted(self):
+        source = np.ones((2, 2))
+        source.setflags(write=False)
+        assert DataMatrix(source).values is source
+        vector = np.arange(3.0)
+        vector.setflags(write=False)
+        assert as_vector(vector) is vector
+
+    def test_adopted_array_still_checked(self):
+        source = np.array([[1.0, np.nan]])
+        source.setflags(write=False)
+        with pytest.raises(ValueError, match="finite"):
+            DataMatrix(source)
+        with pytest.raises(DimensionMismatchError):
+            as_vector(source)
+
+
 class TestAsVector:
     def test_read_only_float64_copy(self):
         source = np.array([1, -2])

@@ -1,10 +1,12 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from sketchprune import (
     METHODS,
+    DataMatrix,
     DivergenceError,
     InvalidDensityError,
     PipelineConfig,
@@ -16,14 +18,27 @@ from sketchprune import (
     make_dataset,
     max_hessian_eigenvalue,
     run_prune_pipeline,
+    seed_state,
     train_least_squares,
 )
+from sketchprune import experiments
 from sketchprune.experiments import MASK_METHODS
+
+
+def _run(config):
+    """One cell on a state drawn for that cell alone."""
+    return run_prune_pipeline(config, seed_state(config))
 
 
 class TestGenNormalX:
     def test_shape(self):
         assert gen_normal_X(5, 3, RngStream(0)).values.shape == (5, 3)
+
+    def test_scaled_draw_is_held_without_a_copy(self):
+        X = gen_normal_X(6, 4, RngStream(0))
+        np.testing.assert_array_equal(X.values, RngStream(0).normal((6, 4)) / 2.0)
+        assert X.values.base is None and not X.values.flags.writeable
+        assert gen_sparse_X(6, 4, RngStream(0)).values.base is None
 
     def test_row_norm_second_moment(self):
         X = gen_normal_X(10_000, 32, RngStream(1))
@@ -130,6 +145,17 @@ class TestTrainLeastSquares:
         with pytest.raises(DivergenceError):
             train_least_squares(ds.X, ds.y, rng.normal(8), steps=50, lr=lr)
 
+    def test_non_finite_loss_diverges(self):
+        # an lr large enough to overflow the loss is divergence, found at the
+        # first non-finite loss without numpy warnings on the way
+        rng = RngStream(15)
+        ds = make_dataset(8, 4, 0.0, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lr, steps in ((1e300, 5), (1e160, 50)):
+                with pytest.raises(DivergenceError, match="not finite at step"):
+                    train_least_squares(ds.X, ds.y, np.ones(8), steps=steps, lr=lr)
+
     def test_invalid_lr_rejected(self):
         rng = RngStream(16)
         ds = make_dataset(4, 8, 0.0, rng)
@@ -191,41 +217,65 @@ class TestPipelineConfig:
 class TestRunPrunePipeline:
     def test_deterministic(self):
         config = PipelineConfig(d=16, n=12, s=4, method="sketch-p0", seed=5)
-        assert run_prune_pipeline(config) == run_prune_pipeline(config)
+        assert _run(config) == _run(config)
 
     def test_methods_share_everything_but_the_mask(self):
         results = [
-            run_prune_pipeline(PipelineConfig(d=16, n=12, s=4, method=m, seed=9))
-            for m in METHODS
+            _run(PipelineConfig(d=16, n=12, s=4, method=m, seed=9)) for m in METHODS
         ]
         distances = {r.w0_wstar_distance for r in results}
         assert len(distances) == 1
 
     def test_density_reported(self):
-        r = run_prune_pipeline(PipelineConfig(d=16, n=12, s=4, method="sketch-p0", seed=0))
+        r = _run(PipelineConfig(d=16, n=12, s=4, method="sketch-p0", seed=0))
         assert r.density == pytest.approx(0.25)
 
     def test_bound_kinds(self):
-        tuned = run_prune_pipeline(
-            PipelineConfig(d=16, n=12, s=4, method="sketch-p0", seed=1)
-        )
-        uniform = run_prune_pipeline(
-            PipelineConfig(d=16, n=12, s=4, method="sketch-uniform", seed=1)
-        )
-        binary = run_prune_pipeline(
-            PipelineConfig(d=16, n=12, s=4, method="topk-synflow", seed=1)
-        )
+        tuned = _run(PipelineConfig(d=16, n=12, s=4, method="sketch-p0", seed=1))
+        uniform = _run(PipelineConfig(d=16, n=12, s=4, method="sketch-uniform", seed=1))
+        binary = _run(PipelineConfig(d=16, n=12, s=4, method="topk-synflow", seed=1))
         assert math.isfinite(tuned.bound) and tuned.bound > 0
         assert math.isfinite(uniform.bound) and uniform.bound > 0
         assert math.isnan(binary.bound)
 
     def test_masked_error_nonnegative(self):
         for method in METHODS:
-            r = run_prune_pipeline(PipelineConfig(d=12, n=8, s=3, method=method, seed=2))
+            r = _run(PipelineConfig(d=12, n=8, s=3, method=method, seed=2))
             assert r.masked_error >= 0.0
 
     def test_zero_steps_keeps_w0(self):
-        r = run_prune_pipeline(
-            PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=3, steps=0)
-        )
+        r = _run(PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=3, steps=0))
         assert r.w0_wstar_distance == 0.0
+
+    def test_state_of_other_settings_rejected(self):
+        config = PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=3)
+        state = seed_state(config)
+        for other in (
+            PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=4),
+            PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=3, lr=0.1),
+            PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=3, noise_std=0.1),
+        ):
+            with pytest.raises(ValueError, match="seed state"):
+                run_prune_pipeline(other, state)
+
+
+class TestSeedState:
+    def test_step_size_is_given_lr_or_the_training_default(self):
+        config = PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=3)
+        state = seed_state(config)
+        assert state.lr == 0.9 * 2.0 / max_hessian_eigenvalue(state.dataset.X)
+        given = seed_state(
+            PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=3, lr=0.1)
+        )
+        assert given.lr == 0.1
+
+    def test_zero_steps_skips_power_iteration(self, monkeypatch):
+        # with no training and no given step size no curvature is needed, so
+        # a data matrix without any still builds a state
+        monkeypatch.setattr(
+            experiments, "gen_normal_X", lambda d, n, rng: DataMatrix(np.zeros((d, n)))
+        )
+        config = PipelineConfig(d=6, n=4, s=2, method="topk-synflow", seed=0, steps=0)
+        assert seed_state(config).lr is None
+        with pytest.raises(ValueError, match="no curvature"):
+            seed_state(PipelineConfig(d=6, n=4, s=2, method="topk-synflow", seed=0))
