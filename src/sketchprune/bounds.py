@@ -191,7 +191,10 @@ def theorem1_bound(w0, w_star, s: int) -> float:
     """Data-averaged error bound for masks tuned on (X, w0) and applied to a
     trained w_star, for X with iid N(0, 1/n) entries:
 
-    (1/s) ||w0||_1 (||w* - w0||^2 / ||w0||_inf + 2 ||w* - w0||_1 + ||w0||_1).
+    (1/s) ||w0||_1 (sum_k delta_k^2 / |w0_k| + 2 ||delta||_1 + ||w0||_1),
+    with delta = w* - w0 and the sum over the k where w0_k != 0. An index
+    with w0_k = 0 but delta_k != 0 is never sampled yet carries weight, so
+    the error is infinite there and SupportError is raised.
     """
     _check_budget(s)
     w0v = as_vector(w0)
@@ -200,12 +203,18 @@ def theorem1_bound(w0, w_star, s: int) -> float:
         raise DimensionMismatchError(
             f"weight lengths differ: {w0v.size} vs {wsv.size}"
         )
-    l1 = float(np.abs(w0v).sum())
+    w0_abs = np.abs(w0v)
+    l1 = float(w0_abs.sum())
     if l1 <= 0.0:
         raise DegenerateDistributionError("initial weights are identically zero")
-    linf = float(np.abs(w0v).max())
     delta = wsv - w0v
-    return l1 * (float(delta @ delta) / linf + 2.0 * float(np.abs(delta).sum()) + l1) / s
+    active = w0_abs > 0.0
+    if np.any(delta[~active] != 0.0):
+        raise SupportError(
+            "w_star differs from w0 where w0 is zero; the error is infinite"
+        )
+    spread = float((delta[active] ** 2 / w0_abs[active]).sum())
+    return l1 * (spread + 2.0 * float(np.abs(delta).sum()) + l1) / s
 
 
 def lemma4_uniform_bound(w_star, s: int) -> float:

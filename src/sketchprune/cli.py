@@ -143,8 +143,7 @@ def _concentrated_weights(d: int) -> np.ndarray:
 
 
 def _flat_pair_at_ratio(d: int, ratio: float, rng: RngStream):
-    # constant-magnitude w0: the scale-per-coordinate term of the trained
-    # -weights bound is exact there, so the bound is valid for any w_star
+    # constant-magnitude w0, with w_star at distance ratio * ||w0|| from it
     signs = np.where(rng.uniform(d) < 0.5, -1.0, 1.0)
     w0 = signs / math.sqrt(d)
     delta = rng.normal(d)

@@ -7,6 +7,7 @@ randomness always flows through an explicit :class:`RngStream`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,6 +63,13 @@ class SupportError(ValueError):
     """Sampling distribution has zero mass on an index that carries weight."""
 
 
+def _all_finite(arr: np.ndarray) -> bool:
+    # NaN propagates through min and max, and an infinity is an extreme, so
+    # this is exact; unlike np.isfinite it allocates no array of arr's size.
+    # (A finite sum would prove it too, but finite entries can overflow it.)
+    return math.isfinite(arr.min()) and math.isfinite(arr.max())
+
+
 def _validated_array(values, name: str, ndim: int) -> np.ndarray:
     # A float64 array that owns its memory and is already read-only is
     # adopted, not copied: freezing a fresh array hands it over, which spares
@@ -82,7 +90,7 @@ def _validated_array(values, name: str, ndim: int) -> np.ndarray:
         )
     if arr.size == 0:
         raise DimensionMismatchError(f"{name} must not be empty")
-    if not np.all(np.isfinite(arr)):
+    if not _all_finite(arr):
         raise ValueError(f"{name} entries must be finite")
     arr.setflags(write=False)
     return arr
@@ -139,7 +147,7 @@ class ProbabilityVector:
         arr = np.array(self.values, dtype=np.float64)
         if arr.ndim != 1 or arr.size == 0:
             raise DimensionMismatchError("probabilities must form a nonempty vector")
-        if not np.all(np.isfinite(arr)):
+        if not _all_finite(arr):
             raise ValueError("probabilities must be finite")
         if np.any(arr < 0.0):
             raise ValueError("probabilities must be nonnegative")
@@ -228,9 +236,28 @@ class RngStream:
         return RngStream(self.seed, mixed)
 
 
+# Entries per block of rows that _row_norms squares at a time (512 KiB).
+_ROW_BLOCK_ELEMENTS = 2**16
+
+
+def _row_norms(A: np.ndarray) -> np.ndarray:
+    """Euclidean norm of every row of a 2-d float64 array, bit-identical to
+    np.linalg.norm(A, axis=1), squaring a block of rows at a time."""
+    d, n = A.shape
+    # Only in C order is each row of a block summed in the same (pairwise)
+    # order as in the whole matrix; in F order a one-row block is not, so
+    # any other layout is reduced as one block.
+    rows = max(1, _ROW_BLOCK_ELEMENTS // n) if A.flags.c_contiguous else d
+    out = np.empty(d)
+    for start in range(0, d, rows):
+        block = A[start:start + rows]
+        np.sqrt(np.add.reduce(block * block, axis=1), out=out[start:start + rows])
+    return out
+
+
 def row_norms(X: DataMatrix) -> np.ndarray:
     """Euclidean norm of every row of X."""
-    return np.linalg.norm(X.values, axis=1)
+    return _row_norms(X.values)
 
 
 def features(X: DataMatrix, w) -> np.ndarray:

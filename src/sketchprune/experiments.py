@@ -17,6 +17,7 @@ from .core import (
     InvalidDensityError,
     Mask,
     RngStream,
+    _row_norms,
     as_vector,
     features,
     row_norms,
@@ -159,7 +160,7 @@ def gen_chi_input(d: int, rng: RngStream, n: int = 128) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return np.linalg.norm(rng.normal((d, n)), axis=1) / math.sqrt(n)
+    return _row_norms(rng.normal((d, n))) / math.sqrt(n)
 
 
 def gen_sparse_X(d: int, n: int, rng: RngStream) -> DataMatrix:

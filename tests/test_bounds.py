@@ -128,11 +128,30 @@ class TestTheorem1:
         assert theorem1_bound(w, w, 2) == pytest.approx(2.0)
 
     def test_hand_value(self):
-        assert theorem1_bound([1.0, 0.5], [1.1, 0.4], 1) == pytest.approx(2.88)
+        # 1.5 * (0.01 / 1 + 0.01 / 0.5 + 2 * 0.2 + 1.5) / 1
+        assert theorem1_bound([1.0, 0.5], [1.1, 0.4], 1) == pytest.approx(2.895)
 
     def test_zero_w0_rejected(self):
         with pytest.raises(DegenerateDistributionError):
             theorem1_bound([0.0, 0.0], [1.0, 1.0], 1)
+
+    def test_moved_weight_outside_support_rejected(self):
+        with pytest.raises(SupportError):
+            theorem1_bound([1.0, 0.0], [1.0, 0.5], 1)
+        # An unmoved zero weight adds nothing.
+        assert theorem1_bound([1.0, 0.0], [1.1, 0.0], 1) == pytest.approx(1.21)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_holds_for_gaussian_w0(self, seed):
+        # |w0| varies across coordinates, as the pipeline draws it; a bound
+        # with ||w* - w0||^2 / ||w0||_inf in place of the per-coordinate sum
+        # falls below the data average on every seed here.
+        rng = RngStream(seed, 7)
+        w0 = rng.normal(64)
+        delta = rng.normal(64)
+        delta *= np.linalg.norm(w0) / np.linalg.norm(delta)
+        rep = mc_error_over_data(w0, w0 + delta, 8, 32, 400, rng.substream(1))
+        assert rep.satisfied()
 
 
 class TestLemma4:

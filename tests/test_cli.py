@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -248,6 +249,18 @@ class TestHistogramCommand:
         assert sum(int(r[3]) for r in rows) == 128
         assert sum(int(r[2]) for r in rows) == 16
         assert float(rows[0][0]) == 0.0
+
+    def test_wide_run_holds_one_matrix(self, tmp_path):
+        # The d x 128 matrix alone is 64 MiB; a d x n temporary in the row
+        # norms or the finiteness check would add another 8 to 64 MiB.
+        tracemalloc.start()
+        try:
+            code = main(["histogram", "--d", "65536", "--out", str(tmp_path / "h.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 80 * 2**20
 
     def test_fractional_mask_methods_rejected(self, tmp_path):
         for method in ("sketch-p0", "sketch-uniform"):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,10 +25,17 @@ class TestDataMatrix:
         np.testing.assert_array_equal(X.col(2), [3.0, 6.0])
 
     def test_rejects_non_finite(self):
-        with pytest.raises(ValueError):
-            DataMatrix([[1.0, np.nan]])
-        with pytest.raises(ValueError):
-            DataMatrix([[np.inf, 1.0]])
+        for bad in (np.nan, np.inf, -np.inf):
+            for index in ((0, 0), (-1, -1)):
+                values = np.ones((3, 4))
+                values[index] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    DataMatrix(values)
+
+    def test_accepts_finite_entries_whose_sum_overflows(self):
+        X = DataMatrix([[1e308, 1e308], [-1e308, 1e308]])
+        assert X.values[0, 0] == 1e308
+        assert as_vector([-1e308, -1e308])[1] == -1e308
 
     def test_rejects_wrong_ndim_and_empty(self):
         with pytest.raises(ValueError):
@@ -86,8 +95,11 @@ class TestAsVector:
 
     def test_rejects_non_finite(self):
         for bad in (np.nan, np.inf, -np.inf):
-            with pytest.raises(ValueError):
-                as_vector([1.0, bad])
+            for index in (0, -1):
+                values = np.ones(5)
+                values[index] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    as_vector(values)
 
     def test_rejects_wrapper_types(self):
         for wrapper in (
@@ -119,6 +131,14 @@ class TestProbabilityVector:
             ProbabilityVector([-0.1, 1.1])
         with pytest.raises(ValueError):
             ProbabilityVector([0.0, 0.0])
+
+    def test_rejects_non_finite(self):
+        for bad in (np.nan, np.inf, -np.inf):
+            for index in (0, -1):
+                values = np.full(4, 0.25)
+                values[index] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    ProbabilityVector(values)
 
     def test_support(self):
         p = ProbabilityVector([0.0, 1.0])
@@ -193,6 +213,37 @@ def test_row_norms_match_naive_loop():
     X = DataMatrix(rng.normal((7, 5)))
     naive = [np.sqrt(sum(x * x for x in X.row(i))) for i in range(7)]
     np.testing.assert_allclose(row_norms(X), naive, rtol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d, n",
+    # 16 columns put the block edges every 4096 rows; 20000 columns give
+    # blocks of three rows and a last block of one.
+    [(1, 16), (4095, 16), (4096, 16), (4097, 16), (8195, 16), (7, 20000)],
+)
+def test_row_norms_bit_identical_to_linalg_norm(d, n):
+    values = RngStream(d).normal((d, n))
+    np.testing.assert_array_equal(
+        row_norms(DataMatrix(values)), np.linalg.norm(values, axis=1)
+    )
+
+
+def test_row_norms_bit_identical_in_fortran_order():
+    values = np.asfortranarray(RngStream(12).normal((4097, 16)))
+    X = DataMatrix(values)
+    assert X.values.flags.f_contiguous
+    np.testing.assert_array_equal(row_norms(X), np.linalg.norm(values, axis=1))
+
+
+def test_row_norms_hold_no_matrix_sized_temporary():
+    X = DataMatrix(RngStream(13).normal((16384, 64)))  # 8 MiB
+    tracemalloc.start()
+    try:
+        row_norms(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_features_identity():

@@ -73,6 +73,16 @@ class TestGenChiInput:
         with pytest.raises(ValueError, match="n must be >= 1"):
             gen_chi_input(5, RngStream(0), n=n)
 
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_bit_identical_to_whole_matrix_norm(self, seed):
+        # 5000 rows of 128 columns span several blocks of the row reduction.
+        reference = np.linalg.norm(
+            RngStream(seed).normal((5000, 128)), axis=1
+        ) / math.sqrt(128)
+        np.testing.assert_array_equal(
+            gen_chi_input(5000, RngStream(seed)), reference
+        )
+
 
 class TestGenSparseX:
     def test_one_nonzero_per_row(self):
