@@ -7,7 +7,6 @@ randomness always flows through an explicit :class:`RngStream`.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,11 +62,19 @@ class SupportError(ValueError):
     """Sampling distribution has zero mass on an index that carries weight."""
 
 
+# Entries per block that _row_norms squares, and _all_finite checks, at a
+# time (512 KiB of float64).
+_ROW_BLOCK_ELEMENTS = 2**16
+
+
 def _all_finite(arr: np.ndarray) -> bool:
-    # NaN propagates through min and max, and an infinity is an extreme, so
-    # this is exact; unlike np.isfinite it allocates no array of arr's size.
-    # (A finite sum would prove it too, but finite entries can overflow it.)
-    return math.isfinite(arr.min()) and math.isfinite(arr.max())
+    # One pass over arr, a block at a time, so no mask of arr's size is
+    # built; ravel in memory order is a view of a contiguous array.
+    flat = arr.ravel(order="K")
+    return all(
+        np.isfinite(flat[start:start + _ROW_BLOCK_ELEMENTS]).all()
+        for start in range(0, flat.size, _ROW_BLOCK_ELEMENTS)
+    )
 
 
 def _validated_array(values, name: str, ndim: int) -> np.ndarray:
@@ -234,10 +241,6 @@ class RngStream:
             raise ValueError("substream index must be nonnegative")
         mixed = (self.stream * 0x9E3779B97F4A7C15 + k + 1) % (2**63)
         return RngStream(self.seed, mixed)
-
-
-# Entries per block of rows that _row_norms squares at a time (512 KiB).
-_ROW_BLOCK_ELEMENTS = 2**16
 
 
 def _row_norms(A: np.ndarray) -> np.ndarray:

@@ -201,6 +201,13 @@ def _default_lr(X: DataMatrix) -> float:
     return 0.9 * 2.0 / max_hessian_eigenvalue(X)
 
 
+# Steps that train_least_squares takes on the Gram matrix between two
+# recomputations of the residual from the weights. Rounding in the residual
+# recursion reaches the weights amplified by the conditioning of X, so it
+# may build up for this many steps only.
+_FOLD_STEPS = 25
+
+
 def train_least_squares(
     X: DataMatrix, y, w0, steps: int, lr: float | None = None
 ) -> np.ndarray:
@@ -211,6 +218,14 @@ def train_least_squares(
     2/lambda_max of the Hessian, with lambda_max estimated by 20
     power-iteration steps. A non-finite loss, or a loss that rises on two
     consecutive steps, raises DivergenceError.
+
+    The step w <- w - c X r, with c = 2 lr / n, moves the residual
+    r = X^T w - y by r <- r - c (X^T X) r. When n <= d the loop forms the
+    n x n Gram matrix X^T X once (no larger than X) and iterates the n
+    entries of r at O(n^2) per step, summing the residuals it steps from;
+    every _FOLD_STEPS steps, and at the last, the sum moves w by one matvec
+    and r is recomputed from w. When n > d a step in weight space costs no
+    more, so every step is such a fold and no n x n matrix is built.
     """
     yv = as_vector(y)
     w0v = as_vector(w0)
@@ -229,16 +244,27 @@ def train_least_squares(
         return w0v
     Xv = X.values
     n = X.n
+    c = lr * (2.0 / n)
+    gram = Xv.T @ Xv if n <= X.d else None
+    fold_steps = _FOLD_STEPS if gram is not None else 1
     w = w0v.copy()
     # an overflow shows as a non-finite loss, which is reported below
     with np.errstate(over="ignore", invalid="ignore"):
         residual = Xv.T @ w - yv
+        total = np.zeros(n)
         prev = float(residual @ residual) / n
         tolerance = 1e-12 * max(1.0, prev)
         rises = 0
         for step in range(steps):
-            w -= lr * (2.0 / n) * (Xv @ residual)
-            residual = Xv.T @ w - yv
+            if (step + 1) % fold_steps and step + 1 < steps:
+                total += residual
+                residual -= c * (gram @ residual)
+            else:
+                if gram is not None:
+                    residual += total
+                    total[:] = 0.0
+                w -= c * (Xv @ residual)
+                residual = Xv.T @ w - yv
             loss = float(residual @ residual) / n
             if not math.isfinite(loss):
                 raise DivergenceError(

@@ -246,6 +246,29 @@ def test_row_norms_hold_no_matrix_sized_temporary():
     assert peak < 2**20
 
 
+def test_finiteness_checked_in_every_block():
+    # 2.5 blocks of _all_finite's 2**16 entries, in both memory orders
+    for shape, order in (((163840,), "C"), ((640, 256), "C"), ((640, 256), "F")):
+        for bad in (np.nan, np.inf, -np.inf):
+            for index in (0, 70_000, 140_000, -1):
+                values = np.ones(shape, order=order)
+                values.reshape(-1, order="A")[index] = bad
+                with pytest.raises(ValueError, match="finite"):
+                    DataMatrix(values) if len(shape) == 2 else as_vector(values)
+
+
+def test_finiteness_check_holds_no_matrix_sized_mask():
+    values = RngStream(14).normal((16384, 64))  # 8 MiB; a bool mask is 1 MiB
+    values.setflags(write=False)
+    tracemalloc.start()
+    try:
+        DataMatrix(values)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**18
+
+
 def test_features_identity():
     np.testing.assert_array_equal(features(DataMatrix(np.eye(2)), [1.0, 1.0]), [1.0, 1.0])
 

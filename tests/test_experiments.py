@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -119,6 +120,17 @@ def test_max_hessian_eigenvalue_matches_dense_solver():
     assert max_hessian_eigenvalue(X, iters=100) == pytest.approx(top, rel=1e-9)
 
 
+def _weight_space_gd(X, y, w0, steps, lr):
+    """Reference: gradient descent stepped on the d weights."""
+    Xv, n = X.values, X.n
+    w = np.array(w0, dtype=np.float64)
+    residual = Xv.T @ w - y
+    for _ in range(steps):
+        w -= lr * (2.0 / n) * (Xv @ residual)
+        residual = Xv.T @ w - y
+    return w
+
+
 class TestTrainLeastSquares:
     def test_zero_steps_returns_start(self):
         rng = RngStream(12)
@@ -165,6 +177,54 @@ class TestTrainLeastSquares:
             for lr, steps in ((1e300, 5), (1e160, 50)):
                 with pytest.raises(DivergenceError, match="not finite at step"):
                     train_least_squares(ds.X, ds.y, np.ones(8), steps=steps, lr=lr)
+
+    @pytest.mark.parametrize("steps", [100, 2000, 37])
+    @pytest.mark.parametrize("d, n", [(64, 16), (32, 32), (6, 40)])
+    def test_matches_weight_space_descent(self, d, n, steps):
+        # n <= d steps on the Gram matrix, n > d in weight space; 37 steps
+        # end part-way through a block of Gram steps
+        rng = RngStream(18)
+        ds = make_dataset(d, n, 0.1, rng)
+        w0 = rng.normal(d) / math.sqrt(d)
+        lr = 0.9 * 2.0 / max_hessian_eigenvalue(ds.X)
+        np.testing.assert_allclose(
+            train_least_squares(ds.X, ds.y, w0, steps, lr),
+            _weight_space_gd(ds.X, ds.y, w0, steps, lr),
+            rtol=1e-12,
+        )
+
+    def test_more_examples_than_weights_builds_no_gram_matrix(self):
+        # an n x n matrix here would take 128 MiB
+        rng = RngStream(19)
+        ds = make_dataset(4, 4096, 0.1, rng)
+        w0 = rng.normal(4)
+        tracemalloc.start()
+        try:
+            train_least_squares(ds.X, ds.y, w0, steps=100)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
+    def test_oversized_step_diverges_on_gram_path(self):
+        # n <= d: the rising loss is seen on the Gram-matrix residual
+        rng = RngStream(20)
+        ds = make_dataset(16, 8, 0.0, rng)
+        lr = 10.0 * 2.0 / max_hessian_eigenvalue(ds.X)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DivergenceError, match="rose on consecutive steps"):
+                train_least_squares(ds.X, ds.y, rng.normal(16), steps=50, lr=lr)
+
+    def test_non_finite_loss_diverges_in_weight_space(self):
+        # n > d: the overflow happens in the weights
+        rng = RngStream(21)
+        ds = make_dataset(4, 8, 0.0, rng)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for lr, steps in ((1e300, 5), (1e160, 50)):
+                with pytest.raises(DivergenceError, match="not finite at step"):
+                    train_least_squares(ds.X, ds.y, np.ones(4), steps=steps, lr=lr)
 
     def test_invalid_lr_rejected(self):
         rng = RngStream(16)
