@@ -40,7 +40,6 @@ from .core import DataMatrix, DivergenceError, RngStream, row_norms
 from .experiments import (
     MASK_METHODS,
     METHODS,
-    PipelineConfig,
     gen_normal_X,
     gen_sparse_X,
     run_prune_pipeline,
@@ -383,40 +382,30 @@ def _cmd_verify(settings: dict) -> list[ResultRow]:
 
 
 def _cmd_pipeline(settings: dict) -> list[ResultRow]:
+    d, n = settings["d"], settings["n"]
     rows = []
     for seed in range(settings["seed"], settings["seed"] + settings["trials"]):
-        configs = [
-            PipelineConfig(
-                d=settings["d"],
-                n=settings["n"],
-                s=s,
-                method=method,
-                seed=seed,
-                noise_std=settings["noise_std"],
-                steps=settings["steps"],
-                lr=settings["lr"],
-            )
-            for method in settings["methods"]
-            for s in settings["s_values"]
-        ]
-        state = seed_state(configs[0])
-        for config in configs:
-            result = run_prune_pipeline(config, state)
-            rows.append(
-                ResultRow(
-                    run_id=f"pipeline/{seed}/{config.method}/{config.s}",
-                    seed=seed,
-                    d=config.d,
-                    n=config.n,
-                    s=config.s,
-                    method=config.method,
-                    empirical_error=result.masked_error,
-                    bound=result.bound,
-                    kind="upper-bound" if math.isfinite(result.bound) else "none",
-                    standard_error=math.nan,
-                    distance=result.w0_wstar_distance,
+        state = seed_state(
+            d, n, seed, settings["noise_std"], settings["steps"], settings["lr"]
+        )
+        for method in settings["methods"]:
+            for s in settings["s_values"]:
+                result = run_prune_pipeline(state, method, s)
+                rows.append(
+                    ResultRow(
+                        run_id=f"pipeline/{seed}/{method}/{s}",
+                        seed=seed,
+                        d=d,
+                        n=n,
+                        s=s,
+                        method=method,
+                        empirical_error=result.masked_error,
+                        bound=result.bound,
+                        kind="upper-bound" if math.isfinite(result.bound) else "none",
+                        standard_error=math.nan,
+                        distance=result.w0_wstar_distance,
+                    )
                 )
-            )
         # free this seed's matrices before the next seed draws its own
         del state
     rows.sort(key=lambda r: (r.seed, r.method, r.s))

@@ -130,14 +130,6 @@ class DataMatrix:
     def n(self) -> int:
         return self.values.shape[1]
 
-    def row(self, i: int) -> np.ndarray:
-        """Feature dimension i across all examples."""
-        return self.values[i]
-
-    def col(self, j: int) -> np.ndarray:
-        """Example j as a length-d vector."""
-        return self.values[:, j]
-
 
 @dataclass(frozen=True)
 class ProbabilityVector:

@@ -35,7 +35,6 @@ __all__ = [
     "METHODS",
     "MaskMethod",
     "SyntheticDataset",
-    "PipelineConfig",
     "PipelineResult",
     "SeedState",
     "gen_normal_X",
@@ -87,40 +86,7 @@ class SyntheticDataset:
 
 
 @dataclass(frozen=True)
-class PipelineConfig:
-    """One pruning-pipeline cell: data sizes, mask method, and training."""
-
-    d: int
-    n: int
-    s: int
-    method: str
-    seed: int
-    noise_std: float = 0.0
-    steps: int = 100
-    lr: float | None = None
-
-    def __post_init__(self):
-        if self.method not in METHODS:
-            raise ValueError(f"unknown method {self.method!r}")
-        if self.d < 1 or self.n < 1:
-            raise ValueError("d and n must be positive")
-        if not 1 <= self.s <= self.d:
-            raise InvalidDensityError(
-                f"keep count must lie in [1, {self.d}], got {self.s}"
-            )
-        if self.seed < 0:
-            raise ValueError("seed must be nonnegative")
-        if self.steps < 0:
-            raise ValueError("steps must be nonnegative")
-        _check_noise_std(self.noise_std)
-        if self.lr is not None:
-            _check_lr(self.lr)
-
-
-@dataclass(frozen=True)
 class PipelineResult:
-    method: str
-    density: float
     masked_error: float
     bound: float
     w0_wstar_distance: float
@@ -131,16 +97,17 @@ class SeedState:
     """What every (method, budget) cell of one seed shares.
 
     The mask is found at initialization, so a seed's cells differ only in
-    their mask: they train on the same data from the same w0 with the same
-    step size, and are scored on the same test matrix. `lr` is None only when
-    no step size was given and no training runs. `settings` holds the
-    (d, n, seed, noise_std, steps, lr) configuration it was drawn for.
+    their mask: they train on the same data from the same w0 for the same
+    number of steps with the same step size, and are scored on the same test
+    matrix. `lr` is None only when no step size was given and no training
+    runs.
     """
 
-    settings: tuple
+    seed: int
     dataset: SyntheticDataset
     w0: np.ndarray
     X_test: DataMatrix
+    steps: int
     lr: float | None
 
 
@@ -353,54 +320,52 @@ MASK_METHODS = {
 METHODS = tuple(name for name in MASK_METHODS if name != "uniform")
 
 
-def _seed_settings(config: PipelineConfig) -> tuple:
-    return (config.d, config.n, config.seed, config.noise_std, config.steps, config.lr)
-
-
-def seed_state(config: PipelineConfig) -> SeedState:
-    """Draw the state shared by every cell of config's seed; config's method
-    and budget are not used.
+def seed_state(
+    d: int,
+    n: int,
+    seed: int,
+    noise_std: float = 0.0,
+    steps: int = 100,
+    lr: float | None = None,
+) -> SeedState:
+    """Draw the state shared by every cell of one seed.
 
     The seed is split into fixed substreams: 0 draws the data, 1 the initial
     weights w0, and 3 the test matrix (2 is each cell's mask). The step size
-    is config.lr, or the default of `train_least_squares` when training runs.
+    is lr, or the default of `train_least_squares` when training runs.
     """
-    root = RngStream(config.seed)
-    dataset = make_dataset(config.d, config.n, config.noise_std, root.substream(0))
-    w0 = as_vector(root.substream(1).normal(config.d) / math.sqrt(config.d))
-    X_test = gen_normal_X(config.d, config.n, root.substream(3))
-    lr = config.lr
-    if lr is None and config.steps > 0:
+    if d < 1 or n < 1:
+        raise ValueError("d and n must be positive")
+    if steps < 0:
+        raise ValueError("steps must be nonnegative")
+    if lr is not None:
+        _check_lr(lr)
+    root = RngStream(seed)
+    dataset = make_dataset(d, n, noise_std, root.substream(0))
+    w0 = as_vector(root.substream(1).normal(d) / math.sqrt(d))
+    X_test = gen_normal_X(d, n, root.substream(3))
+    if lr is None and steps > 0:
         lr = _default_lr(dataset.X)
-    return SeedState(_seed_settings(config), dataset, w0, X_test, lr)
+    return SeedState(seed, dataset, w0, X_test, steps, lr)
 
 
-def run_prune_pipeline(config: PipelineConfig, state: SeedState) -> PipelineResult:
-    """Prune one (method, budget) cell at initialization, train, and measure
-    the squared masked-feature error on the seed's test data.
+def run_prune_pipeline(state: SeedState, method: str, s: int) -> PipelineResult:
+    """Prune one (method, budget) cell of a seed at initialization, train,
+    and measure the squared masked-feature error on the seed's test data.
 
-    `state` is `seed_state` of a config that differs from this one at most in
-    method and budget: each seed's data, w0, test matrix and step size are
-    drawn once and shared by its cells. Only the mask is the cell's own,
-    drawn from a fresh substream 2 of the seed.
+    Only the mask is the cell's own, drawn from a fresh substream 2 of the
+    seed; the data, w0, test matrix and step size come from `state`.
     """
-    if state.settings != _seed_settings(config):
-        raise ValueError(
-            f"seed state drawn for (d, n, seed, noise_std, steps, lr) = "
-            f"{state.settings}, not {_seed_settings(config)}"
-        )
+    if method not in METHODS:
+        raise ValueError(f"unknown method {method!r}")
     X = state.dataset.X
-    method = MASK_METHODS[config.method]
-    mask = method.build(X, state.w0, config.s, RngStream(config.seed).substream(2))
-    w_star = train_least_squares(X, state.dataset.y, state.w0, config.steps, state.lr)
+    if not 1 <= s <= X.d:
+        raise InvalidDensityError(f"keep count must lie in [1, {X.d}], got {s}")
+    spec = MASK_METHODS[method]
+    mask = spec.build(X, state.w0, s, RngStream(state.seed).substream(2))
+    w_star = train_least_squares(X, state.dataset.y, state.w0, state.steps, state.lr)
     masked_error = approximation_error(state.X_test, w_star, mask) ** 2
 
-    bound = method.bound(state.w0, w_star, config.s) if method.bound else math.nan
+    bound = spec.bound(state.w0, w_star, s) if spec.bound else math.nan
     distance = float(np.linalg.norm(w_star - state.w0))
-    return PipelineResult(
-        method=config.method,
-        density=config.s / config.d,
-        masked_error=masked_error,
-        bound=bound,
-        w0_wstar_distance=distance,
-    )
+    return PipelineResult(masked_error, bound, distance)

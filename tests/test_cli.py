@@ -106,21 +106,26 @@ class TestVerifyCommand:
 
 class TestPipelineCommand:
     def test_row_grid_and_sorting(self, tmp_path):
-        out = tmp_path / "p.csv"
-        code = main([
-            "pipeline", "--d", "12", "--n", "8", "--s", "3,6",
-            "--methods", "sketch-p0,topk-synflow", "--trials", "2",
-            "--seed", "7", "--out", str(out),
-        ])
-        assert code == 0
-        lines = read_lines(out)
-        assert lines[0] == ",".join(RESULT_HEADER)
-        rows = [line.split(",") for line in lines[1:]]
-        assert len(rows) == 2 * 2 * 2
-        keys = [(int(r[1]), r[5], int(r[4])) for r in rows]
-        assert keys == sorted(keys)
-        assert {r[1] for r in rows} == {"7", "8"}
-        assert all(len(r) == len(RESULT_HEADER) for r in rows)
+        # rows come out by (seed, method, s) whatever the order of the lists;
+        # 10,3 also tells numeric from string order of keep counts
+        for s_values, methods in (
+            ("3,6", "sketch-p0,topk-synflow"), ("10,3", "topk-synflow,sketch-p0"),
+        ):
+            out = tmp_path / "p.csv"
+            code = main([
+                "pipeline", "--d", "12", "--n", "8", "--s", s_values,
+                "--methods", methods, "--trials", "2", "--seed", "7",
+                "--out", str(out),
+            ])
+            assert code == 0
+            lines = read_lines(out)
+            assert lines[0] == ",".join(RESULT_HEADER)
+            rows = [line.split(",") for line in lines[1:]]
+            assert len(rows) == 2 * 2 * 2
+            keys = [(int(r[1]), r[5], int(r[4])) for r in rows]
+            assert keys == sorted(keys)
+            assert {r[1] for r in rows} == {"7", "8"}
+            assert all(len(r) == len(RESULT_HEADER) for r in rows)
 
     def test_density_flag_sets_budget(self, tmp_path):
         out = tmp_path / "p.csv"

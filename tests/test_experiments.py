@@ -10,7 +10,6 @@ from sketchprune import (
     DataMatrix,
     DivergenceError,
     InvalidDensityError,
-    PipelineConfig,
     RngStream,
     features,
     gen_chi_input,
@@ -26,9 +25,9 @@ from sketchprune import experiments
 from sketchprune.experiments import MASK_METHODS
 
 
-def _run(config):
+def _run(method, seed, d=16, n=12, s=4, **settings):
     """One cell on a state drawn for that cell alone."""
-    return run_prune_pipeline(config, seed_state(config))
+    return run_prune_pipeline(seed_state(d, n, seed, **settings), method, s)
 
 
 class TestGenNormalX:
@@ -267,77 +266,58 @@ class TestMaskMethods:
         assert math.isfinite(bound) == (not method.binary)
 
 
-class TestPipelineConfig:
-    def test_unknown_method(self):
-        for method in ("taylor", "uniform"):
-            with pytest.raises(ValueError):
-                PipelineConfig(d=8, n=4, s=2, method=method, seed=0)
-
-    def test_budget_range(self):
-        with pytest.raises(InvalidDensityError):
-            PipelineConfig(d=8, n=4, s=9, method="sketch-p0", seed=0)
-        with pytest.raises(InvalidDensityError):
-            PipelineConfig(d=8, n=4, s=0, method="sketch-p0", seed=0)
-
-    def test_negative_seed(self):
-        with pytest.raises(ValueError):
-            PipelineConfig(d=8, n=4, s=2, method="sketch-p0", seed=-1)
-
-
 class TestRunPrunePipeline:
     def test_deterministic(self):
-        config = PipelineConfig(d=16, n=12, s=4, method="sketch-p0", seed=5)
-        assert _run(config) == _run(config)
+        assert _run("sketch-p0", seed=5) == _run("sketch-p0", seed=5)
 
     def test_methods_share_everything_but_the_mask(self):
-        results = [
-            _run(PipelineConfig(d=16, n=12, s=4, method=m, seed=9)) for m in METHODS
-        ]
+        results = [_run(m, seed=9) for m in METHODS]
         distances = {r.w0_wstar_distance for r in results}
         assert len(distances) == 1
 
-    def test_density_reported(self):
-        r = _run(PipelineConfig(d=16, n=12, s=4, method="sketch-p0", seed=0))
-        assert r.density == pytest.approx(0.25)
-
     def test_bound_kinds(self):
-        tuned = _run(PipelineConfig(d=16, n=12, s=4, method="sketch-p0", seed=1))
-        uniform = _run(PipelineConfig(d=16, n=12, s=4, method="sketch-uniform", seed=1))
-        binary = _run(PipelineConfig(d=16, n=12, s=4, method="topk-synflow", seed=1))
+        tuned = _run("sketch-p0", seed=1)
+        uniform = _run("sketch-uniform", seed=1)
+        binary = _run("topk-synflow", seed=1)
         assert math.isfinite(tuned.bound) and tuned.bound > 0
         assert math.isfinite(uniform.bound) and uniform.bound > 0
         assert math.isnan(binary.bound)
 
     def test_masked_error_nonnegative(self):
         for method in METHODS:
-            r = _run(PipelineConfig(d=12, n=8, s=3, method=method, seed=2))
+            r = _run(method, seed=2, d=12, n=8, s=3)
             assert r.masked_error >= 0.0
 
     def test_zero_steps_keeps_w0(self):
-        r = _run(PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=3, steps=0))
+        r = _run("sketch-p0", seed=3, d=12, n=8, s=3, steps=0)
         assert r.w0_wstar_distance == 0.0
 
-    def test_state_of_other_settings_rejected(self):
-        config = PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=3)
-        state = seed_state(config)
-        for other in (
-            PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=4),
-            PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=3, lr=0.1),
-            PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=3, noise_std=0.1),
-        ):
-            with pytest.raises(ValueError, match="seed state"):
-                run_prune_pipeline(other, state)
+    def test_unknown_method(self):
+        state = seed_state(8, 4, seed=0)
+        for method in ("taylor", "uniform"):
+            with pytest.raises(ValueError, match="unknown method"):
+                run_prune_pipeline(state, method, 2)
+
+    def test_budget_range(self):
+        state = seed_state(8, 4, seed=0)
+        for s in (0, 9):
+            with pytest.raises(InvalidDensityError):
+                run_prune_pipeline(state, "sketch-p0", s)
 
 
 class TestSeedState:
+    @pytest.mark.parametrize("name, value", [
+        ("d", 0), ("n", 0), ("steps", -1), ("lr", 0.0), ("lr", -1.0),
+        ("lr", math.inf), ("seed", -1), ("noise_std", -1.0),
+    ])
+    def test_invalid_settings_rejected(self, name, value):
+        with pytest.raises(ValueError):
+            seed_state(**{"d": 8, "n": 4, "seed": 0, name: value})
+
     def test_step_size_is_given_lr_or_the_training_default(self):
-        config = PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=3)
-        state = seed_state(config)
+        state = seed_state(12, 8, seed=3)
         assert state.lr == 0.9 * 2.0 / max_hessian_eigenvalue(state.dataset.X)
-        given = seed_state(
-            PipelineConfig(d=12, n=8, s=3, method="sketch-p0", seed=3, lr=0.1)
-        )
-        assert given.lr == 0.1
+        assert seed_state(12, 8, seed=3, lr=0.1).lr == 0.1
 
     def test_zero_steps_skips_power_iteration(self, monkeypatch):
         # with no training and no given step size no curvature is needed, so
@@ -345,7 +325,6 @@ class TestSeedState:
         monkeypatch.setattr(
             experiments, "gen_normal_X", lambda d, n, rng: DataMatrix(np.zeros((d, n)))
         )
-        config = PipelineConfig(d=6, n=4, s=2, method="topk-synflow", seed=0, steps=0)
-        assert seed_state(config).lr is None
+        assert seed_state(6, 4, seed=0, steps=0).lr is None
         with pytest.raises(ValueError, match="no curvature"):
-            seed_state(PipelineConfig(d=6, n=4, s=2, method="topk-synflow", seed=0))
+            seed_state(6, 4, seed=0)

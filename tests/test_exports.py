@@ -1,8 +1,13 @@
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import sketchprune
-from sketchprune import bounds, core, experiments, ntk, scores, sketch
+from sketchprune import bounds, cli, core, experiments, ntk, scores, sketch
+
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def test_package_exports_are_the_union_of_module_exports():
@@ -22,3 +27,21 @@ def test_package_exports_are_the_union_of_module_exports():
         [sys.executable, "-c", code], capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "False"
+
+
+def test_readme_examples_run():
+    # the library tour runs as written, and every command-line example
+    # parses and passes the settings checks (none is run)
+    text = README.read_text()
+    (tour,) = re.findall(r"```python\n(.*?)```", text, re.DOTALL)
+    exec(tour, {})
+    commands = [
+        shlex.split(line)[1:]
+        for block in re.findall(r"```sh\n(.*?)```", text, re.DOTALL)
+        for line in block.splitlines()
+        if line.startswith("sketchprune ")
+    ]
+    assert commands
+    parser, _ = cli._build_parser()
+    for argv in commands:
+        cli._resolve_settings(parser.parse_args(argv))
