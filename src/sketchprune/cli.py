@@ -406,7 +406,7 @@ def _cmd_pipeline(settings: dict) -> list[ResultRow]:
                         distance=result.w0_wstar_distance,
                     )
                 )
-        # free this seed's matrices before the next seed draws its own
+        # free this seed's matrix before the next seed draws its own
         del state
     rows.sort(key=lambda r: (r.seed, r.method, r.s))
     return rows

@@ -16,19 +16,16 @@ from .core import (
     DivergenceError,
     InvalidDensityError,
     Mask,
+    ProbabilityVector,
     RngStream,
+    SupportError,
     _row_norms,
     as_vector,
     features,
     row_norms,
 )
-from .scores import select_randomized, select_topk, snip_scores_l1, synflow_scores
-from .sketch import (
-    approximation_error,
-    optimal_probabilities,
-    sample_sketch_mask,
-    uniform_probabilities,
-)
+from .scores import select_randomized, select_topk, synflow_scores
+from .sketch import optimal_probabilities, uniform_probabilities
 
 __all__ = [
     "MASK_METHODS",
@@ -98,15 +95,15 @@ class SeedState:
 
     The mask is found at initialization, so a seed's cells differ only in
     their mask: they train on the same data from the same w0 for the same
-    number of steps with the same step size, and are scored on the same test
-    matrix. `lr` is None only when no step size was given and no training
-    runs.
+    number of steps with the same step size. A cell is scored in expectation
+    over fresh test data, so no test matrix is held; the training matrix is
+    the state's only d x n array. `lr` is None only when no step size was
+    given and no training runs.
     """
 
     seed: int
     dataset: SyntheticDataset
     w0: np.ndarray
-    X_test: DataMatrix
     steps: int
     lr: float | None
 
@@ -252,23 +249,61 @@ def train_least_squares(
 
 @dataclass(frozen=True)
 class MaskMethod:
-    """One way to build a pruning mask from data X and weights w.
+    """One way to prune from data X and weights w.
 
-    `build(X, w, s, rng)` returns a mask with at most s nonzeros; a binary
-    method keeps exactly s weights. `bound(w0, w_star, s)`, set only for the
-    fractional sketch methods, caps the expected squared feature error of a
-    mask tuned on w0 and applied to the trained weights w_star.
+    A binary method has `build(X, w, s, rng)`, which returns a mask keeping
+    exactly s weights. A fractional sketch method has instead
+    `distribution(X, w)`, the ProbabilityVector that its s draws of
+    `sample_sketch_mask` sample from, and `bound(w0, w_star, s)`, which caps
+    the expected squared feature error of a mask tuned on w0 and applied to
+    the trained weights w_star.
     """
 
     name: str
-    build: Callable[[DataMatrix, np.ndarray, int, RngStream], Mask]
-    binary: bool
+    build: Callable[[DataMatrix, np.ndarray, int, RngStream], Mask] | None = None
+    distribution: Callable[[DataMatrix, np.ndarray], ProbabilityVector] | None = None
     bound: Callable[[np.ndarray, np.ndarray, int], float] | None = None
+
+    @property
+    def binary(self) -> bool:
+        return self.build is not None
 
 
 def _snip_sparse_mask(X: DataMatrix, w, s: int, rng: RngStream) -> Mask:
-    X_tilde = gen_sparse_X(X.d, X.n, rng)
-    return select_randomized(snip_scores_l1(X_tilde, np.zeros(X.n), w), s, rng)
+    """select_randomized over the SNIP scores, at zero labels, of a probe
+    drawn from rng as gen_sparse_X(X.d, X.n, rng) draws it.
+
+    Probe row j holds one value vals_j at column cols_j, so the probe's
+    features are f = bincount(cols, vals * w) and snip_scores_l1 reduces to
+    |w_j| |vals_j sign(f)[cols_j]| / n. Only the signs of f enter, and each
+    other product has one nonzero term, so the mask is the one the dense
+    d x n probe gives, in O(d + n) memory.
+    """
+    cols = rng.integers(0, X.n, size=X.d)
+    vals = rng.normal(X.d)
+    wv = as_vector(w)
+    signs = np.sign(np.bincount(cols, weights=vals * wv, minlength=X.n))
+    scores = np.abs(wv) * np.abs(vals * signs[cols]) / X.n
+    return select_randomized(scores, s, rng)
+
+
+def _expected_sketch_error(p: ProbabilityVector, w_star: np.ndarray, s: int) -> float:
+    """(1/s) sum_k w*_k^2 (1 - p_k) / p_k, the squared feature error of w*
+    under an s-draw sketch mask from p, in expectation over the mask and
+    over test data with iid N(0, 1/n) entries.
+
+    Given the mask m, the test data average ||X^T (w* (1 - m))||^2 to
+    ||w* (1 - m)||^2, and the count of draws of k is Binomial(s, p_k), so
+    E(1 - m_k)^2 = (1 - p_k) / (s p_k). Every term is nonnegative. An index
+    with p_k = 0 but w*_k != 0 makes the estimator biased, and raises.
+    """
+    active = w_star != 0.0
+    pa = p.values[active]
+    if np.any(pa == 0.0):
+        raise SupportError(
+            "sampling distribution has zero mass on an active trained weight"
+        )
+    return float((w_star[active] ** 2 * (1.0 - pa) / pa).sum()) / s
 
 
 # Entries reach library functions through this module's globals, never by
@@ -279,39 +314,28 @@ MASK_METHODS = {
     for m in (
         MaskMethod(
             "sketch-p0",
-            lambda X, w, s, rng: sample_sketch_mask(
-                optimal_probabilities(X, w), s, rng
-            ),
-            binary=False,
+            distribution=lambda X, w: optimal_probabilities(X, w),
             bound=lambda w0, w_star, s: theorem1_bound(w0, w_star, s),
         ),
         MaskMethod(
             "sketch-uniform",
-            lambda X, w, s, rng: sample_sketch_mask(uniform_probabilities(X.d), s, rng),
-            binary=False,
+            distribution=lambda X, w: uniform_probabilities(X.d),
             bound=lambda w0, w_star, s: lemma4_uniform_bound(w_star, s),
         ),
         MaskMethod(
             "topk-synflow",
             lambda X, w, s, rng: select_topk(synflow_scores(row_norms(X), w), s),
-            binary=True,
         ),
         MaskMethod(
             "randomized-synflow",
             lambda X, w, s, rng: select_randomized(
                 synflow_scores(row_norms(X), w), s, rng
             ),
-            binary=True,
         ),
-        MaskMethod(
-            "randomized-snip-sparse",
-            _snip_sparse_mask,
-            binary=True,
-        ),
+        MaskMethod("randomized-snip-sparse", _snip_sparse_mask),
         MaskMethod(
             "uniform",
             lambda X, w, s, rng: select_randomized(np.ones(X.d), s, rng),
-            binary=True,
         ),
     )
 }
@@ -330,9 +354,10 @@ def seed_state(
 ) -> SeedState:
     """Draw the state shared by every cell of one seed.
 
-    The seed is split into fixed substreams: 0 draws the data, 1 the initial
-    weights w0, and 3 the test matrix (2 is each cell's mask). The step size
-    is lr, or the default of `train_least_squares` when training runs.
+    The seed is split into fixed substreams: 0 draws the data and 1 the
+    initial weights w0 (2 is each binary cell's mask). The step size is lr,
+    or the default of `train_least_squares` when training runs. No test
+    matrix is drawn: cells are scored in expectation over test data.
     """
     if d < 1 or n < 1:
         raise ValueError("d and n must be positive")
@@ -343,18 +368,20 @@ def seed_state(
     root = RngStream(seed)
     dataset = make_dataset(d, n, noise_std, root.substream(0))
     w0 = as_vector(root.substream(1).normal(d) / math.sqrt(d))
-    X_test = gen_normal_X(d, n, root.substream(3))
     if lr is None and steps > 0:
         lr = _default_lr(dataset.X)
-    return SeedState(seed, dataset, w0, X_test, steps, lr)
+    return SeedState(seed, dataset, w0, steps, lr)
 
 
 def run_prune_pipeline(state: SeedState, method: str, s: int) -> PipelineResult:
     """Prune one (method, budget) cell of a seed at initialization, train,
-    and measure the squared masked-feature error on the seed's test data.
+    and score the squared masked-feature error of the trained weights w*,
+    in expectation over test data with iid N(0, 1/n) entries.
 
-    Only the mask is the cell's own, drawn from a fresh substream 2 of the
-    seed; the data, w0, test matrix and step size come from `state`.
+    A binary cell draws its mask m from a fresh substream 2 of the seed and
+    scores ||w* (1 - m)||^2. A sketch cell draws no mask: it scores the
+    closed-form expectation over its masks as well, the same kind of
+    quantity as its bound. The data, w0 and step size come from `state`.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -362,10 +389,15 @@ def run_prune_pipeline(state: SeedState, method: str, s: int) -> PipelineResult:
     if not 1 <= s <= X.d:
         raise InvalidDensityError(f"keep count must lie in [1, {X.d}], got {s}")
     spec = MASK_METHODS[method]
-    mask = spec.build(X, state.w0, s, RngStream(state.seed).substream(2))
     w_star = train_least_squares(X, state.dataset.y, state.w0, state.steps, state.lr)
-    masked_error = approximation_error(state.X_test, w_star, mask) ** 2
-
-    bound = spec.bound(state.w0, w_star, s) if spec.bound else math.nan
+    if spec.binary:
+        mask = spec.build(X, state.w0, s, RngStream(state.seed).substream(2))
+        dropped = w_star * (1.0 - mask.values)
+        masked_error = float(dropped @ dropped)
+        bound = math.nan
+    else:
+        p = spec.distribution(X, state.w0)
+        masked_error = _expected_sketch_error(p, w_star, s)
+        bound = spec.bound(state.w0, w_star, s)
     distance = float(np.linalg.norm(w_star - state.w0))
     return PipelineResult(masked_error, bound, distance)

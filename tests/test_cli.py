@@ -17,11 +17,12 @@ from sketchprune.core import RngStream
 from sketchprune.experiments import (
     MASK_METHODS,
     METHODS,
-    gen_normal_X,
+    MaskMethod,
+    gen_sparse_X,
     make_dataset,
     train_least_squares,
 )
-from sketchprune.sketch import approximation_error
+from sketchprune.scores import select_randomized, snip_scores_l1
 
 
 def read_lines(path):
@@ -29,17 +30,23 @@ def read_lines(path):
 
 
 def reference_cell(d, n, s, method, seed, noise_std=0.0, steps=100, lr=None):
-    """(error, bound, distance) of one pipeline cell drawn from scratch."""
+    """(error, bound, distance) of one pipeline cell drawn from scratch.
+
+    The error is the expectation over test data: ||w* (1 - m)||^2 for a
+    binary mask m, and (1/s) sum_k w*_k^2 (1 - p_k) / p_k, over the masks
+    as well, for a sketch distribution p.
+    """
     root = RngStream(seed)
     data = make_dataset(d, n, noise_std, root.substream(0))
     w0 = root.substream(1).normal(d) / math.sqrt(d)
-    spec = MASK_METHODS[method]
-    mask = spec.build(data.X, w0, s, root.substream(2))
     w_star = train_least_squares(data.X, data.y, w0, steps, lr)
-    X_test = gen_normal_X(d, n, root.substream(3))
-    error = approximation_error(X_test, w_star, mask) ** 2
-    bound = spec.bound(w0, w_star, s) if spec.bound else math.nan
-    return error, bound, float(np.linalg.norm(w_star - w0))
+    spec = MASK_METHODS[method]
+    if spec.binary:
+        dropped = w_star * (1.0 - spec.build(data.X, w0, s, root.substream(2)).values)
+        return float(dropped @ dropped), math.nan, float(np.linalg.norm(w_star - w0))
+    p = spec.distribution(data.X, w0).values
+    error = float((w_star**2 * (1.0 - p) / p).sum()) / s
+    return error, spec.bound(w0, w_star, s), float(np.linalg.norm(w_star - w0))
 
 
 class TestVerifyCommand:
@@ -170,7 +177,7 @@ class TestPipelineCommand:
         (["--steps", "0"], {"steps": 0}),
     ])
     def test_rows_equal_cells_drawn_from_scratch(self, tmp_path, flags, cell):
-        # the cells of a seed share its data, w0, test set and step size;
+        # the cells of a seed share its data, w0 and step size;
         # sharing them must give what drawing them per cell gives, bit for bit
         out = tmp_path / "p.csv"
         assert main([
@@ -210,13 +217,28 @@ class TestPipelineCommand:
             "pipeline", "--d", "16", "--n", "8", "--s", "2,5", "--trials", "2",
             "--steps", steps, "--out", str(tmp_path / "p.csv"),
         ]) == 0
-        # per seed one dataset and one test matrix; each cell trains once
+        # per seed one dataset and no test matrix; each cell trains once
         cells = 2 * len(METHODS) * 2
         assert calls == {
             "run_prune_pipeline": cells, "train_least_squares": cells,
-            "make_dataset": 2, "gen_normal_X": 4,
+            "make_dataset": 2, "gen_normal_X": 2,
             "max_hessian_eigenvalue": eigen_calls,
         }
+
+    def test_wide_run_holds_one_matrix(self, tmp_path):
+        # The 16384 x 64 training matrix is 8 MiB; a test matrix or a dense
+        # d x n probe would add another 8 MiB each.
+        tracemalloc.start()
+        try:
+            code = main([
+                "pipeline", "--d", "16384", "--n", "64", "--s", "64",
+                "--trials", "1", "--out", str(tmp_path / "p.csv"),
+            ])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 1.5 * 8 * 2**20
 
     def test_overflowing_step_size_is_divergence(self, tmp_path, capsys):
         out = tmp_path / "p.csv"
@@ -266,6 +288,25 @@ class TestHistogramCommand:
             tracemalloc.stop()
         assert code == 0
         assert peak < 80 * 2**20
+
+    def test_sparse_snip_matches_the_dense_probe(self, tmp_path, monkeypatch):
+        # the O(d) probe must select what scoring a dense gen_sparse_X
+        # probe selects, so the CSV keeps every byte
+        def dense(X, w, s, rng):
+            probe = gen_sparse_X(X.d, X.n, rng)
+            return select_randomized(snip_scores_l1(probe, np.zeros(X.n), w), s, rng)
+
+        args = ["histogram", "--method", "randomized-snip-sparse", "--d", "4096"]
+        for seed in ("0", "1", "2"):
+            a, b = tmp_path / f"a{seed}.csv", tmp_path / f"b{seed}.csv"
+            assert main(args + ["--seed", seed, "--out", str(a)]) == 0
+            with monkeypatch.context() as m:
+                m.setitem(
+                    MASK_METHODS, "randomized-snip-sparse",
+                    MaskMethod("randomized-snip-sparse", dense),
+                )
+                assert main(args + ["--seed", seed, "--out", str(b)]) == 0
+            assert a.read_bytes() == b.read_bytes()
 
     def test_fractional_mask_methods_rejected(self, tmp_path):
         for method in ("sketch-p0", "sketch-uniform"):

@@ -1,6 +1,8 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,15 +12,25 @@ from sketchprune import (
     DataMatrix,
     DivergenceError,
     InvalidDensityError,
+    ProbabilityVector,
     RngStream,
+    SupportError,
+    approximation_error,
+    as_vector,
     features,
     gen_chi_input,
     gen_normal_X,
     gen_sparse_X,
+    lemma4_uniform_bound,
     make_dataset,
     max_hessian_eigenvalue,
+    optimal_probabilities,
     run_prune_pipeline,
+    sample_sketch_mask,
     seed_state,
+    select_randomized,
+    snip_scores_l1,
+    theorem1_bound,
     train_least_squares,
 )
 from sketchprune import experiments
@@ -257,13 +269,92 @@ class TestMaskMethods:
         X = gen_normal_X(20, 8, rng)
         w0 = rng.normal(20)
         w_star = rng.normal(20)
-        mask = method.build(X, w0, 5, rng.substream(1))
+        # a binary method builds its mask; a sketch method gives the
+        # distribution its masks are drawn from
         if method.binary:
+            assert method.distribution is None
+            mask = method.build(X, w0, 5, rng.substream(1))
             assert mask.kind == "binary" and mask.nnz == 5
         else:
+            assert method.build is None
+            p = method.distribution(X, w0)
+            assert isinstance(p, ProbabilityVector) and p.d == 20
+            mask = sample_sketch_mask(p, 5, rng.substream(1))
             assert mask.kind == "sketch" and 1 <= mask.nnz <= 5
         bound = method.bound(w0, w_star, 5) if method.bound else math.nan
         assert math.isfinite(bound) == (not method.binary)
+
+
+class TestSparseSnipProbe:
+    @pytest.mark.parametrize("d, n", [
+        (4096, 256), (64, 16), (10, 6), (1000, 3), (5, 40), (1, 1), (65536, 128),
+    ])
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_mask_and_stream_match_the_dense_probe(self, d, n, seed):
+        w = RngStream(seed).substream(0).normal(d)
+        s = -(-d // 10)
+        rng, twin = RngStream(seed, 1), RngStream(seed, 1)
+        # only the shape of X is read
+        mask = experiments._snip_sparse_mask(SimpleNamespace(d=d, n=n), w, s, rng)
+        probe = gen_sparse_X(d, n, twin)
+        want = select_randomized(snip_scores_l1(probe, np.zeros(n), w), s, twin)
+        np.testing.assert_array_equal(mask.values, want.values)
+        assert rng.uniform() == twin.uniform()
+
+
+class TestExpectedSketchError:
+    @pytest.mark.parametrize("method", ["sketch-p0", "sketch-uniform"])
+    def test_matches_fresh_masks_on_fresh_test_data(self, method):
+        state = seed_state(8, 4, seed=11)
+        X = state.dataset.X
+        w_star = train_least_squares(
+            X, state.dataset.y, state.w0, state.steps, state.lr
+        )
+        p = MASK_METHODS[method].distribution(X, state.w0)
+        rng = RngStream(12)
+        errors = np.array([
+            approximation_error(
+                gen_normal_X(8, 4, rng), w_star, sample_sketch_mask(p, 3, rng)
+            ) ** 2
+            for _ in range(20_000)
+        ])
+        se = errors.std(ddof=1) / math.sqrt(errors.size)
+        cell = run_prune_pipeline(state, method, 3)
+        assert abs(cell.masked_error - errors.mean()) < 4.0 * se
+
+    def test_uniform_is_lemma4_times_one_less_one_over_d(self):
+        for seed in range(5):
+            state = seed_state(16, 8, seed)
+            cell = run_prune_pipeline(state, "sketch-uniform", 4)
+            w_star = train_least_squares(
+                state.dataset.X, state.dataset.y, state.w0, state.steps, state.lr
+            )
+            want = 15 / 16 * lemma4_uniform_bound(w_star, 4)
+            assert cell.masked_error == pytest.approx(want, rel=1e-12, abs=0)
+
+    def test_tuned_never_exceeds_theorem1(self):
+        # d=64, n=32 at seeds 0-19; the pipeline defaults (s=8, seeds 0-9)
+        # are part of this grid
+        for seed in range(20):
+            state = seed_state(64, 32, seed)
+            w_star = train_least_squares(
+                state.dataset.X, state.dataset.y, state.w0, state.steps, state.lr
+            )
+            for s in (4, 8, 16, 32):
+                cell = run_prune_pipeline(state, "sketch-p0", s)
+                assert cell.bound == theorem1_bound(state.w0, w_star, s)
+                assert 0.0 < cell.masked_error <= cell.bound
+
+    def test_trained_weight_off_the_support_raises(self):
+        # training moves the weight that w0 holds at an exact zero, where the
+        # tuned distribution puts no mass
+        state = seed_state(8, 4, seed=0)
+        w0 = state.w0.copy()
+        w0[2] = 0.0
+        state = dataclasses.replace(state, w0=as_vector(w0))
+        assert optimal_probabilities(state.dataset.X, state.w0).values[2] == 0.0
+        with pytest.raises(SupportError, match="active trained weight"):
+            run_prune_pipeline(state, "sketch-p0", 3)
 
 
 class TestRunPrunePipeline:
