@@ -8,6 +8,7 @@ randomness always flows through an explicit :class:`RngStream`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -113,7 +114,12 @@ def as_vector(v) -> np.ndarray:
 class DataMatrix:
     """A d x n matrix whose rows are feature dimensions and whose columns
     are examples. Entries are finite float64 and read-only after
-    construction."""
+    construction.
+
+    What depends only on the values is computed on first use and kept on
+    the matrix, read-only: its row norms (see `row_norms`) and its n x n
+    Gram matrix X^T X (which `train_least_squares` steps on when n <= d).
+    """
 
     values: np.ndarray
 
@@ -129,6 +135,20 @@ class DataMatrix:
     @property
     def n(self) -> int:
         return self.values.shape[1]
+
+    # cached_property stores into the instance __dict__ directly, so it
+    # works on a frozen dataclass.
+    @cached_property
+    def _norms(self) -> np.ndarray:
+        norms = _row_norms(self.values)
+        norms.setflags(write=False)
+        return norms
+
+    @cached_property
+    def _gram(self) -> np.ndarray:
+        gram = self.values.T @ self.values
+        gram.setflags(write=False)
+        return gram
 
 
 @dataclass(frozen=True)
@@ -251,8 +271,12 @@ def _row_norms(A: np.ndarray) -> np.ndarray:
 
 
 def row_norms(X: DataMatrix) -> np.ndarray:
-    """Euclidean norm of every row of X."""
-    return _row_norms(X.values)
+    """Euclidean norm of every row of X.
+
+    The d-vector is computed once per matrix and shared by every call, so
+    it is read-only: copy it before writing.
+    """
+    return X._norms
 
 
 def features(X: DataMatrix, w) -> np.ndarray:

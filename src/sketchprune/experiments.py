@@ -184,12 +184,14 @@ def train_least_squares(
     consecutive steps, raises DivergenceError.
 
     The step w <- w - c X r, with c = 2 lr / n, moves the residual
-    r = X^T w - y by r <- r - c (X^T X) r. When n <= d the loop forms the
-    n x n Gram matrix X^T X once (no larger than X) and iterates the n
-    entries of r at O(n^2) per step, summing the residuals it steps from;
-    every _FOLD_STEPS steps, and at the last, the sum moves w by one matvec
-    and r is recomputed from w. When n > d a step in weight space costs no
-    more, so every step is such a fold and no n x n matrix is built.
+    r = X^T w - y by r <- r - c (X^T X) r. When n <= d the loop iterates
+    the n entries of r over the n x n Gram matrix X^T X (no larger than X)
+    at O(n^2) per step, summing the residuals it steps from; every
+    _FOLD_STEPS steps, and at the last, the sum moves w by one matvec and r
+    is recomputed from w. X forms its Gram matrix on first use and keeps
+    it, so every fit on the same X shares one. When n > d a step in weight
+    space costs no more, so every step is such a fold and no n x n matrix
+    is built.
     """
     yv = as_vector(y)
     w0v = as_vector(w0)
@@ -209,7 +211,7 @@ def train_least_squares(
     Xv = X.values
     n = X.n
     c = lr * (2.0 / n)
-    gram = Xv.T @ Xv if n <= X.d else None
+    gram = X._gram if n <= X.d else None
     fold_steps = _FOLD_STEPS if gram is not None else 1
     w = w0v.copy()
     # an overflow shows as a non-finite loss, which is reported below
@@ -381,7 +383,9 @@ def run_prune_pipeline(state: SeedState, method: str, s: int) -> PipelineResult:
     A binary cell draws its mask m from a fresh substream 2 of the seed and
     scores ||w* (1 - m)||^2. A sketch cell draws no mask: it scores the
     closed-form expectation over its masks as well, the same kind of
-    quantity as its bound. The data, w0 and step size come from `state`.
+    quantity as its bound. The mask, or the sketch distribution, is found
+    from the data and w0 before training. The data, w0 and step size come
+    from `state`.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -389,14 +393,16 @@ def run_prune_pipeline(state: SeedState, method: str, s: int) -> PipelineResult:
     if not 1 <= s <= X.d:
         raise InvalidDensityError(f"keep count must lie in [1, {X.d}], got {s}")
     spec = MASK_METHODS[method]
-    w_star = train_least_squares(X, state.dataset.y, state.w0, state.steps, state.lr)
     if spec.binary:
         mask = spec.build(X, state.w0, s, RngStream(state.seed).substream(2))
+    else:
+        p = spec.distribution(X, state.w0)
+    w_star = train_least_squares(X, state.dataset.y, state.w0, state.steps, state.lr)
+    if spec.binary:
         dropped = w_star * (1.0 - mask.values)
         masked_error = float(dropped @ dropped)
         bound = math.nan
     else:
-        p = spec.distribution(X, state.w0)
         masked_error = _expected_sketch_error(p, w_star, s)
         bound = spec.bound(state.w0, w_star, s)
     distance = float(np.linalg.norm(w_star - state.w0))

@@ -244,6 +244,15 @@ def test_row_norms_hold_no_matrix_sized_temporary():
     assert peak < 2**20
 
 
+def test_row_norms_computed_once_and_shared():
+    X = DataMatrix(RngStream(15).normal((6, 4)))
+    norms = row_norms(X)
+    assert row_norms(X) is norms
+    assert not norms.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        norms[0] = 0.0
+
+
 def test_finiteness_checked_in_every_block():
     # 2.5 blocks of _all_finite's 2**16 entries, in both memory orders
     for shape, order in (((163840,), "C"), ((640, 256), "C"), ((640, 256), "F")):

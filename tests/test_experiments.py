@@ -217,6 +217,27 @@ class TestTrainLeastSquares:
             tracemalloc.stop()
         assert peak < 4 * 2**20
 
+    def test_fits_on_one_matrix_share_its_gram_matrix(self):
+        # n <= d; the n x n Gram matrix takes n^2 * 8 = 32 KiB
+        d, n = 512, 64
+        rng = RngStream(22)
+        ds = make_dataset(d, n, 0.1, rng)
+        w0 = rng.normal(d) / math.sqrt(d)
+        lr = 0.9 * 2.0 / max_hessian_eigenvalue(ds.X)
+        first = train_least_squares(ds.X, ds.y, w0, steps=100, lr=lr)
+        tracemalloc.start()
+        try:
+            second = train_least_squares(ds.X, ds.y, w0, steps=100, lr=lr)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8
+        fresh = DataMatrix(ds.X.values.copy())
+        np.testing.assert_array_equal(second, first)
+        np.testing.assert_array_equal(
+            second, train_least_squares(fresh, ds.y, w0, steps=100, lr=lr)
+        )
+
     def test_oversized_step_diverges_on_gram_path(self):
         # n <= d: the rising loss is seen on the Gram-matrix residual
         rng = RngStream(20)
