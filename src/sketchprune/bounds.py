@@ -339,8 +339,8 @@ def mc_error_over_data(
         if not np.isfinite(Xs).all():
             raise ValueError("DataMatrix entries must be finite")
         if distribution == "optimal":
-            # p as _optimal_probabilities and ProbabilityVector compute it,
-            # with the row norms of row_norms.
+            # p of each matrix X in the block, as ProbabilityVector and
+            # _optimal_probabilities(row_norms(X), w0) compute it.
             weights = np.sqrt(np.add.reduce(Xs * Xs, axis=2))
             np.multiply(weights, w0_abs, out=weights)
             total = weights.sum(axis=1, keepdims=True)

@@ -40,6 +40,7 @@ from .core import DataMatrix, DivergenceError, RngStream, row_norms
 from .experiments import (
     MASK_METHODS,
     METHODS,
+    gen_chi_input,
     gen_normal_X,
     gen_sparse_X,
     run_prune_pipeline,
@@ -417,9 +418,10 @@ def _cmd_histogram(settings: dict) -> str:
     bins = settings["bins"]
     root = RngStream(settings["seed"])
     w = root.substream(0).normal(d)
-    X = gen_normal_X(d, 128, root.substream(1))
+    # the row norms of a d x 128 normal matrix, drawn without holding it
+    norms = gen_chi_input(d, root.substream(1), 128)
     mask = MASK_METHODS[settings["method"]].build(
-        X, w, settings["s"], root.substream(2)
+        norms, 128, w, settings["s"], root.substream(2)
     )
     magnitudes = np.abs(w)
     edges = np.linspace(0.0, float(magnitudes.max()), bins + 1)

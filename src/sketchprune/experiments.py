@@ -19,13 +19,12 @@ from .core import (
     ProbabilityVector,
     RngStream,
     SupportError,
-    _row_norms,
     as_vector,
     features,
     row_norms,
 )
 from .scores import select_randomized, select_topk, synflow_scores
-from .sketch import optimal_probabilities, uniform_probabilities
+from .sketch import _optimal_probabilities, uniform_probabilities
 
 __all__ = [
     "MASK_METHODS",
@@ -116,15 +115,31 @@ def gen_normal_X(d: int, n: int, rng: RngStream) -> DataMatrix:
     return DataMatrix(x)
 
 
+# Entries of each block of rows that gen_chi_input draws (256 KiB of
+# float64). Measured on the d=65536, n=128 draw (2-core Xeon, numpy 2.4,
+# OpenBLAS), blocks of 2^14 to 2^18 entries took the same time within
+# noise, and 2^15 the least in the median; peak memory grows with the
+# block, by 12 MB at 2^20.
+_CHI_BLOCK_ELEMENTS = 2**15
+
+
 def gen_chi_input(d: int, rng: RngStream, n: int = 128) -> np.ndarray:
-    """Probe vector distributed like the row norms of gen_normal_X.
+    """The row norms of gen_normal_X(d, n, rng), bit for bit, without the
+    d x n matrix.
 
     Each entry is the norm of n iid N(0, 1/n) variables; entries concentrate
-    near 1, tighter for larger n.
+    near 1, tighter for larger n. The rows are drawn by gen_normal_X a block
+    at a time, which consumes the stream exactly as one (d, n) draw does and
+    reduces each row as the whole matrix would, so memory stays flat in d.
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    return _row_norms(rng.normal((d, n))) / math.sqrt(n)
+    rows = max(1, _CHI_BLOCK_ELEMENTS // n)
+    norms = np.empty(d)
+    for start in range(0, d, rows):
+        block = gen_normal_X(min(rows, d - start), n, rng)
+        norms[start:start + block.d] = row_norms(block)
+    return norms
 
 
 def gen_sparse_X(d: int, n: int, rng: RngStream) -> DataMatrix:
@@ -251,19 +266,22 @@ def train_least_squares(
 
 @dataclass(frozen=True)
 class MaskMethod:
-    """One way to prune from data X and weights w.
+    """One way to prune weights w at initialization from a d x n data matrix.
 
-    A binary method has `build(X, w, s, rng)`, which returns a mask keeping
-    exactly s weights. A fractional sketch method has instead
-    `distribution(X, w)`, the ProbabilityVector that its s draws of
-    `sample_sketch_mask` sample from, and `bound(w0, w_star, s)`, which caps
-    the expected squared feature error of a mask tuned on w0 and applied to
-    the trained weights w_star.
+    A method sees the data only through its d row norms `norms` (see
+    `row_norms`) and its example count n, so a caller that needs no matrix
+    can pass norms drawn by `gen_chi_input`. A binary method has
+    `build(norms, n, w, s, rng)`, which returns a mask keeping exactly s
+    weights. A fractional sketch method has instead `distribution(norms, w)`,
+    the ProbabilityVector that its s draws of `sample_sketch_mask` sample
+    from, and `bound(w0, w_star, s)`, which caps the expected squared feature
+    error of a mask tuned on w0 and applied to the trained weights w_star.
+    The weights w have one entry per row.
     """
 
     name: str
-    build: Callable[[DataMatrix, np.ndarray, int, RngStream], Mask] | None = None
-    distribution: Callable[[DataMatrix, np.ndarray], ProbabilityVector] | None = None
+    build: Callable[[np.ndarray, int, np.ndarray, int, RngStream], Mask] | None = None
+    distribution: Callable[[np.ndarray, np.ndarray], ProbabilityVector] | None = None
     bound: Callable[[np.ndarray, np.ndarray, int], float] | None = None
 
     @property
@@ -271,9 +289,10 @@ class MaskMethod:
         return self.build is not None
 
 
-def _snip_sparse_mask(X: DataMatrix, w, s: int, rng: RngStream) -> Mask:
+def _snip_sparse_mask(norms: np.ndarray, n: int, w, s: int, rng: RngStream) -> Mask:
     """select_randomized over the SNIP scores, at zero labels, of a probe
-    drawn from rng as gen_sparse_X(X.d, X.n, rng) draws it.
+    drawn from rng as gen_sparse_X(d, n, rng) draws it, d = norms.size. The
+    data's norms are not read: the probe stands in for the data.
 
     Probe row j holds one value vals_j at column cols_j, so the probe's
     features are f = bincount(cols, vals * w) and snip_scores_l1 reduces to
@@ -281,11 +300,12 @@ def _snip_sparse_mask(X: DataMatrix, w, s: int, rng: RngStream) -> Mask:
     other product has one nonzero term, so the mask is the one the dense
     d x n probe gives, in O(d + n) memory.
     """
-    cols = rng.integers(0, X.n, size=X.d)
-    vals = rng.normal(X.d)
+    d = norms.size
+    cols = rng.integers(0, n, size=d)
+    vals = rng.normal(d)
     wv = as_vector(w)
-    signs = np.sign(np.bincount(cols, weights=vals * wv, minlength=X.n))
-    scores = np.abs(wv) * np.abs(vals * signs[cols]) / X.n
+    signs = np.sign(np.bincount(cols, weights=vals * wv, minlength=n))
+    scores = np.abs(wv) * np.abs(vals * signs[cols]) / n
     return select_randomized(scores, s, rng)
 
 
@@ -316,28 +336,28 @@ MASK_METHODS = {
     for m in (
         MaskMethod(
             "sketch-p0",
-            distribution=lambda X, w: optimal_probabilities(X, w),
+            distribution=lambda norms, w: _optimal_probabilities(norms, w),
             bound=lambda w0, w_star, s: theorem1_bound(w0, w_star, s),
         ),
         MaskMethod(
             "sketch-uniform",
-            distribution=lambda X, w: uniform_probabilities(X.d),
+            distribution=lambda norms, w: uniform_probabilities(norms.size),
             bound=lambda w0, w_star, s: lemma4_uniform_bound(w_star, s),
         ),
         MaskMethod(
             "topk-synflow",
-            lambda X, w, s, rng: select_topk(synflow_scores(row_norms(X), w), s),
+            lambda norms, n, w, s, rng: select_topk(synflow_scores(norms, w), s),
         ),
         MaskMethod(
             "randomized-synflow",
-            lambda X, w, s, rng: select_randomized(
-                synflow_scores(row_norms(X), w), s, rng
+            lambda norms, n, w, s, rng: select_randomized(
+                synflow_scores(norms, w), s, rng
             ),
         ),
         MaskMethod("randomized-snip-sparse", _snip_sparse_mask),
         MaskMethod(
             "uniform",
-            lambda X, w, s, rng: select_randomized(np.ones(X.d), s, rng),
+            lambda norms, n, w, s, rng: select_randomized(np.ones(norms.size), s, rng),
         ),
     )
 }
@@ -393,10 +413,11 @@ def run_prune_pipeline(state: SeedState, method: str, s: int) -> PipelineResult:
     if not 1 <= s <= X.d:
         raise InvalidDensityError(f"keep count must lie in [1, {X.d}], got {s}")
     spec = MASK_METHODS[method]
+    norms = row_norms(X)
     if spec.binary:
-        mask = spec.build(X, state.w0, s, RngStream(state.seed).substream(2))
+        mask = spec.build(norms, X.n, state.w0, s, RngStream(state.seed).substream(2))
     else:
-        p = spec.distribution(X, state.w0)
+        p = spec.distribution(norms, state.w0)
     w_star = train_least_squares(X, state.dataset.y, state.w0, state.steps, state.lr)
     if spec.binary:
         dropped = w_star * (1.0 - mask.values)

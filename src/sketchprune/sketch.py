@@ -44,12 +44,13 @@ def optimal_probabilities(X: DataMatrix, w) -> ProbabilityVector:
         raise DimensionMismatchError(
             f"weight length {wv.size} does not match {X.d} matrix rows"
         )
-    return _optimal_probabilities(X, wv)
+    return _optimal_probabilities(row_norms(X), wv)
 
 
-def _optimal_probabilities(X: DataMatrix, wv: np.ndarray) -> ProbabilityVector:
-    """optimal_probabilities for weights already validated to length X.d."""
-    weights = row_norms(X) * np.abs(wv)
+def _optimal_probabilities(norms: np.ndarray, wv: np.ndarray) -> ProbabilityVector:
+    """optimal_probabilities from the row norms of X, for weights already
+    validated to their length."""
+    weights = norms * np.abs(wv)
     total = float(weights.sum())
     if total <= 0.0:
         raise DegenerateDistributionError(

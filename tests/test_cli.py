@@ -13,7 +13,7 @@ from sketchprune.cli import (
     VERIFY_SUITES,
     main,
 )
-from sketchprune.core import RngStream
+from sketchprune.core import RngStream, row_norms
 from sketchprune.experiments import (
     MASK_METHODS,
     METHODS,
@@ -42,9 +42,10 @@ def reference_cell(d, n, s, method, seed, noise_std=0.0, steps=100, lr=None):
     w_star = train_least_squares(data.X, data.y, w0, steps, lr)
     spec = MASK_METHODS[method]
     if spec.binary:
-        dropped = w_star * (1.0 - spec.build(data.X, w0, s, root.substream(2)).values)
+        mask = spec.build(row_norms(data.X), n, w0, s, root.substream(2))
+        dropped = w_star * (1.0 - mask.values)
         return float(dropped @ dropped), math.nan, float(np.linalg.norm(w_star - w0))
-    p = spec.distribution(data.X, w0).values
+    p = spec.distribution(row_norms(data.X), w0).values
     error = float((w_star**2 * (1.0 - p) / p).sum()) / s
     return error, spec.bound(w0, w_star, s), float(np.linalg.norm(w_star - w0))
 
@@ -277,9 +278,9 @@ class TestHistogramCommand:
         assert sum(int(r[2]) for r in rows) == 16
         assert float(rows[0][0]) == 0.0
 
-    def test_wide_run_holds_one_matrix(self, tmp_path):
-        # The d x 128 matrix alone is 64 MiB; a d x n temporary in the row
-        # norms or the finiteness check would add another 8 to 64 MiB.
+    def test_wide_run_holds_no_matrix(self, tmp_path):
+        # The d x 128 matrix would be 64 MiB by itself; its norms are drawn a
+        # block of rows at a time, and the d-vectors take 0.5 MiB each.
         tracemalloc.start()
         try:
             code = main(["histogram", "--d", "65536", "--out", str(tmp_path / "h.csv")])
@@ -287,14 +288,14 @@ class TestHistogramCommand:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 80 * 2**20
+        assert peak < 16 * 2**20
 
     def test_sparse_snip_matches_the_dense_probe(self, tmp_path, monkeypatch):
         # the O(d) probe must select what scoring a dense gen_sparse_X
         # probe selects, so the CSV keeps every byte
-        def dense(X, w, s, rng):
-            probe = gen_sparse_X(X.d, X.n, rng)
-            return select_randomized(snip_scores_l1(probe, np.zeros(X.n), w), s, rng)
+        def dense(norms, n, w, s, rng):
+            probe = gen_sparse_X(norms.size, n, rng)
+            return select_randomized(snip_scores_l1(probe, np.zeros(n), w), s, rng)
 
         args = ["histogram", "--method", "randomized-snip-sparse", "--d", "4096"]
         for seed in ("0", "1", "2"):

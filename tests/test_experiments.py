@@ -2,7 +2,6 @@ import dataclasses
 import math
 import tracemalloc
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -25,6 +24,7 @@ from sketchprune import (
     make_dataset,
     max_hessian_eigenvalue,
     optimal_probabilities,
+    row_norms,
     run_prune_pipeline,
     sample_sketch_mask,
     seed_state,
@@ -87,13 +87,17 @@ class TestGenChiInput:
 
     @pytest.mark.parametrize("seed", [0, 1])
     def test_bit_identical_to_whole_matrix_norm(self, seed):
-        # 5000 rows of 128 columns span several blocks of the row reduction.
-        reference = np.linalg.norm(
-            RngStream(seed).normal((5000, 128)), axis=1
-        ) / math.sqrt(128)
-        np.testing.assert_array_equal(
-            gen_chi_input(5000, RngStream(seed)), reference
-        )
+        # The rows are drawn and reduced a block at a time; the norms, and
+        # the stream left behind, are those of one whole (d, n) draw, at
+        # sizes on both sides of a block and over many blocks.
+        rows = experiments._CHI_BLOCK_ELEMENTS // 128
+        shapes = [(d, 128) for d in (1, rows - 1, rows, rows + 1, 5000, 65536, 100_000)]
+        shapes += [(1000, 3), (3, experiments._CHI_BLOCK_ELEMENTS + 1)]
+        for d, n in shapes:
+            rng, twin = RngStream(seed), RngStream(seed)
+            reference = row_norms(gen_normal_X(d, n, twin))
+            np.testing.assert_array_equal(gen_chi_input(d, rng, n), reference)
+            assert rng.uniform() == twin.uniform()
 
 
 class TestGenSparseX:
@@ -294,11 +298,11 @@ class TestMaskMethods:
         # distribution its masks are drawn from
         if method.binary:
             assert method.distribution is None
-            mask = method.build(X, w0, 5, rng.substream(1))
+            mask = method.build(row_norms(X), X.n, w0, 5, rng.substream(1))
             assert mask.kind == "binary" and mask.nnz == 5
         else:
             assert method.build is None
-            p = method.distribution(X, w0)
+            p = method.distribution(row_norms(X), w0)
             assert isinstance(p, ProbabilityVector) and p.d == 20
             mask = sample_sketch_mask(p, 5, rng.substream(1))
             assert mask.kind == "sketch" and 1 <= mask.nnz <= 5
@@ -315,8 +319,8 @@ class TestSparseSnipProbe:
         w = RngStream(seed).substream(0).normal(d)
         s = -(-d // 10)
         rng, twin = RngStream(seed, 1), RngStream(seed, 1)
-        # only the shape of X is read
-        mask = experiments._snip_sparse_mask(SimpleNamespace(d=d, n=n), w, s, rng)
+        # only the length of the norms is read
+        mask = experiments._snip_sparse_mask(np.ones(d), n, w, s, rng)
         probe = gen_sparse_X(d, n, twin)
         want = select_randomized(snip_scores_l1(probe, np.zeros(n), w), s, twin)
         np.testing.assert_array_equal(mask.values, want.values)
@@ -331,7 +335,7 @@ class TestExpectedSketchError:
         w_star = train_least_squares(
             X, state.dataset.y, state.w0, state.steps, state.lr
         )
-        p = MASK_METHODS[method].distribution(X, state.w0)
+        p = MASK_METHODS[method].distribution(row_norms(X), state.w0)
         rng = RngStream(12)
         errors = np.array([
             approximation_error(
