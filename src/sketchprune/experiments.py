@@ -161,18 +161,18 @@ def make_dataset(d: int, n: int, noise_std: float, rng: RngStream) -> SyntheticD
     return SyntheticDataset(X, y, w_true, noise_std)
 
 
-def max_hessian_eigenvalue(X: DataMatrix, iters: int = 20) -> float:
-    """Power-iteration estimate of the top eigenvalue of the loss Hessian
-    (2/n) X X^T, from a deterministic all-ones start."""
-    v = np.ones(X.d) / math.sqrt(X.d)
+def max_hessian_eigenvalue(X: DataMatrix) -> float:
+    """The top eigenvalue of the loss Hessian (2/n) X X^T, computed exactly.
+
+    X X^T and the Gram matrix X^T X have the same nonzero eigenvalues, so
+    the smaller of the two is decomposed: the Gram matrix that X caches (and
+    training shares) when n <= d, and X X^T otherwise.
+    """
     Xv = X.values
-    for _ in range(iters):
-        v = Xv @ (Xv.T @ v)
-        norm = np.linalg.norm(v)
-        if norm == 0.0:
-            raise ValueError("data matrix has no curvature")
-        v /= norm
-    return 2.0 * float(v @ (Xv @ (Xv.T @ v))) / X.n
+    top = float(np.linalg.eigvalsh(X._gram if X.n <= X.d else Xv @ Xv.T)[-1])
+    if top <= 0.0:
+        raise ValueError("data matrix has no curvature")
+    return 2.0 * top / X.n
 
 
 def _default_lr(X: DataMatrix) -> float:
@@ -194,9 +194,9 @@ def train_least_squares(
 
     Returns read-only weights; steps=0 returns w0 as a read-only vector.
     When lr is omitted it is set to 0.9 times the stability threshold
-    2/lambda_max of the Hessian, with lambda_max estimated by 20
-    power-iteration steps. A non-finite loss, or a loss that rises on two
-    consecutive steps, raises DivergenceError.
+    2/lambda_max of the Hessian, with lambda_max from
+    `max_hessian_eigenvalue`. A non-finite loss, or a loss that rises on
+    two consecutive steps, raises DivergenceError.
 
     The step w <- w - c X r, with c = 2 lr / n, moves the residual
     r = X^T w - y by r <- r - c (X^T X) r. When n <= d the loop iterates

@@ -135,6 +135,19 @@ class TestPipelineCommand:
             assert {r[1] for r in rows} == {"7", "8"}
             assert all(len(r) == len(RESULT_HEADER) for r in rows)
 
+    @pytest.mark.parametrize("d, n, seed", [
+        (8, 8, 184), (16, 16, 54), (24, 24, 0), (64, 64, 186), (64, 32, 131),
+    ])
+    def test_default_step_size_trains_stably(self, tmp_path, capsys, d, n, seed):
+        # seeds whose data a 20-step power iteration underestimated the top
+        # Hessian eigenvalue on by over 10%, so that the default step size
+        # passed the stability threshold and training diverged
+        code = main([
+            "pipeline", "--d", str(d), "--n", str(n), "--seed", str(seed),
+            "--trials", "1", "--out", str(tmp_path / "p.csv"),
+        ])
+        assert code == 0, capsys.readouterr().err
+
     def test_density_flag_sets_budget(self, tmp_path):
         out = tmp_path / "p.csv"
         code = main([

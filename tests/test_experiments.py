@@ -128,11 +128,24 @@ class TestMakeDataset:
 
 
 def test_max_hessian_eigenvalue_matches_dense_solver():
+    # n > d decomposes X X^T, n <= d the Gram matrix X^T X
     rng = RngStream(11)
-    X = gen_normal_X(8, 20, rng)
-    top = max(np.linalg.eigvalsh(2.0 * X.values @ X.values.T / X.n))
-    assert max_hessian_eigenvalue(X) == pytest.approx(top, rel=1e-4)
-    assert max_hessian_eigenvalue(X, iters=100) == pytest.approx(top, rel=1e-9)
+    for d, n in ((8, 20), (20, 8)):
+        X = gen_normal_X(d, n, rng)
+        top = max(np.linalg.eigvalsh(2.0 * X.values @ X.values.T / X.n))
+        assert max_hessian_eigenvalue(X) == pytest.approx(top, rel=1e-12)
+
+
+@pytest.mark.parametrize("d, n", [
+    (1, 1), (1, 5), (5, 1), (8, 8), (24, 24), (64, 32), (8, 40), (300, 100),
+])
+def test_default_step_size_is_nine_tenths_of_the_stability_threshold(d, n):
+    # lr = 0.9 * 2 / lambda_max, so lr * lambda_max = 1.8
+    for seed in range(3):
+        state = seed_state(d, n, seed)
+        Xv = state.dataset.X.values
+        top = np.linalg.eigvalsh(2.0 * Xv @ Xv.T / n)[-1]
+        assert state.lr * top == pytest.approx(1.8, rel=1e-12)
 
 
 def _weight_space_gd(X, y, w0, steps, lr):
