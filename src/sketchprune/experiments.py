@@ -157,7 +157,12 @@ def make_dataset(d: int, n: int, noise_std: float, rng: RngStream) -> SyntheticD
     _check_noise_std(noise_std)
     X = gen_normal_X(d, n, rng)
     w_true = rng.normal(d) / math.sqrt(d)
-    y = features(X, w_true) + noise_std * rng.normal(n)
+    # a noise level near the float64 limit overflows; that is reported
+    # below, naming the level, in place of numpy's warning
+    with np.errstate(over="ignore"):
+        y = features(X, w_true) + noise_std * rng.normal(n)
+    if not np.isfinite(y).all():
+        raise ValueError(f"labels overflow at noise level {noise_std:g}")
     return SyntheticDataset(X, y, w_true, noise_std)
 
 

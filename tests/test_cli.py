@@ -559,6 +559,18 @@ class TestExitCodes:
         assert not out.exists()
 
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_noise_names_the_noise_level(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        # at the default 32 examples, some of seed 0's noise draws overflow
+        code = main(["pipeline", "--seed", "0", "--trials", "1",
+                     "--noise-std", "1e308", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err == "error: labels overflow at noise level 1e+308\n"
+        assert not out.exists()
+
+
 class TestDeterminism:
     def test_pipeline_repeat_is_byte_identical(self, tmp_path):
         args = ["pipeline", "--d", "10", "--n", "6", "--s", "3", "--trials", "2",
