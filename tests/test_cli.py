@@ -139,9 +139,9 @@ class TestPipelineCommand:
         (8, 8, 184), (16, 16, 54), (24, 24, 0), (64, 64, 186), (64, 32, 131),
     ])
     def test_default_step_size_trains_stably(self, tmp_path, capsys, d, n, seed):
-        # seeds whose data a 20-step power iteration underestimated the top
-        # Hessian eigenvalue on by over 10%, so that the default step size
-        # passed the stability threshold and training diverged
+        # on these seeds' data, 20 power-iteration steps fall over 10% short
+        # of the top Hessian eigenvalue, and a step size set from that
+        # estimate passes the stability threshold and diverges
         code = main([
             "pipeline", "--d", str(d), "--n", str(n), "--seed", str(seed),
             "--trials", "1", "--out", str(tmp_path / "p.csv"),
