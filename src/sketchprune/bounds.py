@@ -24,11 +24,13 @@ from .core import (
     ProbabilityVector,
     RngStream,
     SupportError,
+    _row_norms,
     as_vector,
     features,
     row_norms,
 )
 from .sketch import (
+    _optimal_probabilities,
     optimal_probabilities,
     sample_sketch_mask,
     uniform_probabilities,
@@ -133,8 +135,7 @@ def _variance_form_errors(
     """
     uncovered = (ps == 0.0) & (wv != 0.0)
     if uncovered.any():
-        norms = np.sqrt(np.add.reduce(Xs * Xs, axis=2))
-        if np.any(uncovered & (norms > 0.0)):
+        if np.any(uncovered & (_row_norms(Xs) > 0.0)):
             raise SupportError(
                 "sampling distribution has zero mass on an active weight"
             )
@@ -330,7 +331,6 @@ def mc_error_over_data(
     d = w0v.size
     scale = 1.0 / math.sqrt(n)
     uniform = uniform_probabilities(d).values[None]
-    w0_abs = np.abs(w0v)
     per_block = max(1, _BLOCK_ELEMENTS // (d * n))
     errors = np.empty(x_trials)
     for start in range(0, x_trials, per_block):
@@ -339,16 +339,8 @@ def mc_error_over_data(
         if not np.isfinite(Xs).all():
             raise ValueError("DataMatrix entries must be finite")
         if distribution == "optimal":
-            # p of each matrix X in the block, as ProbabilityVector and
-            # _optimal_probabilities(row_norms(X), w0) compute it.
-            weights = np.sqrt(np.add.reduce(Xs * Xs, axis=2))
-            np.multiply(weights, w0_abs, out=weights)
-            total = weights.sum(axis=1, keepdims=True)
-            if np.any(total <= 0.0):
-                raise DegenerateDistributionError(
-                    "every row-norm-times-weight product is zero"
-                )
-            ps = np.divide(weights, total, out=weights)
+            ps = _optimal_probabilities(_row_norms(Xs), w0v)
+            # the renormalization ProbabilityVector applies to each one
             ps /= ps.sum(axis=1, keepdims=True)
         else:
             ps = uniform

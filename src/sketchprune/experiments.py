@@ -341,7 +341,9 @@ MASK_METHODS = {
     for m in (
         MaskMethod(
             "sketch-p0",
-            distribution=lambda norms, w: _optimal_probabilities(norms, w),
+            distribution=lambda norms, w: ProbabilityVector(
+                _optimal_probabilities(norms, w)
+            ),
             bound=lambda w0, w_star, s: theorem1_bound(w0, w_star, s),
         ),
         MaskMethod(

@@ -44,19 +44,20 @@ def optimal_probabilities(X: DataMatrix, w) -> ProbabilityVector:
         raise DimensionMismatchError(
             f"weight length {wv.size} does not match {X.d} matrix rows"
         )
-    return _optimal_probabilities(row_norms(X), wv)
+    return ProbabilityVector(_optimal_probabilities(row_norms(X), wv))
 
 
-def _optimal_probabilities(norms: np.ndarray, wv: np.ndarray) -> ProbabilityVector:
-    """optimal_probabilities from the row norms of X, for weights already
-    validated to their length."""
+def _optimal_probabilities(norms: np.ndarray, wv: np.ndarray) -> np.ndarray:
+    """The normalized products norms * |wv|, for weights already validated
+    to the length of norms: one distribution for (d,) norms, or one per row
+    for a (k, d) stack. Raises where a distribution has no mass at all."""
     weights = norms * np.abs(wv)
-    total = float(weights.sum())
-    if total <= 0.0:
+    total = weights.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
         raise DegenerateDistributionError(
             "every row-norm-times-weight product is zero"
         )
-    return ProbabilityVector(weights / total)
+    return weights / total
 
 
 def uniform_probabilities(d: int) -> ProbabilityVector:

@@ -15,6 +15,7 @@ from sketchprune import (
     features,
     row_norms,
 )
+from sketchprune.core import _row_norms
 
 
 class TestDataMatrix:
@@ -138,6 +139,12 @@ class TestProbabilityVector:
                 with pytest.raises(ValueError, match="finite"):
                     ProbabilityVector(values)
 
+    def test_rejects_matrix_and_empty_input(self):
+        with pytest.raises(DimensionMismatchError):
+            ProbabilityVector([[0.5, 0.5]])
+        with pytest.raises(DimensionMismatchError):
+            ProbabilityVector([])
+
     def test_support(self):
         p = ProbabilityVector([0.0, 1.0])
         np.testing.assert_array_equal(p.support(), [1])
@@ -242,6 +249,16 @@ def test_row_norms_hold_no_matrix_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
+
+
+@pytest.mark.parametrize(
+    # the last two stacks span more than one block of 2**16 entries
+    "k, d, n", [(1, 5, 3), (4, 64, 32), (2, 65536, 1), (8, 100, 1000)],
+)
+def test_stacked_row_norms_equal_per_matrix_row_norms(k, d, n):
+    stack = RngStream(k * d).normal((k, d, n))
+    expected = np.stack([row_norms(DataMatrix(matrix)) for matrix in stack])
+    np.testing.assert_array_equal(_row_norms(stack), expected)
 
 
 def test_row_norms_computed_once_and_shared():

@@ -6,6 +6,7 @@ import pytest
 from sketchprune import (
     ACTIVATIONS,
     DataMatrix,
+    DimensionMismatchError,
     RngStream,
     StepSizeError,
     TinyMLP,
@@ -48,6 +49,16 @@ class TestTinyMLP:
         model, X, *_ = small_problem()
         other = model.with_theta(np.zeros(model.n_params))
         np.testing.assert_array_equal(other.output_vector(X), 0.0)
+
+    def test_rejects_wrong_length_theta(self):
+        with pytest.raises(DimensionMismatchError):
+            TinyMLP(2, 4, 1, "tanh", np.zeros(11))
+
+    def test_rejects_non_finite_theta(self):
+        theta = np.zeros(12)
+        theta[5] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            TinyMLP(2, 4, 1, "tanh", theta)
 
     def test_activation_table(self):
         assert set(ACTIVATIONS) == {"tanh", "softplus", "linear"}
@@ -194,4 +205,23 @@ class TestTheorem2Report:
         model, X, y, _ = small_problem(width=16)
         snap = take_snapshot(model, X, y)
         traj = train_linearized_gd(snap, y, eta0=1.0 / snap.lambda_max, steps=50)
-        assert _lipschitz_k_hat(model, X, snap, traj) >= snap.k_hat
+        jacobians = [
+            analytic_jacobian(model.with_theta(theta), X) for theta in traj.thetas
+        ]
+        assert _lipschitz_k_hat(snap, traj, jacobians) >= snap.k_hat
+
+    def test_one_jacobian_per_checkpoint(self, monkeypatch):
+        from sketchprune import ntk
+
+        model, X, y, rng = small_problem(width=16)
+        snap = take_snapshot(model, X, y)
+        traj = train_linearized_gd(snap, y, eta0=1.0 / snap.lambda_max, steps=50)
+        calls = []
+
+        def counted(*args):
+            calls.append(None)
+            return analytic_jacobian(*args)
+
+        monkeypatch.setattr(ntk, "analytic_jacobian", counted)
+        theorem2_report(model, snap, traj, X, s=4, mask_trials=10, rng=rng)
+        assert len(calls) == len(traj.thetas)
