@@ -352,7 +352,8 @@ def _suite_ntk(seed: int, trials: int) -> list[ResultRow]:
 
 
 # Suites run in this order, each next to its default trial count (None for
-# lemma3, which draws no Monte Carlo trials) and called with (seed, trials).
+# lemma3, which ignores it) and called with (seed, trials). What a trial is
+# differs by suite; the verify --trials help says which.
 _SUITES = {
     "lemma1": (_suite_lemma1, 20_000),
     "lemma2": (_suite_lemma2, 2_000),
@@ -432,7 +433,22 @@ def _cmd_histogram(settings: dict) -> str:
     )
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
+    # Bytes of the largest arrays, of 5 * width parameters on _ntk_instance's
+    # 4 x 8 data: the parameter draw and its frozen copy, up to 5 checkpoints,
+    # and seven 8-row Jacobians (the snapshot's, one per checkpoint, and the
+    # copy in DataMatrix(J.T)). Checked before the network is drawn.
+    need = 8 * 5 * settings["width"] * (2 + 5 + 7 * 8)
+    have = _physical_memory()
+    if need > have:
+        raise ConfigError(
+            f"width {settings['width']} needs about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
     model, X, snapshot, trajectory, rng = _ntk_instance(
         settings["width"], settings["seed"], settings["steps"]
     )
@@ -484,7 +500,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--methods", type=str, default=None,
                    help="comma-separated suites (default: all)")
     p.add_argument("--trials", type=int, default=None,
-                   help="Monte Carlo trials per check (default: per-suite)")
+                   help="mask draws in lemma1/mc-* and ntk/masked-error-bound, "
+                        "data draws in lemma2, theorem1 and lemma4/uniform-bound, "
+                        "random instances in synflow-equiv and snip-equiv; "
+                        "lemma3 and every other check ignore it "
+                        "(default: per-suite)")
 
     p = command("pipeline", "prune, train, and measure")
     p.add_argument("--d", type=int, default=64)

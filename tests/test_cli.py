@@ -354,6 +354,21 @@ class TestNtkDemoCommand:
             assert code == 2
 
 
+    def test_refuses_a_width_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
+        def never(*args):
+            raise AssertionError("the network was allocated")
+
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**16)
+        monkeypatch.setattr(cli.TinyMLP, "init", never)
+        out = tmp_path / "n.csv"
+        code = main(["ntk-demo", "--width", "64", "--out", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: width 64 needs about ") and err.count("\n") == 1
+        assert "physical memory" in err
+        assert not out.exists()
+
+
 class TestConfigResolution:
     def test_config_file_supplies_defaults(self, tmp_path):
         config = tmp_path / "c.json"
