@@ -353,7 +353,6 @@ class TestNtkDemoCommand:
             ])
             assert code == 2
 
-
     def test_refuses_a_width_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
         def never(*args):
             raise AssertionError("the network was allocated")
