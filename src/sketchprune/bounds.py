@@ -18,13 +18,14 @@ import numpy as np
 from .core import (
     DataMatrix,
     DegenerateDistributionError,
-    DimensionMismatchError,
     EnumerationLimitError,
-    InvalidDensityError,
     ProbabilityVector,
     RngStream,
     SupportError,
+    _check_budget,
+    _check_length,
     _row_norms,
+    _vector_of_length,
     as_vector,
     features,
     row_norms,
@@ -94,11 +95,6 @@ class BoundReport:
         return self.empirical_error <= self.closed_form_or_bound + slack
 
 
-def _check_budget(s: int):
-    if s < 1:
-        raise InvalidDensityError(f"sketch budget must be >= 1, got {s}")
-
-
 def exact_expected_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> float:
     """Expected squared feature error of an s-draw sketch mask under p.
 
@@ -111,15 +107,8 @@ def exact_expected_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> floa
     infinite and raises.
     """
     _check_budget(s)
-    wv = as_vector(w)
-    if wv.size != X.d:
-        raise DimensionMismatchError(
-            f"weight length {wv.size} does not match {X.d} matrix rows"
-        )
-    if p.d != X.d:
-        raise DimensionMismatchError(
-            f"distribution length {p.d} does not match {X.d} matrix rows"
-        )
+    wv = _vector_of_length(w, X.d, "weight", "matrix rows")
+    _check_length(p.d, X.d, "distribution", "matrix rows")
     return float(_variance_form_errors(X.values[None], wv, p.values[None], s)[0])
 
 
@@ -199,11 +188,7 @@ def theorem1_bound(w0, w_star, s: int) -> float:
     """
     _check_budget(s)
     w0v = as_vector(w0)
-    wsv = as_vector(w_star)
-    if w0v.size != wsv.size:
-        raise DimensionMismatchError(
-            f"weight lengths differ: {w0v.size} vs {wsv.size}"
-        )
+    wsv = _vector_of_length(w_star, w0v.size, "w_star", "initial weights")
     w0_abs = np.abs(w0v)
     l1 = float(w0_abs.sum())
     if l1 <= 0.0:
@@ -260,11 +245,8 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
     beyond the enumeration limit are refused.
     """
     _check_budget(s)
-    wv = as_vector(w)
-    if p.d != X.d or wv.size != X.d:
-        raise DimensionMismatchError(
-            "matrix, weights, and distribution must share the dimension d"
-        )
+    wv = _vector_of_length(w, X.d, "weight", "matrix rows")
+    _check_length(p.d, X.d, "distribution", "matrix rows")
     if X.d**s > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"{X.d}^{s} ordered sequences exceed the limit of {ENUMERATION_LIMIT}"
@@ -323,11 +305,7 @@ def mc_error_over_data(
         raise ValueError(f"unknown distribution {distribution!r}")
     _check_budget(s)
     w0v = as_vector(w0)
-    wsv = as_vector(w_star)
-    if w0v.size != wsv.size:
-        raise DimensionMismatchError(
-            f"weight lengths differ: {w0v.size} vs {wsv.size}"
-        )
+    wsv = _vector_of_length(w_star, w0v.size, "w_star", "initial weights")
     d = w0v.size
     scale = 1.0 / math.sqrt(n)
     uniform = uniform_probabilities(d).values[None]

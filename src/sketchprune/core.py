@@ -7,6 +7,7 @@ randomness always flows through an explicit :class:`RngStream`.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -108,6 +109,27 @@ def as_vector(v) -> np.ndarray:
     """Read-only float64 copy of a nonempty, finite 1-d array-like; a
     read-only float64 array that owns its memory is returned as it is."""
     return _validated_array(v, "vector", ndim=1)
+
+
+def _check_length(k: int, n: int, name: str, what: str):
+    if k != n:
+        raise DimensionMismatchError(f"{name} length {k} does not match {n} {what}")
+
+
+def _vector_of_length(v, n: int, name: str, what: str) -> np.ndarray:
+    """as_vector(v), checked to have n entries: one per matrix row, example,
+    output or parameter, as `what` names them."""
+    wv = as_vector(v)
+    _check_length(wv.size, n, name, what)
+    return wv
+
+
+def _check_budget(s: int, d: int | None = None):
+    """A sketch keeps s >= 1 draws; a binary mask over d weights keeps
+    between 1 and d of them."""
+    top = math.inf if d is None else d
+    if not 1 <= s <= top:
+        raise InvalidDensityError(f"budget must lie in [1, {top}], got {s}")
 
 
 @dataclass(frozen=True)
@@ -283,9 +305,4 @@ def row_norms(X: DataMatrix) -> np.ndarray:
 
 def features(X: DataMatrix, w) -> np.ndarray:
     """Feature vector X^T w, one entry per example column."""
-    wv = as_vector(w)
-    if wv.size != X.d:
-        raise DimensionMismatchError(
-            f"weight length {wv.size} does not match {X.d} matrix rows"
-        )
-    return X.values.T @ wv
+    return X.values.T @ _vector_of_length(w, X.d, "weight", "matrix rows")

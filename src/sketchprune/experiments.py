@@ -12,13 +12,13 @@ import numpy as np
 from .bounds import lemma4_uniform_bound, theorem1_bound
 from .core import (
     DataMatrix,
-    DimensionMismatchError,
     DivergenceError,
-    InvalidDensityError,
     Mask,
     ProbabilityVector,
     RngStream,
     SupportError,
+    _check_budget,
+    _vector_of_length,
     as_vector,
     features,
     row_norms,
@@ -67,16 +67,8 @@ class SyntheticDataset:
 
     def __post_init__(self):
         _check_noise_std(self.noise_std)
-        yv = as_vector(self.y)
-        wv = as_vector(self.w_true)
-        if yv.size != self.X.n:
-            raise DimensionMismatchError(
-                f"label length {yv.size} does not match {self.X.n} examples"
-            )
-        if wv.size != self.X.d:
-            raise DimensionMismatchError(
-                f"weight length {wv.size} does not match {self.X.d} rows"
-            )
+        yv = _vector_of_length(self.y, self.X.n, "label", "examples")
+        wv = _vector_of_length(self.w_true, self.X.d, "weight", "matrix rows")
         object.__setattr__(self, "y", yv)
         object.__setattr__(self, "w_true", wv)
 
@@ -213,13 +205,8 @@ def train_least_squares(
     space costs no more, so every step is such a fold and no n x n matrix
     is built.
     """
-    yv = as_vector(y)
-    w0v = as_vector(w0)
-    if yv.size != X.n or w0v.size != X.d:
-        raise DimensionMismatchError(
-            f"shapes ({X.d}, {X.n}) incompatible with weights {w0v.size} "
-            f"and labels {yv.size}"
-        )
+    yv = _vector_of_length(y, X.n, "label", "examples")
+    w0v = _vector_of_length(w0, X.d, "weight", "matrix rows")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     if lr is None and steps > 0:
@@ -417,8 +404,7 @@ def run_prune_pipeline(state: SeedState, method: str, s: int) -> PipelineResult:
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
     X = state.dataset.X
-    if not 1 <= s <= X.d:
-        raise InvalidDensityError(f"keep count must lie in [1, {X.d}], got {s}")
+    _check_budget(s, X.d)
     spec = MASK_METHODS[method]
     norms = row_norms(X)
     if spec.binary:

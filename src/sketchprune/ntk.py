@@ -25,7 +25,7 @@ from .core import (
     RngStream,
     StepSizeError,
     ZeroColumnError,
-    as_vector,
+    _vector_of_length,
 )
 from .sketch import optimal_probabilities
 
@@ -80,11 +80,7 @@ class TinyMLP:
             raise ValueError("layer sizes must be positive")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        theta = as_vector(self.theta)
-        if theta.size != self.n_params:
-            raise DimensionMismatchError(
-                f"theta must have length {self.n_params}, got {theta.size}"
-            )
+        theta = _vector_of_length(self.theta, self.n_params, "theta", "parameters")
         object.__setattr__(self, "theta", theta)
 
     @property
@@ -207,12 +203,8 @@ def empirical_ntk(J: np.ndarray, width: int) -> np.ndarray:
 
 def take_snapshot(model: TinyMLP, X: DataMatrix, y) -> NtkSnapshot:
     """Evaluate the Jacobian, kernel spectrum, and residual at theta0."""
-    yv = as_vector(y)
+    yv = _vector_of_length(y, X.n * model.d_out, "label", "outputs")
     J = analytic_jacobian(model, X)
-    if yv.size != J.shape[0]:
-        raise DimensionMismatchError(
-            f"label length {yv.size} does not match {J.shape[0]} outputs"
-        )
     ntk = empirical_ntk(J, model.width)
     eigenvalues = np.linalg.eigvalsh(ntk)
     if eigenvalues[0] < -1e-10:
@@ -267,12 +259,8 @@ def train_linearized_gd(
     each step, so eta0 may not exceed 2/(lambda_min + lambda_max). The loss
     is checked to be non-increasing along the way.
     """
-    yv = as_vector(y)
     J = snapshot.jacobian
-    if yv.size != J.shape[0]:
-        raise DimensionMismatchError(
-            f"label length {yv.size} does not match {J.shape[0]} outputs"
-        )
+    yv = _vector_of_length(y, J.shape[0], "label", "outputs")
     if steps < 0:
         raise ValueError("steps must be nonnegative")
     critical = 2.0 / (snapshot.lambda_min + snapshot.lambda_max)

@@ -16,6 +16,8 @@ from .core import (
     Mask,
     ProbabilityVector,
     RngStream,
+    _check_budget,
+    _vector_of_length,
     as_vector,
     features,
 )
@@ -38,11 +40,7 @@ def synflow_scores(inputs, w) -> np.ndarray:
     distribution for that matrix.
     """
     iv = as_vector(inputs)
-    wv = as_vector(w)
-    if iv.size != wv.size:
-        raise DimensionMismatchError(
-            f"input length {iv.size} does not match weight length {wv.size}"
-        )
+    wv = _vector_of_length(w, iv.size, "weight", "probe inputs")
     if np.any(iv < 0.0):
         raise ValueError("probe input must be nonnegative")
     return as_vector(iv * np.abs(wv))
@@ -54,12 +52,8 @@ def snip_scores_l1(X: DataMatrix, y, w) -> np.ndarray:
     score_j = (1/n) |w_j| |sum_i sign(x_i^T w - y_i) X_{j,i}|, with the sign
     of a zero residual taken as zero.
     """
-    yv = as_vector(y)
+    yv = _vector_of_length(y, X.n, "label", "examples")
     wv = as_vector(w)
-    if yv.size != X.n:
-        raise DimensionMismatchError(
-            f"label length {yv.size} does not match {X.n} examples"
-        )
     signs = np.sign(features(X, wv) - yv)
     return as_vector(np.abs(wv) * np.abs(X.values @ signs) / X.n)
 
@@ -78,10 +72,7 @@ def scores_to_probabilities(scores) -> ProbabilityVector:
 def select_topk(scores, s: int) -> Mask:
     """Binary mask keeping the s largest scores, ties to the lower index."""
     sv = as_vector(scores)
-    if s < 1 or s > sv.size:
-        raise InvalidDensityError(
-            f"keep count must lie in [1, {sv.size}], got {s}"
-        )
+    _check_budget(s, sv.size)
     order = np.argsort(-sv, kind="stable")
     m = np.zeros(sv.size)
     m[order[:s]] = 1.0
@@ -102,10 +93,7 @@ def select_randomized(scores, s: int, rng: RngStream) -> Mask:
     sv = as_vector(scores)
     if np.any(sv < 0.0):
         raise ValueError("scores must be nonnegative")
-    if s < 1 or s > sv.size:
-        raise InvalidDensityError(
-            f"keep count must lie in [1, {sv.size}], got {s}"
-        )
+    _check_budget(s, sv.size)
     positive = sv > 0.0
     n_positive = int(np.count_nonzero(positive))
     if n_positive < s:

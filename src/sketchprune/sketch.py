@@ -14,11 +14,12 @@ import numpy as np
 from .core import (
     DataMatrix,
     DegenerateDistributionError,
-    DimensionMismatchError,
     InvalidDensityError,
     Mask,
     ProbabilityVector,
     RngStream,
+    _check_budget,
+    _vector_of_length,
     as_vector,
     features,
     row_norms,
@@ -39,11 +40,7 @@ def optimal_probabilities(X: DataMatrix, w) -> ProbabilityVector:
     this one minimizes the expected squared error of the sketched feature
     vector, by Cauchy-Schwarz on the per-index variance terms.
     """
-    wv = as_vector(w)
-    if wv.size != X.d:
-        raise DimensionMismatchError(
-            f"weight length {wv.size} does not match {X.d} matrix rows"
-        )
+    wv = _vector_of_length(w, X.d, "weight", "matrix rows")
     return ProbabilityVector(_optimal_probabilities(row_norms(X), wv))
 
 
@@ -92,8 +89,7 @@ def sample_sketch_mask(p: ProbabilityVector, s: int, rng: RngStream) -> Mask:
     The result has at most s nonzero entries; repeated indices stack their
     increments. One uniform variate is consumed per draw.
     """
-    if s < 1:
-        raise InvalidDensityError(f"sketch budget must be >= 1, got {s}")
+    _check_budget(s)
     pv = p.values
     idx = _categorical_indices(pv, np.atleast_1d(rng.uniform(s)))
     m = np.zeros(pv.size)
