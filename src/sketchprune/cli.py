@@ -38,6 +38,7 @@ from .bounds import (
 )
 from .core import DataMatrix, DivergenceError, RngStream, row_norms
 from .experiments import (
+    _CHI_BLOCK_ELEMENTS,
     MASK_METHODS,
     METHODS,
     gen_chi_input,
@@ -383,8 +384,26 @@ def _cmd_verify(settings: dict) -> list[ResultRow]:
 # pipeline, histogram, demo
 
 
+def _physical_memory() -> int:
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
+def _check_memory(need: int, flags: str):
+    """Refuse a run before it allocates when `need`, the bytes of its
+    largest arrays as estimated from `flags`, exceeds physical memory."""
+    have = _physical_memory()
+    if need > have:
+        raise ConfigError(
+            f"{flags} needs about {need / 2**30:.3g} GiB, "
+            f"more than the {have / 2**30:.3g} GiB of physical memory"
+        )
+
+
 def _cmd_pipeline(settings: dict) -> list[ResultRow]:
     d, n = settings["d"], settings["n"]
+    # a seed's d x n draw, and the min(d, n)-square matrix that
+    # max_hessian_eigenvalue decomposes
+    _check_memory(8 * (d * n + min(d, n) ** 2), f"--d {d} --n {n}")
     rows = []
     for seed in range(settings["seed"], settings["seed"] + settings["trials"]):
         state = seed_state(
@@ -417,6 +436,12 @@ def _cmd_pipeline(settings: dict) -> list[ResultRow]:
 def _cmd_histogram(settings: dict) -> str:
     d = settings["d"]
     bins = settings["bins"]
+    # One gen_chi_input block and its squares, at most 13 d-vectors at once
+    # (traced: 6.3 to 12.2 across the binary methods), and 208 bytes a bin,
+    # most of them the bin's CSV line.
+    _check_memory(
+        16 * _CHI_BLOCK_ELEMENTS + 8 * 13 * d + 208 * bins, f"--d {d} --bins {bins}"
+    )
     root = RngStream(settings["seed"])
     w = root.substream(0).normal(d)
     # the row norms of a d x 128 normal matrix, drawn without holding it
@@ -433,25 +458,17 @@ def _cmd_histogram(settings: dict) -> str:
     )
 
 
-def _physical_memory() -> int:
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
-
-
 def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
-    # Bytes of the largest arrays, of 5 * width parameters on _ntk_instance's
-    # 4 x 8 data: the parameter draw and its frozen copy, up to 5 checkpoints,
-    # and seven 8-row Jacobians (the snapshot's, one per checkpoint, and the
-    # copy in DataMatrix(J.T)). Checked before the network is drawn.
-    need = 8 * 5 * settings["width"] * (2 + 5 + 7 * 8)
-    have = _physical_memory()
-    if need > have:
-        raise ConfigError(
-            f"width {settings['width']} needs about {need / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
-        )
-    model, X, snapshot, trajectory, rng = _ntk_instance(
-        settings["width"], settings["seed"], settings["steps"]
+    # Of 5 * width parameters on _ntk_instance's 4 x 8 data: the parameter
+    # draw and its frozen copy, up to 5 checkpoints, and seven 8-row
+    # Jacobians (the snapshot's, one per checkpoint, and the copy in
+    # DataMatrix(J.T)); and the losses and movement of steps + 1 entries each.
+    width, steps = settings["width"], settings["steps"]
+    _check_memory(
+        8 * 5 * width * (2 + 5 + 7 * 8) + 16 * (steps + 1),
+        f"--width {width} --steps {steps}",
     )
+    model, X, snapshot, trajectory, rng = _ntk_instance(width, settings["seed"], steps)
     s = settings["s"]
     if s is None:
         s = math.isqrt(model.n_params - 1) + 1
@@ -704,7 +721,7 @@ def main(argv=None) -> int:
             rows = (dataclasses.astuple(row)[:-1] for row in run(settings))
             _atomic_write(out, _csv(RESULT_HEADER, rows))
         return 0
-    except (ValueError, OSError, DivergenceError, MemoryError) as exc:
+    except (ValueError, OSError, OverflowError, DivergenceError, MemoryError) as exc:
         # exit code 1 is reserved for failed verify checks
         print(f"error: {exc or type(exc).__name__}", file=sys.stderr)
         return 2

@@ -119,9 +119,9 @@ def _check_length(k: int, n: int, name: str, what: str):
 def _vector_of_length(v, n: int, name: str, what: str) -> np.ndarray:
     """as_vector(v), checked to have n entries: one per matrix row, example,
     output or parameter, as `what` names them."""
-    wv = as_vector(v)
-    _check_length(wv.size, n, name, what)
-    return wv
+    vec = as_vector(v)
+    _check_length(vec.size, n, name, what)
+    return vec
 
 
 def _check_budget(s: int, d: int | None = None):

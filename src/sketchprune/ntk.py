@@ -98,22 +98,23 @@ class TinyMLP:
     def with_theta(self, theta) -> "TinyMLP":
         return TinyMLP(self.d_in, self.width, self.d_out, self.activation, theta)
 
-    def _unpack(self) -> tuple[np.ndarray, np.ndarray]:
-        split = self.d_in * self.width
-        U = self.theta[:split].reshape(self.width, self.d_in)
-        V = self.theta[split:].reshape(self.d_out, self.width)
-        return U, V
-
-    def output_vector(self, X: DataMatrix) -> np.ndarray:
-        """Network outputs for every example column, flattened example-major
-        (all outputs of example 0, then example 1, ...)."""
+    def _hidden(self, X: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
+        """The output matrix V and the hidden pre-activations
+        (1/sqrt(d_in)) U X, for X with one row per input."""
         if X.d != self.d_in:
             raise DimensionMismatchError(
                 f"expected {self.d_in} input rows, got {X.d}"
             )
-        U, V = self._unpack()
+        split = self.d_in * self.width
+        U = self.theta[:split].reshape(self.width, self.d_in)
+        V = self.theta[split:].reshape(self.d_out, self.width)
+        return V, U @ X.values / math.sqrt(self.d_in)
+
+    def output_vector(self, X: DataMatrix) -> np.ndarray:
+        """Network outputs for every example column, flattened example-major
+        (all outputs of example 0, then example 1, ...)."""
+        V, Z = self._hidden(X)
         act, _ = ACTIVATIONS[self.activation]
-        Z = U @ X.values / math.sqrt(self.d_in)
         out = V @ act(Z) / math.sqrt(self.width)
         return out.T.ravel()
 
@@ -124,13 +125,10 @@ def analytic_jacobian(model: TinyMLP, X: DataMatrix) -> np.ndarray:
     Shape (n_examples * d_out, n_params); row order matches output_vector,
     column order matches the flat theta layout.
     """
-    if X.d != model.d_in:
-        raise DimensionMismatchError(f"expected {model.d_in} input rows, got {X.d}")
-    U, V = model._unpack()
+    V, Z = model._hidden(X)
     act, act_prime = ACTIVATIONS[model.activation]
     sq_in = math.sqrt(model.d_in)
     sq_w = math.sqrt(model.width)
-    Z = U @ X.values / sq_in
     S = act(Z)
     D = act_prime(Z)
     n = X.n

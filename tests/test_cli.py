@@ -363,7 +363,8 @@ class TestNtkDemoCommand:
         code = main(["ntk-demo", "--width", "64", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: width 64 needs about ") and err.count("\n") == 1
+        assert err.startswith("error: --width 64 --steps 100 needs about ")
+        assert err.count("\n") == 1
         assert "physical memory" in err
         assert not out.exists()
 
@@ -572,6 +573,41 @@ class TestExitCodes:
         assert {"--lr": "learning rate", "--noise-std": "noise level"}[flag] in err
         assert not out.exists()
 
+
+    # With 1 MiB of memory, each command fits at its defaults, and is refused
+    # before its first allocation when one flag that sizes its arrays grows.
+    @pytest.mark.parametrize("argv, first_allocation, flags", [
+        (["pipeline", "--d", "512", "--n", "256"], "seed_state", "--d 512 --n 256"),
+        (["histogram", "--d", "5000"], "RngStream", "--d 5000 --bins 50"),
+        (["histogram", "--bins", "2500"], "RngStream", "--d 1024 --bins 2500"),
+        (["ntk-demo", "--steps", "60000"], "_ntk_instance", "--width 64 --steps 60000"),
+    ])
+    def test_refuses_a_run_beyond_physical_memory(
+        self, tmp_path, capsys, monkeypatch, argv, first_allocation, flags
+    ):
+        def never(*args):
+            raise AssertionError("the run allocated")
+
+        monkeypatch.setattr(cli, "_physical_memory", lambda: 2**20)
+        assert main([argv[0], "--out", str(tmp_path / "fits.csv")]) == 0
+        capsys.readouterr()
+        monkeypatch.setattr(cli, first_allocation, never)
+        out = tmp_path / "o.csv"
+        assert main([*argv, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flags} needs about ") and err.count("\n") == 1
+        assert "physical memory" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--d", "--width"])
+    def test_size_beyond_float_range(self, tmp_path, capsys, flag):
+        # the size fails its conversion to float before any array is sized
+        command = "ntk-demo" if flag == "--width" else "histogram"
+        out = tmp_path / "o.csv"
+        assert main([command, flag, "1" + "0" * 400, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_noise_names_the_noise_level(self, tmp_path, capsys):

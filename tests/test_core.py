@@ -8,12 +8,34 @@ from hypothesis import strategies as st
 from sketchprune import (
     DataMatrix,
     DimensionMismatchError,
+    InvalidDensityError,
     Mask,
     ProbabilityVector,
     RngStream,
+    SyntheticDataset,
+    TinyMLP,
     as_vector,
+    enumerate_exact_error,
+    exact_expected_error,
     features,
+    lemma2_bound,
+    lemma4_uniform_bound,
+    mc_error_over_data,
+    mc_error_over_masks,
+    optimal_probabilities,
     row_norms,
+    run_prune_pipeline,
+    sample_sketch_mask,
+    seed_state,
+    select_randomized,
+    select_topk,
+    snip_scores_l1,
+    synflow_scores,
+    take_snapshot,
+    theorem1_bound,
+    train_least_squares,
+    train_linearized_gd,
+    uniform_probabilities,
 )
 from sketchprune.core import _row_norms
 
@@ -309,3 +331,102 @@ def test_features_zero_weights():
 def test_features_dimension_error():
     with pytest.raises(DimensionMismatchError):
         features(DataMatrix(np.eye(2)), [1.0, 2.0, 3.0])
+
+
+def _length_and_budget_calls():
+    """(call, error type, message) for every public entry point that checks
+    a vector's length or an s budget, each called with one bad operand."""
+    X = DataMatrix(np.arange(1.0, 13.0).reshape(4, 3))
+    w4, w5, y3, y2 = np.ones(4), np.ones(5), np.ones(3), np.ones(2)
+    p4, p5 = uniform_probabilities(4), uniform_probabilities(5)
+    rng = RngStream(0)
+    model = TinyMLP.init(4, 2, 1, "tanh", rng)
+    snapshot = take_snapshot(model, X, y3)
+    state = seed_state(4, 3, 0, steps=0)
+    length = DimensionMismatchError
+    budget = InvalidDensityError
+    rows = "does not match 4 matrix rows"
+    sketch = "budget must lie in [1, inf], got 0"
+    return {
+        "features": (lambda: features(X, w5), length, f"weight length 5 {rows}"),
+        "optimal_probabilities": (
+            lambda: optimal_probabilities(X, w5), length, f"weight length 5 {rows}"),
+        "exact_expected_error/w": (
+            lambda: exact_expected_error(X, w5, p4, 2), length,
+            f"weight length 5 {rows}"),
+        "exact_expected_error/p": (
+            lambda: exact_expected_error(X, w4, p5, 2), length,
+            f"distribution length 5 {rows}"),
+        "theorem1_bound": (
+            lambda: theorem1_bound(w4, w5, 2), length,
+            "w_star length 5 does not match 4 initial weights"),
+        "enumerate_exact_error/w": (
+            lambda: enumerate_exact_error(X, w5, p4, 2), length,
+            f"weight length 5 {rows}"),
+        "enumerate_exact_error/p": (
+            lambda: enumerate_exact_error(X, w4, p5, 2), length,
+            f"distribution length 5 {rows}"),
+        "mc_error_over_data": (
+            lambda: mc_error_over_data(w4, w5, 2, 3, 1, rng), length,
+            "w_star length 5 does not match 4 initial weights"),
+        "SyntheticDataset/y": (
+            lambda: SyntheticDataset(X, y2, w4, 0.0), length,
+            "label length 2 does not match 3 examples"),
+        "SyntheticDataset/w": (
+            lambda: SyntheticDataset(X, y3, w5, 0.0), length,
+            f"weight length 5 {rows}"),
+        "train_least_squares/y": (
+            lambda: train_least_squares(X, y2, w4, 1), length,
+            "label length 2 does not match 3 examples"),
+        "train_least_squares/w0": (
+            lambda: train_least_squares(X, y3, w5, 1), length,
+            f"weight length 5 {rows}"),
+        "synflow_scores": (
+            lambda: synflow_scores(w4, w5), length,
+            "weight length 5 does not match 4 probe inputs"),
+        "snip_scores_l1": (
+            lambda: snip_scores_l1(X, y2, w4), length,
+            "label length 2 does not match 3 examples"),
+        "TinyMLP": (
+            lambda: TinyMLP(4, 2, 1, "tanh", w5), length,
+            "theta length 5 does not match 10 parameters"),
+        "take_snapshot": (
+            lambda: take_snapshot(model, X, y2), length,
+            "label length 2 does not match 3 outputs"),
+        "train_linearized_gd": (
+            lambda: train_linearized_gd(snapshot, y2, 1e-3, 1), length,
+            "label length 2 does not match 3 outputs"),
+        "sample_sketch_mask": (lambda: sample_sketch_mask(p4, 0, rng), budget, sketch),
+        "mc_error_over_masks": (
+            lambda: mc_error_over_masks(X, w4, p4, 0, 1, rng), budget, sketch),
+        "exact_expected_error/s": (
+            lambda: exact_expected_error(X, w4, p4, 0), budget, sketch),
+        "lemma2_bound": (lambda: lemma2_bound(w4, 0), budget, sketch),
+        "theorem1_bound/s": (lambda: theorem1_bound(w4, w4, 0), budget, sketch),
+        "lemma4_uniform_bound": (lambda: lemma4_uniform_bound(w4, 0), budget, sketch),
+        "enumerate_exact_error/s": (
+            lambda: enumerate_exact_error(X, w4, p4, 0), budget, sketch),
+        "mc_error_over_data/s": (
+            lambda: mc_error_over_data(w4, w4, 0, 3, 1, rng), budget, sketch),
+        **{
+            f"{name}/s={s}": (call(s), budget, f"budget must lie in [1, 4], got {s}")
+            for s in (0, 5)
+            for name, call in (
+                ("select_topk", lambda s: lambda: select_topk(w4, s)),
+                ("select_randomized", lambda s: lambda: select_randomized(w4, s, rng)),
+                ("run_prune_pipeline", lambda s: lambda: run_prune_pipeline(
+                    state, "topk-synflow", s)),
+            )
+        },
+    }
+
+
+_LENGTH_AND_BUDGET_CALLS = _length_and_budget_calls()
+
+
+@pytest.mark.parametrize("site", sorted(_LENGTH_AND_BUDGET_CALLS))
+def test_every_length_and_budget_check(site):
+    call, error, message = _LENGTH_AND_BUDGET_CALLS[site]
+    with pytest.raises(error) as caught:
+        call()
+    assert str(caught.value) == message

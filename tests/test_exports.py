@@ -1,3 +1,4 @@
+import ast
 import re
 import shlex
 import subprocess
@@ -8,6 +9,7 @@ import sketchprune
 from sketchprune import bounds, cli, core, experiments, ntk, scores, sketch
 
 README = Path(__file__).resolve().parent.parent / "README.md"
+PACKAGE = Path(sketchprune.__file__).resolve().parent
 
 
 def test_package_exports_are_the_union_of_module_exports():
@@ -45,3 +47,21 @@ def test_readme_examples_run():
     parser, _ = cli._build_parser()
     for argv in commands:
         cli._resolve_settings(parser.parse_args(argv))
+
+
+def test_modules_use_every_name_they_import():
+    # __init__ imports only to re-export; every other module should read
+    # each name it binds by an import
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {
+            (alias.asname or alias.name).split(".")[0]
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for alias in node.names
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        assert not imported - used, (path.name, sorted(imported - used))
