@@ -476,7 +476,7 @@ def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
         raise ConfigError(f"keep count {s} outside [1, {model.n_params}]")
     rep = theorem2_report(model, snapshot, trajectory, X, s, settings["trials"], rng)
     print(
-        f"width={settings['width']} n_params={model.n_params} s={s} "
+        f"width={width} n_params={model.n_params} s={s} "
         f"lambda_min={snapshot.lambda_min:.6g} lambda_max={snapshot.lambda_max:.6g} "
         f"k_hat={snapshot.k_hat:.6g} r0_hat={snapshot.r0_hat:.6g} "
         f"movement={trajectory.movement[-1]:.6g} "
