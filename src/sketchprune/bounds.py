@@ -9,7 +9,6 @@ fresh Gaussian data as well).
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -22,6 +21,7 @@ from .core import (
     ProbabilityVector,
     RngStream,
     SupportError,
+    _blocks,
     _check_budget,
     _check_length,
     _row_norms,
@@ -54,10 +54,6 @@ __all__ = [
 ENUMERATION_LIMIT = 1_000_000
 
 _REPORT_KINDS = ("equality", "upper-bound")
-
-# mc_error_over_data draws X in blocks of at most this many entries
-# (256 KiB of float64; 16 trials at d=64, n=32).
-_BLOCK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -242,7 +238,8 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
     sequence, weighted by its probability.
 
     Independent of the closed forms above; cost grows as d^s, so sequences
-    beyond the enumeration limit are refused.
+    beyond the enumeration limit are refused. Sequences are taken in chunks
+    of at most core._BLOCK_ELEMENTS // max(d, n), so memory is flat in both.
     """
     _check_budget(s)
     wv = _vector_of_length(w, X.d, "weight", "matrix rows")
@@ -254,14 +251,13 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
     pv = p.values
     support = p.support()
     base = features(X, wv)
+    # Sequence i draws support[digit j of i in base m] at draw j, most
+    # significant first: the lexicographic order of itertools.product.
+    m = support.size
+    places = m ** np.arange(s - 1, -1, -1)
     total = 0.0
-    sequences = itertools.product(support.tolist(), repeat=s)
-    chunk_size = 16384
-    while True:
-        block = np.array(list(itertools.islice(sequences, chunk_size)))
-        if block.size == 0:
-            break
-        block = block.reshape(-1, s)
+    for chunk in _blocks(m**s, max(X.d, X.n)):
+        block = support[np.arange(chunk.start, chunk.stop)[:, None] // places % m]
         weights = pv[block].prod(axis=1)
         masks = np.zeros((block.shape[0], X.d))
         rows = np.repeat(np.arange(block.shape[0]), s)
@@ -292,10 +288,10 @@ def mc_error_over_data(
     overrides either default.
 
     The matrices are drawn in blocks of several trials, one (k, d, n) draw
-    per block, with at most _BLOCK_ELEMENTS entries in a block (one trial
-    when a single matrix is larger). A block consumes the stream exactly as
-    k draws of (d, n) do, so the draws are those of a trial-by-trial loop,
-    and memory stays flat in x_trials.
+    per block, with at most core._BLOCK_ELEMENTS entries in a block (one
+    trial when a single matrix is larger). A block consumes the stream
+    exactly as k draws of (d, n) do, so the draws are those of a
+    trial-by-trial loop, and memory stays flat in x_trials.
     """
     if x_trials < 1:
         raise ValueError(f"x_trials must be >= 1, got {x_trials}")
@@ -309,20 +305,17 @@ def mc_error_over_data(
     d = w0v.size
     scale = 1.0 / math.sqrt(n)
     uniform = uniform_probabilities(d).values[None]
-    per_block = max(1, _BLOCK_ELEMENTS // (d * n))
     errors = np.empty(x_trials)
-    for start in range(0, x_trials, per_block):
-        Xs = rng.normal((min(per_block, x_trials - start), d, n))
+    for trials in _blocks(x_trials, d * n):
+        Xs = rng.normal((trials.stop - trials.start, d, n))
         np.multiply(Xs, scale, out=Xs)
-        if not np.isfinite(Xs).all():
-            raise ValueError("DataMatrix entries must be finite")
         if distribution == "optimal":
             ps = _optimal_probabilities(_row_norms(Xs), w0v)
             # the renormalization ProbabilityVector applies to each one
             ps /= ps.sum(axis=1, keepdims=True)
         else:
             ps = uniform
-        errors[start : start + Xs.shape[0]] = _variance_form_errors(Xs, wsv, ps, s)
+        errors[trials] = _variance_form_errors(Xs, wsv, ps, s)
     if reference is None:
         if distribution == "optimal":
             reference = theorem1_bound(w0v, wsv, s)

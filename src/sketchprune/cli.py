@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Four subcommands, all writing CSV atomically (temp file then rename):
+Four subcommands, each writing its CSV a row at a time (temp file, then rename):
 
 * verify     -- runs the numerical verification suites, one row per check
 * pipeline   -- prune/train/measure cells, one row per (seed, method, s)
@@ -23,6 +23,7 @@ import math
 import os
 import sys
 import tempfile
+from collections.abc import Iterator
 from pathlib import Path
 
 import numpy as np
@@ -36,9 +37,8 @@ from .bounds import (
     mc_error_over_data,
     mc_error_over_masks,
 )
-from .core import DataMatrix, DivergenceError, RngStream, row_norms
+from .core import _BLOCK_ELEMENTS, DataMatrix, DivergenceError, RngStream, row_norms
 from .experiments import (
-    _CHI_BLOCK_ELEMENTS,
     MASK_METHODS,
     METHODS,
     gen_chi_input,
@@ -104,20 +104,18 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _csv(header: tuple, rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(map(_cell, row)) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def _atomic_write(path: Path, text: str) -> None:
+def _write_csv(path: Path, header: tuple, rows) -> None:
+    """Write the header and each row, a line at a time, to a temporary file
+    beside path, then rename it to path; a failure removes the temporary."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp_name = tempfile.mkstemp(
         dir=path.parent, prefix=path.name + ".", suffix=".tmp"
     )
     try:
         with os.fdopen(fd, "w") as handle:
-            handle.write(text)
+            handle.write(",".join(header) + "\n")
+            for row in rows:
+                handle.write(",".join(map(_cell, row)) + "\n")
         os.replace(tmp_name, path)
     except BaseException:
         try:
@@ -433,14 +431,14 @@ def _cmd_pipeline(settings: dict) -> list[ResultRow]:
     return rows
 
 
-def _cmd_histogram(settings: dict) -> str:
+def _cmd_histogram(settings: dict) -> Iterator[tuple]:
     d = settings["d"]
     bins = settings["bins"]
     # One gen_chi_input block and its squares, at most 13 d-vectors at once
     # (traced: 6.3 to 12.2 across the binary methods), and 208 bytes a bin,
     # most of them the bin's CSV line.
     _check_memory(
-        16 * _CHI_BLOCK_ELEMENTS + 8 * 13 * d + 208 * bins, f"--d {d} --bins {bins}"
+        16 * _BLOCK_ELEMENTS + 8 * 13 * d + 208 * bins, f"--d {d} --bins {bins}"
     )
     root = RngStream(settings["seed"])
     w = root.substream(0).normal(d)
@@ -453,9 +451,7 @@ def _cmd_histogram(settings: dict) -> str:
     edges = np.linspace(0.0, float(magnitudes.max()), bins + 1)
     count_all, _ = np.histogram(magnitudes, bins=edges)
     count_selected, _ = np.histogram(magnitudes[mask.values > 0], bins=edges)
-    return _csv(
-        HISTOGRAM_HEADER, zip(edges, edges[1:], count_selected, count_all)
-    )
+    return zip(edges, edges[1:], count_selected, count_all)
 
 
 def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
@@ -708,18 +704,17 @@ def main(argv=None) -> int:
         out = Path(settings["out"])
         if args.command == "verify":
             rows = _cmd_verify(settings)
-            header = (*RESULT_HEADER, "passed")
-            _atomic_write(out, _csv(header, map(dataclasses.astuple, rows)))
+            _write_csv(out, (*RESULT_HEADER, "passed"), map(dataclasses.astuple, rows))
             failed = [row.run_id for row in rows if not row.passed]
             if failed:
                 print(f"FAILED checks: {', '.join(failed)}", file=sys.stderr)
                 return 1
         elif args.command == "histogram":
-            _atomic_write(out, _cmd_histogram(settings))
+            _write_csv(out, HISTOGRAM_HEADER, _cmd_histogram(settings))
         else:
             run = _cmd_pipeline if args.command == "pipeline" else _cmd_ntk_demo
             rows = (dataclasses.astuple(row)[:-1] for row in run(settings))
-            _atomic_write(out, _csv(RESULT_HEADER, rows))
+            _write_csv(out, RESULT_HEADER, rows)
         return 0
     except (ValueError, OSError, OverflowError, DivergenceError, MemoryError) as exc:
         # exit code 1 is reserved for failed verify checks

@@ -17,6 +17,7 @@ from .core import (
     ProbabilityVector,
     RngStream,
     SupportError,
+    _blocks,
     _check_budget,
     _vector_of_length,
     as_vector,
@@ -107,14 +108,6 @@ def gen_normal_X(d: int, n: int, rng: RngStream) -> DataMatrix:
     return DataMatrix(x)
 
 
-# Entries of each block of rows that gen_chi_input draws (256 KiB of
-# float64). Measured on the d=65536, n=128 draw (2-core Xeon, numpy 2.4,
-# OpenBLAS), blocks of 2^14 to 2^18 entries took the same time within
-# noise, and 2^15 the least in the median; peak memory grows with the
-# block, by 12 MB at 2^20.
-_CHI_BLOCK_ELEMENTS = 2**15
-
-
 def gen_chi_input(d: int, rng: RngStream, n: int = 128) -> np.ndarray:
     """The row norms of gen_normal_X(d, n, rng), bit for bit, without the
     d x n matrix.
@@ -126,11 +119,13 @@ def gen_chi_input(d: int, rng: RngStream, n: int = 128) -> np.ndarray:
     """
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    rows = max(1, _CHI_BLOCK_ELEMENTS // n)
     norms = np.empty(d)
-    for start in range(0, d, rows):
-        block = gen_normal_X(min(rows, d - start), n, rng)
-        norms[start:start + block.d] = row_norms(block)
+    for rows in _blocks(d, n):
+        # Bound to a name, each block lives until the next one is drawn. Freed
+        # before that draw, it made histogram --d 65536 take about 28% longer
+        # (presumably as each new block's pages fault in afresh).
+        block = gen_normal_X(rows.stop - rows.start, n, rng)
+        norms[rows] = row_norms(block)
     return norms
 
 

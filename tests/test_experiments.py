@@ -33,7 +33,7 @@ from sketchprune import (
     theorem1_bound,
     train_least_squares,
 )
-from sketchprune import experiments
+from sketchprune import core, experiments
 from sketchprune.experiments import MASK_METHODS
 
 
@@ -90,9 +90,9 @@ class TestGenChiInput:
         # The rows are drawn and reduced a block at a time; the norms, and
         # the stream left behind, are those of one whole (d, n) draw, at
         # sizes on both sides of a block and over many blocks.
-        rows = experiments._CHI_BLOCK_ELEMENTS // 128
+        rows = core._BLOCK_ELEMENTS // 128
         shapes = [(d, 128) for d in (1, rows - 1, rows, rows + 1, 5000, 65536, 100_000)]
-        shapes += [(1000, 3), (3, experiments._CHI_BLOCK_ELEMENTS + 1)]
+        shapes += [(1000, 3), (3, core._BLOCK_ELEMENTS + 1)]
         for d, n in shapes:
             rng, twin = RngStream(seed), RngStream(seed)
             reference = row_norms(gen_normal_X(d, n, twin))
