@@ -386,22 +386,54 @@ def _physical_memory() -> int:
     return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
-def _check_memory(need: int, flags: str):
-    """Refuse a run before it allocates when `need`, the bytes of its
-    largest arrays as estimated from `flags`, exceeds physical memory."""
+def _gib(size: int) -> str:
+    # decimal, as a size beyond float range has no float quotient; imported
+    # here, since it adds 0.4 MB to every run's resident memory
+    from decimal import Context
+
+    return f"{Context(prec=3).divide(size, 2**30).normalize():g}"
+
+
+# The bytes of each command's largest arrays, from the size flags named.
+_MEMORY = {
+    # a seed's d x n draw, and the min(d, n)-square matrix that
+    # max_hessian_eigenvalue decomposes
+    "pipeline": (("d", "n"), lambda d, n: 8 * (d * n + min(d, n) ** 2)),
+    # One gen_chi_input block and its squares; at most 13 d-vectors, 104 bytes
+    # an entry (traced: 6.3 to 12.2 across the binary methods); and 48 bytes
+    # a bin (traced: 40 at --bins 1e5 to 4e5) for its edge, its two counts
+    # and np.histogram's work arrays, as each CSV line is written when made.
+    "histogram": (("d", "bins"), lambda d, b: 16 * _BLOCK_ELEMENTS + 104 * d + 48 * b),
+    # Of 5 * width parameters on _ntk_instance's 4 x 8 data: the parameter
+    # draw and its frozen copy, up to 5 checkpoints, and seven 8-row
+    # Jacobians (the snapshot's, one per checkpoint, and the copy in
+    # DataMatrix(J.T)); and the losses and movement of steps + 1 entries each.
+    "ntk-demo": (
+        ("width", "steps"),
+        lambda width, steps: 8 * 5 * width * (2 + 5 + 7 * 8) + 16 * (steps + 1),
+    ),
+}
+
+
+def _check_memory(settings: dict):
+    """Refuse a run before it allocates, and before any value is derived
+    from its sizes, when the bytes of its largest arrays as estimated from
+    its size flags exceed physical memory."""
+    if settings["command"] not in _MEMORY:
+        return
+    names, estimate = _MEMORY[settings["command"]]
+    need = estimate(*(settings[name] for name in names))
     have = _physical_memory()
     if need > have:
+        flags = " ".join(f"--{name} {settings[name]}" for name in names)
         raise ConfigError(
-            f"{flags} needs about {need / 2**30:.3g} GiB, "
-            f"more than the {have / 2**30:.3g} GiB of physical memory"
+            f"{flags} needs about {_gib(need)} GiB, "
+            f"more than the {_gib(have)} GiB of physical memory"
         )
 
 
 def _cmd_pipeline(settings: dict) -> list[ResultRow]:
     d, n = settings["d"], settings["n"]
-    # a seed's d x n draw, and the min(d, n)-square matrix that
-    # max_hessian_eigenvalue decomposes
-    _check_memory(8 * (d * n + min(d, n) ** 2), f"--d {d} --n {n}")
     rows = []
     for seed in range(settings["seed"], settings["seed"] + settings["trials"]):
         state = seed_state(
@@ -433,38 +465,25 @@ def _cmd_pipeline(settings: dict) -> list[ResultRow]:
 
 def _cmd_histogram(settings: dict) -> Iterator[tuple]:
     d = settings["d"]
-    bins = settings["bins"]
-    # One gen_chi_input block and its squares, at most 13 d-vectors at once
-    # (traced: 6.3 to 12.2 across the binary methods), and 208 bytes a bin,
-    # most of them the bin's CSV line.
-    _check_memory(
-        16 * _BLOCK_ELEMENTS + 8 * 13 * d + 208 * bins, f"--d {d} --bins {bins}"
-    )
     root = RngStream(settings["seed"])
     w = root.substream(0).normal(d)
     # the row norms of a d x 128 normal matrix, drawn without holding it
     norms = gen_chi_input(d, root.substream(1), 128)
-    mask = MASK_METHODS[settings["method"]].build(
-        norms, 128, w, settings["s"], root.substream(2)
-    )
+    # in [1, d], since 0 < density <= 1
+    s = math.ceil(settings["density"] * d)
+    mask = MASK_METHODS[settings["method"]].build(norms, 128, w, s, root.substream(2))
     magnitudes = np.abs(w)
-    edges = np.linspace(0.0, float(magnitudes.max()), bins + 1)
+    edges = np.linspace(0.0, float(magnitudes.max()), settings["bins"] + 1)
     count_all, _ = np.histogram(magnitudes, bins=edges)
     count_selected, _ = np.histogram(magnitudes[mask.values > 0], bins=edges)
     return zip(edges, edges[1:], count_selected, count_all)
 
 
 def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
-    # Of 5 * width parameters on _ntk_instance's 4 x 8 data: the parameter
-    # draw and its frozen copy, up to 5 checkpoints, and seven 8-row
-    # Jacobians (the snapshot's, one per checkpoint, and the copy in
-    # DataMatrix(J.T)); and the losses and movement of steps + 1 entries each.
-    width, steps = settings["width"], settings["steps"]
-    _check_memory(
-        8 * 5 * width * (2 + 5 + 7 * 8) + 16 * (steps + 1),
-        f"--width {width} --steps {steps}",
+    width = settings["width"]
+    model, X, snapshot, trajectory, rng = _ntk_instance(
+        width, settings["seed"], settings["steps"]
     )
-    model, X, snapshot, trajectory, rng = _ntk_instance(width, settings["seed"], steps)
     s = settings["s"]
     if s is None:
         s = math.isqrt(model.n_params - 1) + 1
@@ -659,6 +678,7 @@ def _resolve_settings(args) -> dict:
     density = settings.get("density")
     if density is not None and not 0 < density <= 1:
         raise ConfigError(f"density must lie in (0, 1], got {density}")
+    _check_memory(settings)
 
     if args.command == "verify":
         settings["suites"] = _chosen(args.methods, VERIFY_SUITES, "suite")
@@ -684,8 +704,6 @@ def _resolve_settings(args) -> dict:
                 f"histogram needs a binary-mask method, one of "
                 f"{', '.join(HISTOGRAM_METHODS)}"
             )
-        # in [1, d], since 0 < density <= 1
-        settings["s"] = math.ceil(args.density * args.d)
 
     return settings
 

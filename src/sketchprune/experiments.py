@@ -122,8 +122,9 @@ def gen_chi_input(d: int, rng: RngStream, n: int = 128) -> np.ndarray:
     norms = np.empty(d)
     for rows in _blocks(d, n):
         # Bound to a name, each block lives until the next one is drawn. Freed
-        # before that draw, it made histogram --d 65536 take about 28% longer
-        # (presumably as each new block's pages fault in afresh).
+        # before that draw, it goes back to the OS, and each new block faults
+        # its pages in afresh: at d=65536, 25080 minor faults against 600,
+        # and about 20% more time.
         block = gen_normal_X(rows.stop - rows.start, n, rng)
         norms[rows] = row_norms(block)
     return norms

@@ -199,6 +199,33 @@ class TestEnumeration:
             enum_cross = enumerate_exact_error(X, w_star, p0, s)
             assert enum_cross == pytest.approx(exact, rel=1e-10, abs=1e-12)
 
+    def test_memory_is_flat_in_dimension(self):
+        # At d=4096 the 4096 one-draw sequences held as one chunk of masks,
+        # and their weighted copy, took 256 MiB; a chunk of max(d, n)-entry
+        # rows stays within a block.
+        rng = RngStream(47)
+        X = DataMatrix(rng.normal((4096, 4)))
+        w = rng.normal(4096)
+        p = optimal_probabilities(X, w)
+        tracemalloc.start()
+        try:
+            enumerated = enumerate_exact_error(X, w, p, 1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert enumerated == pytest.approx(exact_expected_error(X, w, p, 1), rel=1e-10)
+
+    def test_many_chunks_agree_with_closed_form(self):
+        # 300^2 sequences in chunks of 2^15 // 300 = 109, the last one short
+        rng = RngStream(48)
+        X = DataMatrix(rng.normal((300, 3)))
+        w = rng.normal(300)
+        for p in (optimal_probabilities(X, w), uniform_probabilities(300)):
+            assert enumerate_exact_error(X, w, p, 2) == pytest.approx(
+                exact_expected_error(X, w, p, 2), rel=1e-10
+            )
+
     def test_budget_guard(self):
         rng = RngStream(2)
         X = DataMatrix(rng.normal((50, 2)))

@@ -303,6 +303,23 @@ class TestHistogramCommand:
         assert code == 0
         assert peak < 16 * 2**20
 
+    def test_many_bins_hold_no_csv_text(self, tmp_path):
+        # Each bin's line is written as it is made: 400000 bins take 40
+        # bytes each in arrays, where the whole CSV text held three times
+        # took 208.
+        out = tmp_path / "h.csv"
+        tracemalloc.start()
+        try:
+            code = main(
+                ["histogram", "--d", "1024", "--bins", "400000", "--out", str(out)]
+            )
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 24 * 2**20
+        assert out.read_bytes().count(b"\n") == 400_001
+
     def test_sparse_snip_matches_the_dense_probe(self, tmp_path, monkeypatch):
         # the O(d) probe must select what scoring a dense gen_sparse_X
         # probe selects, so the CSV keeps every byte
@@ -578,8 +595,8 @@ class TestExitCodes:
     # before its first allocation when one flag that sizes its arrays grows.
     @pytest.mark.parametrize("argv, first_allocation, flags", [
         (["pipeline", "--d", "512", "--n", "256"], "seed_state", "--d 512 --n 256"),
-        (["histogram", "--d", "5000"], "RngStream", "--d 5000 --bins 50"),
-        (["histogram", "--bins", "2500"], "RngStream", "--d 1024 --bins 2500"),
+        (["histogram", "--d", "6000"], "RngStream", "--d 6000 --bins 50"),
+        (["histogram", "--bins", "10000"], "RngStream", "--d 1024 --bins 10000"),
         (["ntk-demo", "--steps", "60000"], "_ntk_instance", "--width 64 --steps 60000"),
     ])
     def test_refuses_a_run_beyond_physical_memory(
@@ -599,14 +616,51 @@ class TestExitCodes:
         assert "physical memory" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--d", "--width"])
+    @staticmethod
+    def _refuses_size_beyond_float_range(capsys, out, command, flag):
+        # refused by its memory estimate, an integer never converted to
+        # float, before any value is derived from the size
+        huge = "1" + "0" * 400
+        assert main([command, flag, huge, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --") and err.count("\n") == 1
+        assert f"{flag} {huge} " in err and " needs about " in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--d", "--width", "--bins"])
     def test_size_beyond_float_range(self, tmp_path, capsys, flag):
-        # the size fails its conversion to float before any array is sized
         command = "ntk-demo" if flag == "--width" else "histogram"
         out = tmp_path / "o.csv"
-        assert main([command, flag, "1" + "0" * 400, "--out", str(out)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: ") and err.count("\n") == 1
+        self._refuses_size_beyond_float_range(capsys, out, command, flag)
+
+    @pytest.mark.parametrize("flag", ["--d", "--n"])
+    def test_pipeline_size_beyond_float_range(self, tmp_path, capsys, flag):
+        out = tmp_path / "o.csv"
+        self._refuses_size_beyond_float_range(capsys, out, "pipeline", flag)
+
+    @pytest.mark.parametrize("command, key, low", [
+        ("verify", "trials", 2),
+        ("pipeline", "trials", 1),
+        ("histogram", "bins", 1),
+        ("histogram", "d", 1),
+        ("ntk-demo", "width", 1),
+        ("ntk-demo", "steps", 0),
+        ("ntk-demo", "trials", 2),
+    ])
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    def test_value_below_its_minimum(
+        self, tmp_path, capsys, command, key, low, by_config
+    ):
+        assert cli._MINIMUMS[command][key] == low
+        out = tmp_path / "o.csv"
+        if by_config:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({key: low - 1}))
+            argv = [command, "--config", str(config)]
+        else:
+            argv = [command, f"--{key}", str(low - 1)]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {key} must be >= {low}\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")

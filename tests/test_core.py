@@ -37,6 +37,7 @@ from sketchprune import (
     train_linearized_gd,
     uniform_probabilities,
 )
+from sketchprune import core
 from sketchprune.core import _row_norms
 
 
@@ -292,8 +293,18 @@ def test_row_norms_computed_once_and_shared():
         norms[0] = 0.0
 
 
+@pytest.mark.parametrize("count, width", [
+    (0, 1), (1, 1), (2**15 + 1, 1), (1000, 3), (10, 2**14), (5, 2**20),
+])
+def test_blocks_cover_the_pass_in_order(count, width):
+    step = max(1, core._BLOCK_ELEMENTS // width)
+    blocks = list(core._blocks(count, width))
+    assert [i for block in blocks for i in range(count)[block]] == list(range(count))
+    assert all(0 < block.stop - block.start <= step for block in blocks)
+
+
 def test_finiteness_checked_in_every_block():
-    # 2.5 blocks of _all_finite's 2**16 entries, in both memory orders
+    # 5 blocks of core._BLOCK_ELEMENTS = 2**15 entries, in both memory orders
     for shape, order in (((163840,), "C"), ((640, 256), "C"), ((640, 256), "F")):
         for bad in (np.nan, np.inf, -np.inf):
             for index in (0, 70_000, 140_000, -1):
