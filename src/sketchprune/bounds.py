@@ -22,6 +22,7 @@ from .core import (
     RngStream,
     SupportError,
     _blocks,
+    _check_at_least,
     _check_budget,
     _check_length,
     _row_norms,
@@ -75,8 +76,7 @@ class BoundReport:
     def __post_init__(self):
         if self.kind not in _REPORT_KINDS:
             raise ValueError(f"unknown report kind {self.kind!r}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        _check_at_least(1, trials=self.trials)
         if not math.isfinite(self.empirical_error):
             raise ValueError("empirical error must be finite")
         if not (math.isfinite(self.standard_error) and self.standard_error >= 0):
@@ -219,8 +219,7 @@ def mc_error_over_masks(
     """Monte Carlo mean of the squared feature error over freshly sampled
     sketch masks, reported as an equality against a caller-supplied
     reference value (the exact expectation, when the caller has one)."""
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials}")
+    _check_at_least(1, trials=trials)
     wv = as_vector(w_apply)
     base = features(X, wv)
     Xt = np.ascontiguousarray(X.values.T)
@@ -293,10 +292,7 @@ def mc_error_over_data(
     exactly as k draws of (d, n) do, so the draws are those of a
     trial-by-trial loop, and memory stays flat in x_trials.
     """
-    if x_trials < 1:
-        raise ValueError(f"x_trials must be >= 1, got {x_trials}")
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_at_least(1, x_trials=x_trials, n=n)
     if distribution not in ("optimal", "uniform"):
         raise ValueError(f"unknown distribution {distribution!r}")
     _check_budget(s)

@@ -37,7 +37,9 @@ from .bounds import (
     mc_error_over_data,
     mc_error_over_masks,
 )
-from .core import _BLOCK_ELEMENTS, DataMatrix, DivergenceError, RngStream, row_norms
+from .core import (
+    _BLOCK_ELEMENTS, DataMatrix, DivergenceError, RngStream, _check_at_least, row_norms,
+)
 from .experiments import (
     MASK_METHODS,
     METHODS,
@@ -624,8 +626,7 @@ def _resolve_seed(seed: int | None) -> int:
                 ) from exc
         else:
             seed = 0
-    if seed < 0:
-        raise ConfigError(f"seed must be nonnegative, got {seed}")
+    _check_at_least(0, seed=seed)
     return seed
 
 
@@ -672,8 +673,8 @@ def _resolve_settings(args) -> dict:
     """Parsed flags plus the values derived from them, range-checked."""
     settings = dict(vars(args), seed=_resolve_seed(args.seed))
     for key, low in _MINIMUMS[args.command].items():
-        if settings[key] is not None and settings[key] < low:
-            raise ConfigError(f"{key} must be >= {low}")
+        if settings[key] is not None:
+            _check_at_least(low, **{key: settings[key]})
     # a density of nan or inf fails this too, before math.ceil sees it
     density = settings.get("density")
     if density is not None and not 0 < density <= 1:

@@ -116,6 +116,21 @@ def as_vector(v) -> np.ndarray:
     return _validated_array(v, "vector", ndim=1)
 
 
+def _check_at_least(low: int, **counts: int):
+    """Raise ValueError for the first named count below low."""
+    for name, k in counts.items():
+        if k < low:
+            raise ValueError(f"{name} must be >= {low}, got {k}")
+
+
+def _nonnegative_vector(v, name: str) -> np.ndarray:
+    """as_vector(v), validated under name, with no negative entry."""
+    vec = _validated_array(v, name, ndim=1)
+    if np.any(vec < 0.0):
+        raise ValueError(f"{name} entries must be nonnegative")
+    return vec
+
+
 def _check_length(k: int, n: int, name: str, what: str):
     if k != n:
         raise DimensionMismatchError(f"{name} length {k} does not match {n} {what}")
@@ -190,9 +205,7 @@ class ProbabilityVector:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = _validated_array(self.values, "ProbabilityVector", ndim=1)
-        if np.any(arr < 0.0):
-            raise ValueError("probabilities must be nonnegative")
+        arr = _nonnegative_vector(self.values, "ProbabilityVector")
         total = float(arr.sum())
         if abs(total - 1.0) >= 1e-9:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
@@ -225,11 +238,9 @@ class Mask:
     kind: str = "sketch"
 
     def __post_init__(self):
-        arr = _validated_array(self.values, "Mask", ndim=1)
+        arr = _nonnegative_vector(self.values, "Mask")
         if self.kind not in _MASK_KINDS:
             raise ValueError(f"unknown mask kind {self.kind!r}")
-        if np.any(arr < 0.0):
-            raise ValueError("mask entries must be nonnegative")
         if self.kind == "binary" and not np.all((arr == 0.0) | (arr == 1.0)):
             raise ValueError("binary mask entries must be exactly 0 or 1")
         object.__setattr__(self, "values", arr)
@@ -252,8 +263,7 @@ class RngStream:
     stream: int = 0
 
     def __post_init__(self):
-        if self.seed < 0 or self.stream < 0:
-            raise ValueError("seed and stream id must be nonnegative")
+        _check_at_least(0, seed=self.seed, stream=self.stream)
         object.__setattr__(
             self, "_generator", np.random.default_rng((self.seed, self.stream))
         )
@@ -272,8 +282,7 @@ class RngStream:
 
     def substream(self, k: int) -> "RngStream":
         """Derive the k-th child stream deterministically."""
-        if k < 0:
-            raise ValueError("substream index must be nonnegative")
+        _check_at_least(0, k=k)
         mixed = (self.stream * 0x9E3779B97F4A7C15 + k + 1) % (2**63)
         return RngStream(self.seed, mixed)
 

@@ -18,6 +18,7 @@ from .core import (
     RngStream,
     SupportError,
     _blocks,
+    _check_at_least,
     _check_budget,
     _vector_of_length,
     as_vector,
@@ -117,8 +118,7 @@ def gen_chi_input(d: int, rng: RngStream, n: int = 128) -> np.ndarray:
     at a time, which consumes the stream exactly as one (d, n) draw does and
     reduces each row as the whole matrix would, so memory stays flat in d.
     """
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_at_least(1, n=n)
     norms = np.empty(d)
     for rows in _blocks(d, n):
         # Bound to a name, each block lives until the next one is drawn. Freed
@@ -203,8 +203,7 @@ def train_least_squares(
     """
     yv = _vector_of_length(y, X.n, "label", "examples")
     w0v = _vector_of_length(w0, X.d, "weight", "matrix rows")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    _check_at_least(0, steps=steps)
     if lr is None and steps > 0:
         lr = _default_lr(X)
     if lr is not None:
@@ -371,10 +370,8 @@ def seed_state(
     or the default of `train_least_squares` when training runs. No test
     matrix is drawn: cells are scored in expectation over test data.
     """
-    if d < 1 or n < 1:
-        raise ValueError("d and n must be positive")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    _check_at_least(1, d=d, n=n)
+    _check_at_least(0, steps=steps)
     if lr is not None:
         _check_lr(lr)
     root = RngStream(seed)

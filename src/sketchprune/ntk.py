@@ -25,6 +25,7 @@ from .core import (
     RngStream,
     StepSizeError,
     ZeroColumnError,
+    _check_at_least,
     _vector_of_length,
 )
 from .sketch import optimal_probabilities
@@ -76,8 +77,7 @@ class TinyMLP:
     theta: np.ndarray
 
     def __post_init__(self):
-        if min(self.d_in, self.width, self.d_out) < 1:
-            raise ValueError("layer sizes must be positive")
+        _check_at_least(1, d_in=self.d_in, width=self.width, d_out=self.d_out)
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
         theta = _vector_of_length(self.theta, self.n_params, "theta", "parameters")
@@ -194,8 +194,7 @@ class NtkSnapshot:
 
 def empirical_ntk(J: np.ndarray, width: int) -> np.ndarray:
     """Width-normalized kernel matrix (1/width) J J^T."""
-    if width < 1:
-        raise ValueError(f"width must be positive, got {width}")
+    _check_at_least(1, width=width)
     return J @ J.T / width
 
 
@@ -259,8 +258,7 @@ def train_linearized_gd(
     """
     J = snapshot.jacobian
     yv = _vector_of_length(y, J.shape[0], "label", "outputs")
-    if steps < 0:
-        raise ValueError("steps must be nonnegative")
+    _check_at_least(0, steps=steps)
     critical = 2.0 / (snapshot.lambda_min + snapshot.lambda_max)
     if eta0 <= 0 or eta0 > critical * (1.0 + 1e-12):
         raise StepSizeError(
@@ -340,8 +338,7 @@ def theorem2_report(
         + 6 sqrt(n_params) K^3 R0 / lambda_min),
     with every constant replaced by its empirical surrogate.
     """
-    if mask_trials < 1:
-        raise ValueError(f"mask_trials must be >= 1, got {mask_trials}")
+    _check_at_least(1, mask_trials=mask_trials)
     jacobians = [
         analytic_jacobian(model.with_theta(theta), X) for theta in trajectory.thetas
     ]

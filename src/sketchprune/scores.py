@@ -17,6 +17,7 @@ from .core import (
     ProbabilityVector,
     RngStream,
     _check_budget,
+    _nonnegative_vector,
     _vector_of_length,
     as_vector,
     features,
@@ -39,10 +40,8 @@ def synflow_scores(inputs, w) -> np.ndarray:
     makes the normalized scores equal to the variance-minimizing sampling
     distribution for that matrix.
     """
-    iv = as_vector(inputs)
+    iv = _nonnegative_vector(inputs, "probe input")
     wv = _vector_of_length(w, iv.size, "weight", "probe inputs")
-    if np.any(iv < 0.0):
-        raise ValueError("probe input must be nonnegative")
     return as_vector(iv * np.abs(wv))
 
 
@@ -60,9 +59,7 @@ def snip_scores_l1(X: DataMatrix, y, w) -> np.ndarray:
 
 def scores_to_probabilities(scores) -> ProbabilityVector:
     """Normalize scores into a sampling distribution."""
-    sv = as_vector(scores)
-    if np.any(sv < 0.0):
-        raise ValueError("scores must be nonnegative")
+    sv = _nonnegative_vector(scores, "score")
     total = float(sv.sum())
     if total <= 0.0:
         raise DegenerateDistributionError("all scores are zero")
@@ -90,9 +87,7 @@ def select_randomized(scores, s: int, rng: RngStream) -> Mask:
     a finite key; a zero score gets the key +inf and is never kept.
     Exactly d uniform variates are consumed, whatever s is.
     """
-    sv = as_vector(scores)
-    if np.any(sv < 0.0):
-        raise ValueError("scores must be nonnegative")
+    sv = _nonnegative_vector(scores, "score")
     _check_budget(s, sv.size)
     positive = sv > 0.0
     n_positive = int(np.count_nonzero(positive))

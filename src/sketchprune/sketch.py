@@ -14,10 +14,10 @@ import numpy as np
 from .core import (
     DataMatrix,
     DegenerateDistributionError,
-    InvalidDensityError,
     Mask,
     ProbabilityVector,
     RngStream,
+    _check_at_least,
     _check_budget,
     _vector_of_length,
     as_vector,
@@ -59,8 +59,7 @@ def _optimal_probabilities(norms: np.ndarray, wv: np.ndarray) -> np.ndarray:
 
 def uniform_probabilities(d: int) -> ProbabilityVector:
     """The uniform distribution over d indices."""
-    if d < 1:
-        raise InvalidDensityError(f"dimension must be >= 1, got {d}")
+    _check_at_least(1, d=d)
     return ProbabilityVector(np.full(d, 1.0 / d))
 
 

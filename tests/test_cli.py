@@ -660,7 +660,24 @@ class TestExitCodes:
         else:
             argv = [command, f"--{key}", str(low - 1)]
         assert main([*argv, "--out", str(out)]) == 2
-        assert capsys.readouterr().err == f"error: {key} must be >= {low}\n"
+        err = capsys.readouterr().err
+        assert err == f"error: {key} must be >= {low}, got {low - 1}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["flag", "config", "env"])
+    def test_negative_seed(self, tmp_path, capsys, monkeypatch, source):
+        out = tmp_path / "p.csv"
+        argv = ["pipeline", "--out", str(out)]
+        if source == "flag":
+            argv.append("--seed=-1")
+        elif source == "config":
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"seed": -1}))
+            argv += ["--config", str(config)]
+        else:
+            monkeypatch.setenv("SKETCHPRUNE_SEED", "-1")
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()
 
     @pytest.mark.filterwarnings("error")

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sketchprune import (
+    BoundReport,
     DataMatrix,
     DimensionMismatchError,
     InvalidDensityError,
@@ -16,8 +17,10 @@ from sketchprune import (
     TinyMLP,
     as_vector,
     enumerate_exact_error,
+    empirical_ntk,
     exact_expected_error,
     features,
+    gen_chi_input,
     lemma2_bound,
     lemma4_uniform_bound,
     mc_error_over_data,
@@ -26,12 +29,14 @@ from sketchprune import (
     row_norms,
     run_prune_pipeline,
     sample_sketch_mask,
+    scores_to_probabilities,
     seed_state,
     select_randomized,
     select_topk,
     snip_scores_l1,
     synflow_scores,
     take_snapshot,
+    theorem2_report,
     theorem1_bound,
     train_least_squares,
     train_linearized_gd,
@@ -440,4 +445,77 @@ def test_every_length_and_budget_check(site):
     call, error, message = _LENGTH_AND_BUDGET_CALLS[site]
     with pytest.raises(error) as caught:
         call()
+    assert str(caught.value) == message
+
+
+def _count_and_sign_calls():
+    """(call, message) for every public entry point that checks a count
+    against its minimum or a vector's signs, each called with one bad
+    operand; every one raises a plain ValueError."""
+    X = DataMatrix(np.arange(1.0, 13.0).reshape(4, 3))
+    w4, y3 = np.ones(4), np.ones(3)
+    negative = np.array([1.0, -1.0, 1.0, 1.0])
+    p4 = uniform_probabilities(4)
+    rng = RngStream(0)
+    model = TinyMLP.init(4, 2, 1, "tanh", rng)
+    snapshot = take_snapshot(model, X, y3)
+    trajectory = train_linearized_gd(snapshot, y3, 1.0 / snapshot.lambda_max, 0)
+
+    def below(name, low):
+        return f"{name} must be >= {low}, got {low - 1}"
+
+    return {
+        "RngStream/seed": (lambda: RngStream(-1), below("seed", 0)),
+        "RngStream/stream": (lambda: RngStream(0, -1), below("stream", 0)),
+        "RngStream.substream": (lambda: rng.substream(-1), below("k", 0)),
+        "ProbabilityVector": (
+            lambda: ProbabilityVector([1.5, -0.5]),
+            "ProbabilityVector entries must be nonnegative"),
+        "Mask": (lambda: Mask(negative), "Mask entries must be nonnegative"),
+        "BoundReport": (
+            lambda: BoundReport(0.0, 0.0, 1.0, "equality", 0), below("trials", 1)),
+        "mc_error_over_masks": (
+            lambda: mc_error_over_masks(X, w4, p4, 2, 0, rng), below("trials", 1)),
+        "mc_error_over_data/x_trials": (
+            lambda: mc_error_over_data(w4, w4, 2, 3, 0, rng), below("x_trials", 1)),
+        "mc_error_over_data/n": (
+            lambda: mc_error_over_data(w4, w4, 2, 0, 1, rng), below("n", 1)),
+        "uniform_probabilities": (lambda: uniform_probabilities(0), below("d", 1)),
+        "gen_chi_input": (lambda: gen_chi_input(4, rng, 0), below("n", 1)),
+        "train_least_squares": (
+            lambda: train_least_squares(X, y3, w4, -1), below("steps", 0)),
+        "seed_state/d": (lambda: seed_state(0, 3, 0), below("d", 1)),
+        "seed_state/n": (lambda: seed_state(4, 0, 0), below("n", 1)),
+        "seed_state/steps": (lambda: seed_state(4, 3, 0, steps=-1), below("steps", 0)),
+        "TinyMLP/d_in": (lambda: TinyMLP(0, 2, 1, "tanh", w4), below("d_in", 1)),
+        "TinyMLP/width": (lambda: TinyMLP(4, 0, 1, "tanh", w4), below("width", 1)),
+        "TinyMLP/d_out": (lambda: TinyMLP(4, 2, 0, "tanh", w4), below("d_out", 1)),
+        "empirical_ntk": (
+            lambda: empirical_ntk(snapshot.jacobian, 0), below("width", 1)),
+        "train_linearized_gd": (
+            lambda: train_linearized_gd(snapshot, y3, 1e-3, -1), below("steps", 0)),
+        "theorem2_report": (
+            lambda: theorem2_report(model, snapshot, trajectory, X, 2, 0, rng),
+            below("mask_trials", 1)),
+        "synflow_scores": (
+            lambda: synflow_scores(negative, w4),
+            "probe input entries must be nonnegative"),
+        "scores_to_probabilities": (
+            lambda: scores_to_probabilities(negative),
+            "score entries must be nonnegative"),
+        "select_randomized": (
+            lambda: select_randomized(negative, 2, rng),
+            "score entries must be nonnegative"),
+    }
+
+
+_COUNT_AND_SIGN_CALLS = _count_and_sign_calls()
+
+
+@pytest.mark.parametrize("site", sorted(_COUNT_AND_SIGN_CALLS))
+def test_every_count_and_sign_check(site):
+    call, message = _COUNT_AND_SIGN_CALLS[site]
+    with pytest.raises(ValueError) as caught:
+        call()
+    assert type(caught.value) is ValueError
     assert str(caught.value) == message
