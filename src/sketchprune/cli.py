@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
+    BoundReport,
     enumerate_exact_error,
     exact_expected_error,
     lemma1_exact_error,
@@ -169,6 +170,14 @@ def _report_row(run_id: str, rep, d: int, n: int, s: int, distance: float):
     )
 
 
+def _data_row(run_id: str, w0, w_star, s: int, trials: int, rng, **options):
+    """mc_error_over_data at n = 32, reported with the distance ||w* - w0||."""
+    n = 32
+    rep = mc_error_over_data(w0, w_star, s, n, trials, rng, **options)
+    distance = float(np.linalg.norm(w_star - w0))
+    return _report_row(run_id, rep, w0.size, n, s, distance)
+
+
 def _suite_lemma1(seed: int, trials: int) -> list[ResultRow]:
     rng = RngStream(seed, 101)
     closed, enumerated = [], []
@@ -196,15 +205,12 @@ def _suite_lemma1(seed: int, trials: int) -> list[ResultRow]:
 
 def _suite_lemma2(seed: int, trials: int) -> list[ResultRow]:
     rng = RngStream(seed, 102)
-    d, n = 64, 32
-    w0 = _concentrated_weights(d)
-    rows = []
-    for s in (8, 32):
-        rep = mc_error_over_data(
-            w0, w0, s, n, trials, rng.substream(s), reference=lemma2_bound(w0, s)
-        )
-        rows.append(_report_row(f"lemma2/self-mask-s{s}", rep, d, n, s, 0.0))
-    return rows
+    w0 = _concentrated_weights(64)
+    return [
+        _data_row(f"lemma2/self-mask-s{s}", w0, w0, s, trials, rng.substream(s),
+                  reference=lemma2_bound(w0, s))
+        for s in (8, 32)
+    ]
 
 
 def _suite_lemma3(seed: int, trials: int | None) -> list[ResultRow]:
@@ -225,27 +231,21 @@ def _suite_lemma3(seed: int, trials: int | None) -> list[ResultRow]:
         )
         worst_excess = max(worst_excess, exact - bound)
     worst = _relative_gap(np.array(enumerated), np.array(closed))
+    # the largest excess over the bound against a rounding slack of 1e-12
+    excess = BoundReport(worst_excess, 0.0, 1e-12, "upper-bound", 20)
     return [
         _gap_row("lemma3/exact-vs-enumeration", worst, 1e-10),
-        ResultRow(
-            "lemma3/exact-le-bound", 0, 0, 0, 0, "",
-            worst_excess, 1e-12, "upper-bound", 0.0, math.nan,
-            passed=worst_excess <= 1e-12,
-        ),
+        _report_row("lemma3/exact-le-bound", excess, 0, 0, 0, math.nan),
     ]
 
 
 def _suite_theorem1(seed: int, trials: int) -> list[ResultRow]:
     rng = RngStream(seed, 104)
-    d, n, s = 64, 32, 8
     rows = []
     for ratio in (0.1, 0.5, 1.0):
-        w0, w_star = _flat_pair_at_ratio(d, ratio, rng)
-        rep = mc_error_over_data(
-            w0, w_star, s, n, trials, rng.substream(int(ratio * 10))
-        )
-        distance = float(np.linalg.norm(w_star - w0))
-        rows.append(_report_row(f"theorem1/ratio-{ratio}", rep, d, n, s, distance))
+        w0, w_star = _flat_pair_at_ratio(64, ratio, rng)
+        rows.append(_data_row(f"theorem1/ratio-{ratio}", w0, w_star, 8, trials,
+                              rng.substream(int(ratio * 10))))
     return rows
 
 
@@ -253,11 +253,8 @@ def _suite_lemma4(seed: int, trials: int) -> list[ResultRow]:
     rng = RngStream(seed, 105)
     d, n, s = 64, 32, 8
     w0, w_star = _flat_pair_at_ratio(d, 0.5, rng)
-    rep = mc_error_over_data(
-        w0, w_star, s, n, trials, rng.substream(1), distribution="uniform"
-    )
-    distance = float(np.linalg.norm(w_star - w0))
-    rows = [_report_row("lemma4/uniform-bound", rep, d, n, s, distance)]
+    rows = [_data_row("lemma4/uniform-bound", w0, w_star, s, trials,
+                      rng.substream(1), distribution="uniform")]
     uniform = uniform_probabilities(d)
     tuned = np.empty(200)
     untuned = np.empty(200)
@@ -322,6 +319,14 @@ def _ntk_instance(width: int, seed: int, steps: int):
     return model, X, snapshot, trajectory, rng
 
 
+def _ntk_params(width: int) -> int:
+    return 5 * width  # _ntk_instance's network has 4 inputs and 1 output
+
+
+def _default_keep_count(n_params: int) -> int:
+    return math.isqrt(n_params - 1) + 1  # ceil(sqrt(n_params))
+
+
 def _suite_ntk(seed: int, trials: int) -> list[ResultRow]:
     rng = RngStream(seed, 109)
     worst = 0.0
@@ -335,7 +340,7 @@ def _suite_ntk(seed: int, trials: int) -> list[ResultRow]:
     fd_row = _gap_row("ntk/jacobian-vs-fd", worst, 1e-5)
 
     model, X, snapshot, trajectory, inst_rng = _ntk_instance(64, seed, steps=100)
-    s = math.isqrt(model.n_params - 1) + 1
+    s = _default_keep_count(model.n_params)
     rep = theorem2_report(model, snapshot, trajectory, X, s, trials, inst_rng)
     movement = float(trajectory.movement[-1])
     masked = _report_row("ntk/masked-error-bound", rep, model.n_params, 8, s, movement)
@@ -406,13 +411,13 @@ _MEMORY = {
     # a bin (traced: 40 at --bins 1e5 to 4e5) for its edge, its two counts
     # and np.histogram's work arrays, as each CSV line is written when made.
     "histogram": (("d", "bins"), lambda d, b: 16 * _BLOCK_ELEMENTS + 104 * d + 48 * b),
-    # Of 5 * width parameters on _ntk_instance's 4 x 8 data: the parameter
-    # draw and its frozen copy, up to 5 checkpoints, and seven 8-row
+    # Of _ntk_params(width) parameters on _ntk_instance's 4 x 8 data: the
+    # parameter draw and its frozen copy, up to 5 checkpoints, and seven 8-row
     # Jacobians (the snapshot's, one per checkpoint, and the copy in
     # DataMatrix(J.T)); and the losses and movement of steps + 1 entries each.
     "ntk-demo": (
         ("width", "steps"),
-        lambda width, steps: 8 * 5 * width * (2 + 5 + 7 * 8) + 16 * (steps + 1),
+        lambda w, steps: 8 * _ntk_params(w) * (2 + 5 + 7 * 8) + 16 * (steps + 1),
     ),
 }
 
@@ -482,15 +487,10 @@ def _cmd_histogram(settings: dict) -> Iterator[tuple]:
 
 
 def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
-    width = settings["width"]
+    width, s = settings["width"], settings["s"]
     model, X, snapshot, trajectory, rng = _ntk_instance(
         width, settings["seed"], settings["steps"]
     )
-    s = settings["s"]
-    if s is None:
-        s = math.isqrt(model.n_params - 1) + 1
-    if not 1 <= s <= model.n_params:
-        raise ConfigError(f"keep count {s} outside [1, {model.n_params}]")
     rep = theorem2_report(model, snapshot, trajectory, X, s, settings["trials"], rng)
     print(
         f"width={width} n_params={model.n_params} s={s} "
@@ -648,7 +648,7 @@ def _split_list(raw: str, flag: str, convert=str) -> list:
 
 def _chosen(raw: str | None, choices: tuple, what: str) -> list[str]:
     """The choices a --methods list names, every one when it is absent."""
-    if not raw:
+    if raw is None:
         return list(choices)
     names = _split_list(raw, "--methods")
     for name in names:
@@ -667,6 +667,11 @@ _MINIMUMS = {
     "histogram": {"bins": 1, "d": 1},
     "ntk-demo": {"width": 1, "steps": 0, "trials": 2},
 }
+
+
+def _check_keep_count(s: int, top: int):
+    if not 1 <= s <= top:
+        raise ConfigError(f"keep count {s} outside [1, {top}]")
 
 
 def _resolve_settings(args) -> dict:
@@ -695,8 +700,7 @@ def _resolve_settings(args) -> dict:
         else:
             s_values = [8]
         for s in s_values:
-            if not 1 <= s <= args.d:
-                raise ConfigError(f"keep count {s} outside [1, {args.d}]")
+            _check_keep_count(s, args.d)
         settings["s_values"] = s_values
 
     elif args.command == "histogram":
@@ -705,6 +709,12 @@ def _resolve_settings(args) -> dict:
                 f"histogram needs a binary-mask method, one of "
                 f"{', '.join(HISTOGRAM_METHODS)}"
             )
+
+    elif args.command == "ntk-demo":
+        n_params = _ntk_params(args.width)
+        if args.s is None:
+            settings["s"] = _default_keep_count(n_params)
+        _check_keep_count(settings["s"], n_params)
 
     return settings
 

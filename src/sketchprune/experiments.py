@@ -118,7 +118,7 @@ def gen_chi_input(d: int, rng: RngStream, n: int = 128) -> np.ndarray:
     at a time, which consumes the stream exactly as one (d, n) draw does and
     reduces each row as the whole matrix would, so memory stays flat in d.
     """
-    _check_at_least(1, n=n)
+    _check_at_least(1, d=d, n=n)
     norms = np.empty(d)
     for rows in _blocks(d, n):
         # Bound to a name, each block lives until the next one is drawn. Freed

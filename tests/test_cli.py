@@ -339,12 +339,30 @@ class TestHistogramCommand:
                 assert main(args + ["--seed", seed, "--out", str(b)]) == 0
             assert a.read_bytes() == b.read_bytes()
 
-    def test_fractional_mask_methods_rejected(self, tmp_path):
-        for method in ("sketch-p0", "sketch-uniform"):
-            code = main([
-                "histogram", "--method", method, "--out", str(tmp_path / "h.csv"),
-            ])
-            assert code == 2
+    def test_fractional_mask_methods_rejected(self, tmp_path, capsys):
+        # an unknown method is refused the same way, by flag or by config
+        config = tmp_path / "c.json"
+        out = tmp_path / "h.csv"
+        for method in ("sketch-p0", "sketch-uniform", "bogus"):
+            config.write_text(json.dumps({"method": method}))
+            for argv in (["--method", method], ["--config", str(config)]):
+                assert main(["histogram", *argv, "--out", str(out)]) == 2
+                assert capsys.readouterr().err == (
+                    "error: histogram needs a binary-mask method, one of "
+                    f"{', '.join(cli.HISTOGRAM_METHODS)}\n"
+                )
+                assert not out.exists()
+
+    def test_failed_write_leaves_no_file(self, tmp_path, capsys, monkeypatch):
+        def rows(settings):
+            yield (0.0, 1.0, 0, 1)
+            raise OSError("disk went away")
+
+        monkeypatch.setattr(cli, "_cmd_histogram", rows)
+        out = tmp_path / "h.csv"
+        assert main(["histogram", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: disk went away\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestNtkDemoCommand:
@@ -362,13 +380,22 @@ class TestNtkDemoCommand:
         assert float(row[6]) <= float(row[7])
         assert "lambda_min=" in capsys.readouterr().out
 
-    def test_budget_validation(self, tmp_path):
-        for s in ("100000", "0"):
-            code = main([
-                "ntk-demo", "--width", "8", "--s", s,
-                "--out", str(tmp_path / "n.csv"),
-            ])
-            assert code == 2
+    def test_budget_validation(self, tmp_path, capsys, monkeypatch):
+        # checked against the 40 parameters at width 8 before the network
+        # is drawn, by flag or by config
+        def never(*args):
+            raise AssertionError("the network was drawn")
+
+        monkeypatch.setattr(cli, "_ntk_instance", never)
+        config = tmp_path / "c.json"
+        out = tmp_path / "n.csv"
+        for s in (100000, 41, 0):
+            config.write_text(json.dumps({"width": 8, "s": s}))
+            for argv in (["--width", "8", "--s", str(s)], ["--config", str(config)]):
+                assert main(["ntk-demo", *argv, "--out", str(out)]) == 2
+                err = capsys.readouterr().err
+                assert err == f"error: keep count {s} outside [1, 40]\n"
+                assert not out.exists()
 
     def test_refuses_a_width_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
         def never(*args):
@@ -662,6 +689,23 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {key} must be >= {low}, got {low - 1}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["verify", "pipeline"])
+    @pytest.mark.parametrize("by_config", [False, True], ids=["flag", "config"])
+    def test_empty_methods_list_names_nothing(
+        self, tmp_path, capsys, command, by_config
+    ):
+        # an empty list is given, not absent, so it does not select every item
+        out = tmp_path / "o.csv"
+        if by_config:
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"methods": ""}))
+            argv = [command, "--config", str(config)]
+        else:
+            argv = [command, "--methods", ""]
+        assert main([*argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: --methods lists nothing: ''\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("source", ["flag", "config", "env"])

@@ -481,7 +481,8 @@ def _count_and_sign_calls():
         "mc_error_over_data/n": (
             lambda: mc_error_over_data(w4, w4, 2, 0, 1, rng), below("n", 1)),
         "uniform_probabilities": (lambda: uniform_probabilities(0), below("d", 1)),
-        "gen_chi_input": (lambda: gen_chi_input(4, rng, 0), below("n", 1)),
+        "gen_chi_input/d": (lambda: gen_chi_input(0, rng), below("d", 1)),
+        "gen_chi_input/n": (lambda: gen_chi_input(4, rng, 0), below("n", 1)),
         "train_least_squares": (
             lambda: train_least_squares(X, y3, w4, -1), below("steps", 0)),
         "seed_state/d": (lambda: seed_state(0, 3, 0), below("d", 1)),

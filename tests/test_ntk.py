@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from sketchprune import (
     ACTIVATIONS,
     DataMatrix,
     DimensionMismatchError,
+    LinearTrajectory,
     RngStream,
     StepSizeError,
     TinyMLP,
@@ -225,3 +227,25 @@ class TestTheorem2Report:
         monkeypatch.setattr(ntk, "analytic_jacobian", counted)
         theorem2_report(model, snap, traj, X, s=4, mask_trials=10, rng=rng)
         assert len(calls) == len(traj.thetas)
+
+    def test_warns_beyond_the_kernel_regime(self):
+        from sketchprune.ntk import _lipschitz_k_hat
+
+        model, X, y, rng = small_problem(width=8)
+        snap = take_snapshot(model, X, y)
+        # two equal checkpoints: no Lipschitz ratio, so K stays at k_hat
+        thetas = np.array([snap.theta0, snap.theta0])
+        cap = 3.0 * snap.k_hat * snap.r0_hat / snap.lambda_min
+        traj = LinearTrajectory(
+            thetas=thetas,
+            checkpoint_steps=np.array([0, 1]),
+            movement=np.array([0.0, 2.0 * cap]),
+            losses=np.array([1.0, 1.0]),
+        )
+        jacobians = [snap.jacobian, snap.jacobian]
+        assert _lipschitz_k_hat(snap, traj, jacobians) == snap.k_hat
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            theorem2_report(model, snap, traj, X, s=4, mask_trials=10, rng=rng)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "beyond the kernel-regime estimate" in str(caught[0].message)

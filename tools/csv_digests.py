@@ -1,12 +1,14 @@
-"""Print the SHA-256 of the CSV that each of a fixed set of CLI runs writes.
+"""Print SHA-256 digests of the CSV, stdout and stderr of fixed CLI runs.
 
     python3 tools/csv_digests.py [--src DIR]
 
 Each run is `python3 -m sketchprune.cli ARGV --out FILE` in a fresh
 interpreter with the package imported from DIR (default: this checkout's
-src/). One line per run: `sha256 exit-code argv`, the digest being `-` when
-no file was written. A refactor that must keep every CSV byte-identical
-diffs this output at the commit before and after it.
+src/). One line per run: `csv stdout stderr exit-code argv`, each digest
+being `-` when no file was written or nothing was printed. A refactor that
+must keep every CSV byte-identical diffs this output at the commit before
+and after it; the last two runs are refused, so a diff also shows a change
+in a refusal's message or exit code.
 """
 
 from __future__ import annotations
@@ -30,7 +32,13 @@ RUNS = (
     "histogram --d 5000 --seed 2 --method randomized-snip-sparse --bins 300",
     "ntk-demo --seed 5",
     "ntk-demo --seed 2 --width 16 --steps 30",
+    "pipeline --trials 0 --seed 1",
+    "ntk-demo --s 0 --seed 1",
 )
+
+
+def _digest(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest() if data else "-"
 
 
 def main() -> int:
@@ -46,14 +54,14 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         for k, argv in enumerate(RUNS):
             out = Path(work) / f"{k}.csv"
-            code = subprocess.run(
+            run = subprocess.run(
                 [sys.executable, "-m", "sketchprune.cli", *argv.split(),
                  "--out", str(out)],
-                cwd=work, env=env, stdout=subprocess.DEVNULL,
-                stderr=subprocess.DEVNULL,
-            ).returncode
-            digest = hashlib.sha256(out.read_bytes()).hexdigest() if out.exists() else "-"
-            print(digest, code, argv, flush=True)
+                cwd=work, env=env, capture_output=True,
+            )
+            csv = _digest(out.read_bytes()) if out.exists() else "-"
+            print(csv, _digest(run.stdout), _digest(run.stderr), run.returncode,
+                  argv, flush=True)
     return 0
 
 
