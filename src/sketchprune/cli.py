@@ -39,7 +39,8 @@ from .bounds import (
     mc_error_over_masks,
 )
 from .core import (
-    _BLOCK_ELEMENTS, DataMatrix, DivergenceError, RngStream, _check_at_least, row_norms,
+    _BLOCK_ELEMENTS, DataMatrix, DivergenceError, RngStream, _check_at_least,
+    _check_budget, row_norms,
 )
 from .experiments import (
     MASK_METHODS,
@@ -65,10 +66,6 @@ from .sketch import optimal_probabilities, uniform_probabilities
 __all__ = ["main", "ResultRow", "RESULT_HEADER", "HISTOGRAM_HEADER", "VERIFY_SUITES"]
 
 SEED_ENV_VAR = "SKETCHPRUNE_SEED"
-
-
-class ConfigError(ValueError):
-    """Invalid or inconsistent command-line configuration."""
 
 
 @dataclasses.dataclass
@@ -178,15 +175,20 @@ def _data_row(run_id: str, w0, w_star, s: int, trials: int, rng, **options):
     return _report_row(run_id, rep, w0.size, n, s, distance)
 
 
-def _suite_lemma1(seed: int, trials: int) -> list[ResultRow]:
-    rng = RngStream(seed, 101)
-    closed, enumerated = [], []
-    for _ in range(30):
+def _small_instances(rng: RngStream, count: int):
+    """count small (X, s) instances; the caller draws weights after each."""
+    for _ in range(count):
         d = int(rng.integers(2, 7))
         n = int(rng.integers(1, 6))
         s = int(rng.integers(1, 4))
-        X = DataMatrix(rng.normal((d, n)))
-        w = rng.normal(d)
+        yield DataMatrix(rng.normal((d, n))), s
+
+
+def _suite_lemma1(seed: int, trials: int) -> list[ResultRow]:
+    rng = RngStream(seed, 101)
+    closed, enumerated = [], []
+    for X, s in _small_instances(rng, 30):
+        w = rng.normal(X.d)
         closed.append(lemma1_exact_error(X, w, s))
         enumerated.append(enumerate_exact_error(X, w, optimal_probabilities(X, w), s))
     worst = _relative_gap(np.array(enumerated), np.array(closed))
@@ -217,13 +219,9 @@ def _suite_lemma3(seed: int, trials: int | None) -> list[ResultRow]:
     rng = RngStream(seed, 103)
     closed, enumerated = [], []
     worst_excess = -math.inf
-    for _ in range(20):
-        d = int(rng.integers(2, 7))
-        n = int(rng.integers(1, 6))
-        s = int(rng.integers(1, 4))
-        X = DataMatrix(rng.normal((d, n)))
-        w0 = rng.normal(d)
-        w_star = rng.normal(d)
+    for X, s in _small_instances(rng, 20):
+        w0 = rng.normal(X.d)
+        w_star = rng.normal(X.d)
         exact, bound = lemma3_bound(X, X, w0, w_star, s)
         closed.append(exact)
         enumerated.append(
@@ -433,7 +431,7 @@ def _check_memory(settings: dict):
     have = _physical_memory()
     if need > have:
         flags = " ".join(f"--{name} {settings[name]}" for name in names)
-        raise ConfigError(
+        raise ValueError(
             f"{flags} needs about {_gib(need)} GiB, "
             f"more than the {_gib(have)} GiB of physical memory"
         )
@@ -446,8 +444,8 @@ def _cmd_pipeline(settings: dict) -> list[ResultRow]:
         state = seed_state(
             d, n, seed, settings["noise_std"], settings["steps"], settings["lr"]
         )
-        for method in settings["methods"]:
-            for s in settings["s_values"]:
+        for method in sorted(settings["methods"]):  # rows in (method, s) order
+            for s in sorted(settings["s_values"]):
                 result = run_prune_pipeline(state, method, s)
                 rows.append(
                     ResultRow(
@@ -466,7 +464,6 @@ def _cmd_pipeline(settings: dict) -> list[ResultRow]:
                 )
         # free this seed's matrix before the next seed draws its own
         del state
-    rows.sort(key=lambda r: (r.seed, r.method, r.s))
     return rows
 
 
@@ -576,11 +573,11 @@ def _load_config_file(path: str) -> dict:
     try:
         payload = json.loads(Path(path).read_text())
     except OSError as exc:
-        raise ConfigError(f"cannot read config file: {exc}") from exc
+        raise ValueError(f"cannot read config file: {exc}") from exc
     except json.JSONDecodeError as exc:
-        raise ConfigError(f"config file is not valid JSON: {exc}") from exc
+        raise ValueError(f"config file is not valid JSON: {exc}") from exc
     if not isinstance(payload, dict):
-        raise ConfigError("config file must hold a JSON object")
+        raise ValueError("config file must hold a JSON object")
     return payload
 
 
@@ -600,14 +597,14 @@ def _config_defaults(command: str, subparser: argparse.ArgumentParser, path: str
     }
     unknown = set(file_config) - set(actions)
     if unknown:
-        raise ConfigError(
+        raise ValueError(
             f"config keys {sorted(unknown)} are not settings of {command!r}"
         )
     defaults = {}
     for key, value in file_config.items():
         action = actions[key]
         if isinstance(value, bool) or not isinstance(value, _CONFIG_TYPES[action.type]):
-            raise ConfigError(
+            raise ValueError(
                 f"config value {key}={value!r} does not have the type of --{key}"
             )
         defaults[action.dest] = action.type(value)
@@ -621,7 +618,7 @@ def _resolve_seed(seed: int | None) -> int:
             try:
                 seed = int(env)
             except ValueError as exc:
-                raise ConfigError(
+                raise ValueError(
                     f"{SEED_ENV_VAR} must be an integer, got {env!r}"
                 ) from exc
         else:
@@ -637,12 +634,12 @@ def _split_list(raw: str, flag: str, convert=str) -> list:
     try:
         items = [convert(part) for part in parts if part]
     except ValueError as exc:
-        raise ConfigError(f"bad {flag} list {raw!r}") from exc
+        raise ValueError(f"bad {flag} list {raw!r}") from exc
     if not items:
-        raise ConfigError(f"{flag} lists nothing: {raw!r}")
+        raise ValueError(f"{flag} lists nothing: {raw!r}")
     for k, item in enumerate(items):
         if item in items[:k]:
-            raise ConfigError(f"{flag} lists {item} more than once")
+            raise ValueError(f"{flag} lists {item} more than once")
     return items
 
 
@@ -653,7 +650,7 @@ def _chosen(raw: str | None, choices: tuple, what: str) -> list[str]:
     names = _split_list(raw, "--methods")
     for name in names:
         if name not in choices:
-            raise ConfigError(
+            raise ValueError(
                 f"unknown {what} {name!r}; choose from {', '.join(choices)}"
             )
     return names
@@ -669,11 +666,6 @@ _MINIMUMS = {
 }
 
 
-def _check_keep_count(s: int, top: int):
-    if not 1 <= s <= top:
-        raise ConfigError(f"keep count {s} outside [1, {top}]")
-
-
 def _resolve_settings(args) -> dict:
     """Parsed flags plus the values derived from them, range-checked."""
     settings = dict(vars(args), seed=_resolve_seed(args.seed))
@@ -683,7 +675,7 @@ def _resolve_settings(args) -> dict:
     # a density of nan or inf fails this too, before math.ceil sees it
     density = settings.get("density")
     if density is not None and not 0 < density <= 1:
-        raise ConfigError(f"density must lie in (0, 1], got {density}")
+        raise ValueError(f"density must lie in (0, 1], got {density}")
     _check_memory(settings)
 
     if args.command == "verify":
@@ -692,7 +684,7 @@ def _resolve_settings(args) -> dict:
     elif args.command == "pipeline":
         settings["methods"] = _chosen(args.methods, METHODS, "method")
         if args.s is not None and args.density is not None:
-            raise ConfigError("--s and --density both set the keep counts")
+            raise ValueError("--s and --density both set the keep counts")
         if args.s is not None:
             s_values = _split_list(args.s, "--s", int)
         elif args.density is not None:
@@ -700,12 +692,12 @@ def _resolve_settings(args) -> dict:
         else:
             s_values = [8]
         for s in s_values:
-            _check_keep_count(s, args.d)
+            _check_budget(s, args.d)
         settings["s_values"] = s_values
 
     elif args.command == "histogram":
         if args.method not in HISTOGRAM_METHODS:
-            raise ConfigError(
+            raise ValueError(
                 f"histogram needs a binary-mask method, one of "
                 f"{', '.join(HISTOGRAM_METHODS)}"
             )
@@ -714,7 +706,7 @@ def _resolve_settings(args) -> dict:
         n_params = _ntk_params(args.width)
         if args.s is None:
             settings["s"] = _default_keep_count(n_params)
-        _check_keep_count(settings["s"], n_params)
+        _check_budget(settings["s"], n_params)
 
     return settings
 

@@ -382,19 +382,24 @@ class TestNtkDemoCommand:
 
     def test_budget_validation(self, tmp_path, capsys, monkeypatch):
         # checked against the 40 parameters at width 8 before the network
-        # is drawn, by flag or by config
+        # is drawn, and pipeline's against its default d = 64 before any
+        # seed is drawn, by flag or by config, by the library's budget rule
         def never(*args):
-            raise AssertionError("the network was drawn")
+            raise AssertionError("the network or a seed was drawn")
 
         monkeypatch.setattr(cli, "_ntk_instance", never)
+        monkeypatch.setattr(cli, "seed_state", never)
         config = tmp_path / "c.json"
         out = tmp_path / "n.csv"
-        for s in (100000, 41, 0):
-            config.write_text(json.dumps({"width": 8, "s": s}))
-            for argv in (["--width", "8", "--s", str(s)], ["--config", str(config)]):
-                assert main(["ntk-demo", *argv, "--out", str(out)]) == 2
-                err = capsys.readouterr().err
-                assert err == f"error: keep count {s} outside [1, 40]\n"
+        cases = [("ntk-demo", {"width": 8, "s": s}, 40) for s in (100000, 41, 0)]
+        cases.append(("pipeline", {"s": "65"}, 64))
+        for command, settings, top in cases:
+            config.write_text(json.dumps(settings))
+            flags = [f"--{key}={value}" for key, value in settings.items()]
+            refusal = f"error: budget must lie in [1, {top}], got {settings['s']}\n"
+            for argv in (flags, ["--config", str(config)]):
+                assert main([command, *argv, "--out", str(out)]) == 2
+                assert capsys.readouterr().err == refusal
                 assert not out.exists()
 
     def test_refuses_a_width_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
