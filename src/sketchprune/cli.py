@@ -656,11 +656,12 @@ def _chosen(raw: str | None, choices: tuple, what: str) -> list[str]:
     return names
 
 
-# The smallest value each integer flag takes, by subcommand (verify's
-# --trials may also be absent, for the per-suite defaults).
+# The smallest value each integer flag but --seed and --s takes, by
+# subcommand (verify's --trials may also be absent, for the per-suite
+# defaults); each is checked before _check_memory estimates from it.
 _MINIMUMS = {
     "verify": {"trials": 2},
-    "pipeline": {"trials": 1},
+    "pipeline": {"d": 1, "n": 1, "trials": 1, "steps": 0},
     "histogram": {"bins": 1, "d": 1},
     "ntk-demo": {"width": 1, "steps": 0, "trials": 2},
 }

@@ -8,6 +8,7 @@ randomness always flows through an explicit :class:`RngStream`.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -117,8 +118,11 @@ def as_vector(v) -> np.ndarray:
 
 
 def _check_at_least(low: int, **counts: int):
-    """Raise ValueError for the first named count below low."""
+    """Raise ValueError for the first named count that is not an integer
+    (a bool is not one; a numpy integer is) or is below low."""
     for name, k in counts.items():
+        if isinstance(k, bool) or not isinstance(k, numbers.Integral):
+            raise ValueError(f"{name} must be an integer, got {k!r}")
         if k < low:
             raise ValueError(f"{name} must be >= {low}, got {k}")
 

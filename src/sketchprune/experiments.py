@@ -103,6 +103,7 @@ class SeedState:
 
 def gen_normal_X(d: int, n: int, rng: RngStream) -> DataMatrix:
     """Data matrix with iid N(0, 1/n) entries, so E||X_(k)||^2 = 1."""
+    _check_at_least(1, d=d, n=n)
     x = rng.normal((d, n))
     x /= math.sqrt(n)
     x.setflags(write=False)
@@ -133,6 +134,7 @@ def gen_chi_input(d: int, rng: RngStream, n: int = 128) -> np.ndarray:
 def gen_sparse_X(d: int, n: int, rng: RngStream) -> DataMatrix:
     """Data matrix with exactly one N(0, 1) entry per row, at a uniformly
     random column."""
+    _check_at_least(1, d=d, n=n)
     cols = rng.integers(0, n, size=d)
     M = np.zeros((d, n))
     M[np.arange(d), cols] = rng.normal(d)

@@ -673,6 +673,9 @@ class TestExitCodes:
     @pytest.mark.parametrize("command, key, low", [
         ("verify", "trials", 2),
         ("pipeline", "trials", 1),
+        ("pipeline", "d", 1),
+        ("pipeline", "n", 1),
+        ("pipeline", "steps", 0),
         ("histogram", "bins", 1),
         ("histogram", "d", 1),
         ("ntk-demo", "width", 1),

@@ -21,8 +21,11 @@ from sketchprune import (
     exact_expected_error,
     features,
     gen_chi_input,
+    gen_normal_X,
+    gen_sparse_X,
     lemma2_bound,
     lemma4_uniform_bound,
+    make_dataset,
     mc_error_over_data,
     mc_error_over_masks,
     optimal_probabilities,
@@ -451,7 +454,8 @@ def test_every_length_and_budget_check(site):
 def _count_and_sign_calls():
     """(call, message) for every public entry point that checks a count
     against its minimum or a vector's signs, each called with one bad
-    operand; every one raises a plain ValueError."""
+    operand, and for a count that is not an integer at four of them; every
+    one raises a plain ValueError."""
     X = DataMatrix(np.arange(1.0, 13.0).reshape(4, 3))
     w4, y3 = np.ones(4), np.ones(3)
     negative = np.array([1.0, -1.0, 1.0, 1.0])
@@ -464,7 +468,20 @@ def _count_and_sign_calls():
     def below(name, low):
         return f"{name} must be >= {low}, got {low - 1}"
 
-    return {
+    # a count that is not an integer: a float, nan, or a bool
+    not_integer = {
+        f"{site}/{k!r}": (
+            lambda call=call, k=k: call(k), f"{name} must be an integer, got {k!r}")
+        for site, name, call in [
+            ("BoundReport", "trials",
+             lambda k: BoundReport(0.0, 0.0, 1.0, "equality", k)),
+            ("RngStream", "seed", lambda k: RngStream(k)),
+            ("seed_state", "steps", lambda k: seed_state(4, 3, 0, steps=k)),
+            ("gen_chi_input", "d", lambda k: gen_chi_input(k, rng)),
+        ]
+        for k in (float("nan"), 1.5, True)
+    }
+    return not_integer | {
         "RngStream/seed": (lambda: RngStream(-1), below("seed", 0)),
         "RngStream/stream": (lambda: RngStream(0, -1), below("stream", 0)),
         "RngStream.substream": (lambda: rng.substream(-1), below("k", 0)),
@@ -483,6 +500,9 @@ def _count_and_sign_calls():
         "uniform_probabilities": (lambda: uniform_probabilities(0), below("d", 1)),
         "gen_chi_input/d": (lambda: gen_chi_input(0, rng), below("d", 1)),
         "gen_chi_input/n": (lambda: gen_chi_input(4, rng, 0), below("n", 1)),
+        "gen_normal_X": (lambda: gen_normal_X(0, 3, rng), below("d", 1)),
+        "gen_sparse_X": (lambda: gen_sparse_X(-1, 3, rng), "d must be >= 1, got -1"),
+        "make_dataset": (lambda: make_dataset(4, 0, 0.0, rng), below("n", 1)),
         "train_least_squares": (
             lambda: train_least_squares(X, y3, w4, -1), below("steps", 0)),
         "seed_state/d": (lambda: seed_state(0, 3, 0), below("d", 1)),
