@@ -32,9 +32,9 @@ from .core import (
     row_norms,
 )
 from .sketch import (
+    _categorical_indices,
     _optimal_probabilities,
     optimal_probabilities,
-    sample_sketch_mask,
     uniform_probabilities,
 )
 
@@ -207,6 +207,14 @@ def lemma4_uniform_bound(w_star, s: int) -> float:
     return wsv.size / s * float(wsv @ wsv)
 
 
+def _mask_rows(cols: np.ndarray, values: np.ndarray, d: int) -> np.ndarray:
+    """The (k, d) array whose row i sums values[i, j] at column cols[i, j]
+    over j, in order: k masks from one np.bincount."""
+    k = cols.shape[0]
+    flat = (cols + (np.arange(k) * d)[:, None]).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=k * d).reshape(k, d)
+
+
 def mc_error_over_masks(
     X: DataMatrix,
     w_apply,
@@ -218,18 +226,43 @@ def mc_error_over_masks(
 ) -> BoundReport:
     """Monte Carlo mean of the squared feature error over freshly sampled
     sketch masks, reported as an equality against a caller-supplied
-    reference value (the exact expectation, when the caller has one)."""
+    reference value (the exact expectation, when the caller has one).
+
+    Each trial applies to w_apply the mask `sample_sketch_mask(p, s, rng)`
+    would draw. The trials are taken in blocks of at most
+    core._BLOCK_ELEMENTS // max(d, s, n) (one trial when that is 0): one
+    (k, s) uniform draw per block, whose k masks are built by one bincount
+    and applied to X by one matrix product. A block consumes the stream
+    exactly as k calls of `sample_sketch_mask` do, so the draws are those
+    of a trial-by-trial loop, and memory stays flat in the trial count.
+    """
     _check_at_least(1, trials=trials)
-    wv = as_vector(w_apply)
-    base = features(X, wv)
-    Xt = np.ascontiguousarray(X.values.T)
-    errors = np.empty(trials)
-    for t in range(trials):
-        m = sample_sketch_mask(p, s, rng)
-        diff = base - Xt @ (wv * m.values)
-        errors[t] = diff @ diff
+    wv = _vector_of_length(w_apply, X.d, "weight", "matrix rows")
+    _check_budget(s)
+    _check_length(p.d, X.d, "distribution", "matrix rows")
+    errors = _mask_errors(X, wv, p.values, s, trials, rng)
     se = float(errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return BoundReport(float(errors.mean()), se, reference, "equality", trials)
+
+
+def _mask_errors(
+    X: DataMatrix, wv: np.ndarray, pv: np.ndarray, s: int, trials: int, rng: RngStream
+) -> np.ndarray:
+    """The squared feature error of each of `trials` sketch masks, for
+    operands already checked by mc_error_over_masks."""
+    d = X.d
+    # A draw adds w_k / (s p_k) to the masked weights at its index k; the
+    # draws never land where p_k = 0.
+    step = np.divide(wv, s * pv, out=np.zeros(d), where=pv > 0.0)
+    base = features(X, wv)
+    errors = np.empty(trials)
+    for block in _blocks(trials, max(d, s, X.n)):
+        k = block.stop - block.start
+        idx = _categorical_indices(pv, rng.uniform((k, s)).ravel()).reshape(k, s)
+        residual = _mask_rows(idx, step[idx], d) @ X.values
+        np.subtract(base, residual, out=residual)
+        errors[block] = np.einsum("ij,ij->i", residual, residual)
+    return errors
 
 
 def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> float:
@@ -258,9 +291,7 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
     for chunk in _blocks(m**s, max(X.d, X.n)):
         block = support[np.arange(chunk.start, chunk.stop)[:, None] // places % m]
         weights = pv[block].prod(axis=1)
-        masks = np.zeros((block.shape[0], X.d))
-        rows = np.repeat(np.arange(block.shape[0]), s)
-        np.add.at(masks, (rows, block.ravel()), 1.0 / (s * pv[block.ravel()]))
+        masks = _mask_rows(block, 1.0 / (s * pv[block]), X.d)
         feats = (wv * masks) @ X.values
         residual = ((base - feats) ** 2).sum(axis=1)
         total += float(weights @ residual)

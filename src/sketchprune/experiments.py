@@ -86,19 +86,17 @@ class PipelineResult:
 class SeedState:
     """What every (method, budget) cell of one seed shares.
 
-    The mask is found at initialization, so a seed's cells differ only in
-    their mask: they train on the same data from the same w0 for the same
-    number of steps with the same step size. A cell is scored in expectation
-    over fresh test data, so no test matrix is held; the training matrix is
-    the state's only d x n array. `lr` is None only when no step size was
-    given and no training runs.
+    The mask is found at initialization, from the data and w0 alone, so a
+    seed's cells differ only in their mask: each scores it against the same
+    trained weights w_star, fitted once from w0. A cell is scored in
+    expectation over fresh test data, so no test matrix is held; the
+    training matrix is the state's only d x n array.
     """
 
     seed: int
     dataset: SyntheticDataset
     w0: np.ndarray
-    steps: int
-    lr: float | None
+    w_star: np.ndarray
 
 
 def gen_normal_X(d: int, n: int, rng: RngStream) -> DataMatrix:
@@ -170,11 +168,6 @@ def max_hessian_eigenvalue(X: DataMatrix) -> float:
     return 2.0 * top / X.n
 
 
-def _default_lr(X: DataMatrix) -> float:
-    """0.9 times the stability threshold 2/lambda_max of the loss Hessian."""
-    return 0.9 * 2.0 / max_hessian_eigenvalue(X)
-
-
 # Steps that train_least_squares takes on the Gram matrix between two
 # recomputations of the residual from the weights. Rounding in the residual
 # recursion reaches the weights amplified by the conditioning of X, so it
@@ -207,7 +200,7 @@ def train_least_squares(
     w0v = _vector_of_length(w0, X.d, "weight", "matrix rows")
     _check_at_least(0, steps=steps)
     if lr is None and steps > 0:
-        lr = _default_lr(X)
+        lr = 0.9 * 2.0 / max_hessian_eigenvalue(X)
     if lr is not None:
         _check_lr(lr)
     if steps == 0:
@@ -365,12 +358,13 @@ def seed_state(
     steps: int = 100,
     lr: float | None = None,
 ) -> SeedState:
-    """Draw the state shared by every cell of one seed.
+    """Draw the state shared by every cell of one seed, and train it.
 
     The seed is split into fixed substreams: 0 draws the data and 1 the
-    initial weights w0 (2 is each binary cell's mask). The step size is lr,
-    or the default of `train_least_squares` when training runs. No test
-    matrix is drawn: cells are scored in expectation over test data.
+    initial weights w0 (2 is each binary cell's mask). w_star is
+    `train_least_squares(X, y, w0, steps, lr)`, with its default step size
+    when lr is None. No test matrix is drawn: cells are scored in
+    expectation over test data.
     """
     _check_at_least(1, d=d, n=n)
     _check_at_least(0, steps=steps)
@@ -379,22 +373,20 @@ def seed_state(
     root = RngStream(seed)
     dataset = make_dataset(d, n, noise_std, root.substream(0))
     w0 = as_vector(root.substream(1).normal(d) / math.sqrt(d))
-    if lr is None and steps > 0:
-        lr = _default_lr(dataset.X)
-    return SeedState(seed, dataset, w0, steps, lr)
+    w_star = train_least_squares(dataset.X, dataset.y, w0, steps, lr)
+    return SeedState(seed, dataset, w0, w_star)
 
 
 def run_prune_pipeline(state: SeedState, method: str, s: int) -> PipelineResult:
-    """Prune one (method, budget) cell of a seed at initialization, train,
-    and score the squared masked-feature error of the trained weights w*,
-    in expectation over test data with iid N(0, 1/n) entries.
+    """Prune one (method, budget) cell of a seed at initialization and score
+    the squared masked-feature error of the seed's trained weights w*, in
+    expectation over test data with iid N(0, 1/n) entries.
 
     A binary cell draws its mask m from a fresh substream 2 of the seed and
     scores ||w* (1 - m)||^2. A sketch cell draws no mask: it scores the
     closed-form expectation over its masks as well, the same kind of
-    quantity as its bound. The mask, or the sketch distribution, is found
-    from the data and w0 before training. The data, w0 and step size come
-    from `state`.
+    quantity as its bound. The mask, or the sketch distribution, depends on
+    the data and w0 only; w* is read from `state`, which trained it.
     """
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
@@ -402,16 +394,14 @@ def run_prune_pipeline(state: SeedState, method: str, s: int) -> PipelineResult:
     _check_budget(s, X.d)
     spec = MASK_METHODS[method]
     norms = row_norms(X)
+    w_star = state.w_star
     if spec.binary:
         mask = spec.build(norms, X.n, state.w0, s, RngStream(state.seed).substream(2))
-    else:
-        p = spec.distribution(norms, state.w0)
-    w_star = train_least_squares(X, state.dataset.y, state.w0, state.steps, state.lr)
-    if spec.binary:
         dropped = w_star * (1.0 - mask.values)
         masked_error = float(dropped @ dropped)
         bound = math.nan
     else:
+        p = spec.distribution(norms, state.w0)
         masked_error = _expected_sketch_error(p, w_star, s)
         bound = spec.bound(state.w0, w_star, s)
     distance = float(np.linalg.norm(w_star - state.w0))

@@ -23,9 +23,11 @@ from sketchprune import (
     mc_error_over_data,
     mc_error_over_masks,
     optimal_probabilities,
+    sample_sketch_mask,
     theorem1_bound,
     uniform_probabilities,
 )
+from sketchprune import bounds
 
 I2 = DataMatrix(np.eye(2))
 
@@ -321,6 +323,82 @@ class TestMcOverMasks:
             assert rep.satisfied()
             assert rep.empirical_error < previous + 4.0 * rep.standard_error
             previous = rep.empirical_error
+
+
+def _per_mask_errors(X, w, p, s, trials, rng):
+    """mc_error_over_masks' per-trial errors built one mask at a time from
+    the public API, with one dense product each."""
+    wv = np.asarray(w, dtype=float)
+    base = X.values.T @ wv
+    errors = np.empty(trials)
+    for t in range(trials):
+        diff = base - X.values.T @ (wv * sample_sketch_mask(p, s, rng).values)
+        errors[t] = diff @ diff
+    return errors
+
+
+class TestMaskErrorBlocks:
+    # A block holds 2^15 // max(d, s, n) trials: 512 at d=64, so 1100 ends
+    # on a partial block; 3276 at s=10 > d=4, where indices repeat; one
+    # when s=40000 alone exceeds a block. The (6, 5) distribution has no
+    # mass on two indices where w != 0.
+    @pytest.mark.parametrize("d, n, s, trials, unsampled", [
+        (64, 32, 4, 1100, ()),
+        (4, 3, 10, 5000, ()),
+        (6, 5, 3, 700, (1, 4)),
+        (3, 2, 40_000, 3, ()),
+    ])
+    def test_matches_per_mask_reference(self, d, n, s, trials, unsampled):
+        source = RngStream(50)
+        X = DataMatrix(source.normal((d, n)))
+        w = source.normal(d)
+        q = source.uniform(d)
+        q[list(unsampled)] = 0.0
+        p = ProbabilityVector(q / q.sum())
+        used, twin = RngStream(51), RngStream(51)
+        got = bounds._mask_errors(X, w, p.values, s, trials, used)
+        want = _per_mask_errors(X, w, p, s, trials, twin)
+        # An error that shrinks as 1/s is compared on the scale of the
+        # unmasked features, whose rounding it inherits.
+        scale = float(np.sum((X.values.T @ w) ** 2))
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+        # the stream ends where the per-mask loop leaves it
+        assert used.uniform() == twin.uniform()
+        rep = mc_error_over_masks(X, w, p, s, trials, RngStream(51))
+        assert rep.trials == trials
+        assert rep.empirical_error == pytest.approx(want.mean(), rel=1e-12)
+        if trials > 1:
+            se = want.std(ddof=1) / math.sqrt(trials)
+            assert rep.standard_error == pytest.approx(se, rel=1e-12)
+
+    def test_memory_stays_flat_in_trials(self):
+        # Beside the 8-byte error of each trial, the masks, draws and
+        # features of all 1e5 trials at once would take about 10 MiB.
+        X = DataMatrix(np.arange(1.0, 13.0).reshape(4, 3))
+        trials = 100_000
+        tracemalloc.start()
+        try:
+            mc_error_over_masks(X, np.ones(4), uniform_probabilities(4), 2, trials,
+                                RngStream(52))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * trials + 2**20
+
+    def test_memory_stays_flat_in_budget(self):
+        # A large s puts one trial in a block, so the peak is a few arrays of
+        # s entries, not one per trial as a block sized by d and n alone
+        # would hold.
+        X = DataMatrix(np.arange(1.0, 13.0).reshape(4, 3))
+        s, trials = 2**18, 8
+        tracemalloc.start()
+        try:
+            mc_error_over_masks(X, np.ones(4), uniform_probabilities(4), s, trials,
+                                RngStream(53))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 8 * s
 
 
 def _per_trial_mean_and_se(w0, w_star, s, n, x_trials, rng, distribution):

@@ -231,10 +231,10 @@ class TestPipelineCommand:
             "pipeline", "--d", "16", "--n", "8", "--s", "2,5", "--trials", "2",
             "--steps", steps, "--out", str(tmp_path / "p.csv"),
         ]) == 0
-        # per seed one dataset and no test matrix; each cell trains once
+        # per seed one dataset, no test matrix and one fit
         cells = 2 * len(METHODS) * 2
         assert calls == {
-            "run_prune_pipeline": cells, "train_least_squares": cells,
+            "run_prune_pipeline": cells, "train_least_squares": 2,
             "make_dataset": 2, "gen_normal_X": 2,
             "max_hessian_eigenvalue": eigen_calls,
         }

@@ -385,6 +385,12 @@ def _length_and_budget_calls():
         "enumerate_exact_error/p": (
             lambda: enumerate_exact_error(X, w4, p5, 2), length,
             f"distribution length 5 {rows}"),
+        "mc_error_over_masks/w": (
+            lambda: mc_error_over_masks(X, w5, p4, 2, 1, rng), length,
+            f"weight length 5 {rows}"),
+        "mc_error_over_masks/distribution": (
+            lambda: mc_error_over_masks(X, w4, p5, 2, 1, rng), length,
+            f"distribution length 5 {rows}"),
         "mc_error_over_data": (
             lambda: mc_error_over_data(w4, w5, 2, 3, 1, rng), length,
             "w_star length 5 does not match 4 initial weights"),

@@ -42,6 +42,14 @@ def _run(method, seed, d=16, n=12, s=4, **settings):
     return run_prune_pipeline(seed_state(d, n, seed, **settings), method, s)
 
 
+def _trained(state, steps, lr):
+    """state.w_star, checked bit for bit against a fit of the state's data
+    from its w0 with these explicit arguments."""
+    want = train_least_squares(state.dataset.X, state.dataset.y, state.w0, steps, lr)
+    np.testing.assert_array_equal(state.w_star, want)
+    return state.w_star
+
+
 class TestGenNormalX:
     def test_shape(self):
         assert gen_normal_X(5, 3, RngStream(0)).values.shape == (5, 3)
@@ -145,7 +153,9 @@ def test_default_step_size_is_nine_tenths_of_the_stability_threshold(d, n):
         state = seed_state(d, n, seed)
         Xv = state.dataset.X.values
         top = np.linalg.eigvalsh(2.0 * Xv @ Xv.T / n)[-1]
-        assert state.lr * top == pytest.approx(1.8, rel=1e-12)
+        lr = 0.9 * 2.0 / max_hessian_eigenvalue(state.dataset.X)
+        assert lr * top == pytest.approx(1.8, rel=1e-12)
+        _trained(state, 100, lr)
 
 
 def _weight_space_gd(X, y, w0, steps, lr):
@@ -345,9 +355,7 @@ class TestExpectedSketchError:
     def test_matches_fresh_masks_on_fresh_test_data(self, method):
         state = seed_state(8, 4, seed=11)
         X = state.dataset.X
-        w_star = train_least_squares(
-            X, state.dataset.y, state.w0, state.steps, state.lr
-        )
+        w_star = _trained(state, 100, None)
         p = MASK_METHODS[method].distribution(row_norms(X), state.w0)
         rng = RngStream(12)
         errors = np.array([
@@ -364,9 +372,7 @@ class TestExpectedSketchError:
         for seed in range(5):
             state = seed_state(16, 8, seed)
             cell = run_prune_pipeline(state, "sketch-uniform", 4)
-            w_star = train_least_squares(
-                state.dataset.X, state.dataset.y, state.w0, state.steps, state.lr
-            )
+            w_star = _trained(state, 100, None)
             want = 15 / 16 * lemma4_uniform_bound(w_star, 4)
             assert cell.masked_error == pytest.approx(want, rel=1e-12, abs=0)
 
@@ -375,9 +381,7 @@ class TestExpectedSketchError:
         # are part of this grid
         for seed in range(20):
             state = seed_state(64, 32, seed)
-            w_star = train_least_squares(
-                state.dataset.X, state.dataset.y, state.w0, state.steps, state.lr
-            )
+            w_star = _trained(state, 100, None)
             for s in (4, 8, 16, 32):
                 cell = run_prune_pipeline(state, "sketch-p0", s)
                 assert cell.bound == theorem1_bound(state.w0, w_star, s)
@@ -389,7 +393,10 @@ class TestExpectedSketchError:
         state = seed_state(8, 4, seed=0)
         w0 = state.w0.copy()
         w0[2] = 0.0
-        state = dataclasses.replace(state, w0=as_vector(w0))
+        data = state.dataset
+        w_star = train_least_squares(data.X, data.y, w0, 100)
+        assert w_star[2] != 0.0
+        state = dataclasses.replace(state, w0=as_vector(w0), w_star=w_star)
         assert optimal_probabilities(state.dataset.X, state.w0).values[2] == 0.0
         with pytest.raises(SupportError, match="active trained weight"):
             run_prune_pipeline(state, "sketch-p0", 3)
@@ -445,8 +452,10 @@ class TestSeedState:
 
     def test_step_size_is_given_lr_or_the_training_default(self):
         state = seed_state(12, 8, seed=3)
-        assert state.lr == 0.9 * 2.0 / max_hessian_eigenvalue(state.dataset.X)
-        assert seed_state(12, 8, seed=3, lr=0.1).lr == 0.1
+        _trained(state, 100, 0.9 * 2.0 / max_hessian_eigenvalue(state.dataset.X))
+        given = seed_state(12, 8, seed=3, lr=0.1)
+        _trained(given, 100, 0.1)
+        assert not np.array_equal(given.w_star, state.w_star)
 
     def test_zero_steps_skips_power_iteration(self, monkeypatch):
         # with no training and no given step size no curvature is needed, so
@@ -454,6 +463,7 @@ class TestSeedState:
         monkeypatch.setattr(
             experiments, "gen_normal_X", lambda d, n, rng: DataMatrix(np.zeros((d, n)))
         )
-        assert seed_state(6, 4, seed=0, steps=0).lr is None
+        state = seed_state(6, 4, seed=0, steps=0)
+        np.testing.assert_array_equal(_trained(state, 0, None), state.w0)
         with pytest.raises(ValueError, match="no curvature"):
             seed_state(6, 4, seed=0)
