@@ -33,6 +33,7 @@ from .core import (
 )
 from .sketch import (
     _categorical_indices,
+    _mask_rows,
     _optimal_probabilities,
     optimal_probabilities,
     uniform_probabilities,
@@ -207,14 +208,6 @@ def lemma4_uniform_bound(w_star, s: int) -> float:
     return wsv.size / s * float(wsv @ wsv)
 
 
-def _mask_rows(cols: np.ndarray, values: np.ndarray, d: int) -> np.ndarray:
-    """The (k, d) array whose row i sums values[i, j] at column cols[i, j]
-    over j, in order: k masks from one np.bincount."""
-    k = cols.shape[0]
-    flat = (cols + (np.arange(k) * d)[:, None]).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=k * d).reshape(k, d)
-
-
 def mc_error_over_masks(
     X: DataMatrix,
     w_apply,
@@ -231,10 +224,10 @@ def mc_error_over_masks(
     Each trial applies to w_apply the mask `sample_sketch_mask(p, s, rng)`
     would draw. The trials are taken in blocks of at most
     core._BLOCK_ELEMENTS // max(d, s, n) (one trial when that is 0): one
-    (k, s) uniform draw per block, whose k masks are built by one bincount
-    and applied to X by one matrix product. A block consumes the stream
-    exactly as k calls of `sample_sketch_mask` do, so the draws are those
-    of a trial-by-trial loop, and memory stays flat in the trial count.
+    (k, s) uniform draw per block, made into k masks by sketch's bincount
+    builder and applied to X by one matrix product. A block consumes the
+    stream exactly as k calls of `sample_sketch_mask` do, so the draws are
+    those of a trial-by-trial loop, and memory stays flat in trials.
     """
     _check_at_least(1, trials=trials)
     wv = _vector_of_length(w_apply, X.d, "weight", "matrix rows")
@@ -251,14 +244,12 @@ def _mask_errors(
     """The squared feature error of each of `trials` sketch masks, for
     operands already checked by mc_error_over_masks."""
     d = X.d
-    # A draw adds w_k / (s p_k) to the masked weights at its index k; the
-    # draws never land where p_k = 0.
+    # A draw at index k adds w_k / (s p_k) to the weights; none lands where p_k = 0
     step = np.divide(wv, s * pv, out=np.zeros(d), where=pv > 0.0)
     base = features(X, wv)
     errors = np.empty(trials)
     for block in _blocks(trials, max(d, s, X.n)):
-        k = block.stop - block.start
-        idx = _categorical_indices(pv, rng.uniform((k, s)).ravel()).reshape(k, s)
+        idx = _categorical_indices(pv, rng.uniform((block.stop - block.start, s)))
         residual = _mask_rows(idx, step[idx], d) @ X.values
         np.subtract(base, residual, out=residual)
         errors[block] = np.einsum("ij,ij->i", residual, residual)
@@ -271,7 +262,8 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
 
     Independent of the closed forms above; cost grows as d^s, so sequences
     beyond the enumeration limit are refused. Sequences are taken in chunks
-    of at most core._BLOCK_ELEMENTS // max(d, n), so memory is flat in both.
+    of at most core._BLOCK_ELEMENTS // max(d, n), so memory is flat in both,
+    and each chunk's masks come from sketch's one mask builder.
     """
     _check_budget(s)
     wv = _vector_of_length(w, X.d, "weight", "matrix rows")

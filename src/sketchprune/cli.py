@@ -40,7 +40,7 @@ from .bounds import (
 )
 from .core import (
     _BLOCK_ELEMENTS, DataMatrix, DivergenceError, RngStream, _check_at_least,
-    _check_budget, row_norms,
+    _check_budget, _check_density, row_norms,
 )
 from .experiments import (
     MASK_METHODS,
@@ -673,10 +673,8 @@ def _resolve_settings(args) -> dict:
     for key, low in _MINIMUMS[args.command].items():
         if settings[key] is not None:
             _check_at_least(low, **{key: settings[key]})
-    # a density of nan or inf fails this too, before math.ceil sees it
-    density = settings.get("density")
-    if density is not None and not 0 < density <= 1:
-        raise ValueError(f"density must lie in (0, 1], got {density}")
+    if settings.get("density") is not None:  # nan and inf fail, before math.ceil
+        _check_density(settings["density"])
     _check_memory(settings)
 
     if args.command == "verify":

@@ -150,10 +150,18 @@ def _vector_of_length(v, n: int, name: str, what: str) -> np.ndarray:
 
 def _check_budget(s: int, d: int | None = None):
     """A sketch keeps s >= 1 draws; a binary mask over d weights keeps
-    between 1 and d of them."""
+    between 1 and d of them; either way s is an integer, as for counts."""
+    if isinstance(s, bool) or not isinstance(s, numbers.Integral):
+        raise InvalidDensityError(f"budget must be an integer, got {s!r}")
     top = math.inf if d is None else d
     if not 1 <= s <= top:
         raise InvalidDensityError(f"budget must lie in [1, {top}], got {s}")
+
+
+def _check_density(density: float):
+    """A density, the share of weights kept, lies in (0, 1]; nan fails."""
+    if not 0.0 < density <= 1.0:
+        raise InvalidDensityError(f"density must lie in (0, 1], got {density}")
 
 
 @dataclass(frozen=True)

@@ -260,7 +260,7 @@ def train_linearized_gd(
     yv = _vector_of_length(y, J.shape[0], "label", "outputs")
     _check_at_least(0, steps=steps)
     critical = 2.0 / (snapshot.lambda_min + snapshot.lambda_max)
-    if eta0 <= 0 or eta0 > critical * (1.0 + 1e-12):
+    if not 0 < eta0 <= critical * (1.0 + 1e-12):
         raise StepSizeError(
             f"eta0 must lie in (0, {critical:.6g}], got {eta0}"
         )

@@ -17,6 +17,7 @@ from .core import (
     ProbabilityVector,
     RngStream,
     _check_budget,
+    _check_density,
     _nonnegative_vector,
     _vector_of_length,
     as_vector,
@@ -123,8 +124,7 @@ def layerwise_randomized_selection(
         raise DimensionMismatchError("at least one layer is required")
     sizes = np.array([v.size for v in vecs])
     total = int(sizes.sum())
-    if not 0.0 < global_density <= 1.0:
-        raise InvalidDensityError(f"density must lie in (0, 1], got {global_density}")
+    _check_density(global_density)
     k = int(math.floor(global_density * total + 0.5))
     if k < 1:
         raise InvalidDensityError(

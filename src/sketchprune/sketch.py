@@ -64,36 +64,37 @@ def uniform_probabilities(d: int) -> ProbabilityVector:
 
 
 def _categorical_indices(p: np.ndarray, us: np.ndarray) -> np.ndarray:
-    """Inverse-CDF lookup of uniform draws against the cumulative bins of p.
+    """Inverse-CDF lookup of uniform draws of any shape, in that shape,
+    against the cumulative bins of the positive entries of p.
 
     A draw that lands exactly on a bin boundary resolves to the lower index.
-    Zero-width bins (zero-probability indices) are unreachable except through
-    exact boundary hits, which are reassigned to the nearest positive index.
-    """
-    cum = np.cumsum(p)
+    Only positive entries have bins and the last ends at 1, so no draw from
+    [0, 1) reaches a zero-probability index."""
+    support = np.flatnonzero(p > 0.0)
+    cum = np.cumsum(p[support])
     cum[-1] = 1.0
-    idx = np.searchsorted(cum, us, side="left")
-    hit_zero = np.flatnonzero(p[idx] == 0.0)
-    if hit_zero.size:
-        positive = np.flatnonzero(p > 0.0)
-        for b in hit_zero:
-            at = np.searchsorted(positive, idx[b], side="left")
-            idx[b] = positive[at] if at < positive.size else positive[-1]
-    return idx
+    return support[np.searchsorted(cum, us, side="left")]
+
+
+def _mask_rows(cols: np.ndarray, values: np.ndarray, d: int) -> np.ndarray:
+    """The (k, d) array whose row i sums values[i, j] at column cols[i, j]
+    over j, in order: k masks from one np.bincount."""
+    k = cols.shape[0]
+    flat = (cols + (np.arange(k) * d)[:, None]).ravel()
+    return np.bincount(flat, weights=values.ravel(), minlength=k * d).reshape(k, d)
 
 
 def sample_sketch_mask(p: ProbabilityVector, s: int, rng: RngStream) -> Mask:
     """Draw s indices i.i.d. from p and accumulate 1/(s p_i) per hit.
 
     The result has at most s nonzero entries; repeated indices stack their
-    increments. One uniform variate is consumed per draw.
+    increments. One uniform variate is consumed per draw. The mask is the
+    one-row case of the builder that the estimators of bounds use.
     """
     _check_budget(s)
     pv = p.values
-    idx = _categorical_indices(pv, np.atleast_1d(rng.uniform(s)))
-    m = np.zeros(pv.size)
-    np.add.at(m, idx, 1.0 / (s * pv[idx]))
-    return Mask(m, kind="sketch")
+    idx = _categorical_indices(pv, rng.uniform((1, s)))
+    return Mask(_mask_rows(idx, 1.0 / (s * pv[idx]), pv.size)[0], kind="sketch")
 
 
 def approximation_error(X: DataMatrix, w, m: Mask) -> float:

@@ -443,6 +443,32 @@ def _length_and_budget_calls():
                     state, "topk-synflow", s)),
             )
         },
+        # a budget that is not an integer: a float, or a bool
+        **{
+            f"{name}/s={s!r}": (
+                call(s), budget, f"budget must be an integer, got {s!r}")
+            for s in (2.5, True)
+            for name, call in (
+                ("sample_sketch_mask", lambda s: lambda: sample_sketch_mask(
+                    p4, s, rng)),
+                ("mc_error_over_masks", lambda s: lambda: mc_error_over_masks(
+                    X, w4, p4, s, 1, rng)),
+                ("exact_expected_error", lambda s: lambda: exact_expected_error(
+                    X, w4, p4, s)),
+                ("lemma2_bound", lambda s: lambda: lemma2_bound(w4, s)),
+                ("theorem1_bound", lambda s: lambda: theorem1_bound(w4, w4, s)),
+                ("lemma4_uniform_bound", lambda s: lambda: lemma4_uniform_bound(
+                    w4, s)),
+                ("enumerate_exact_error", lambda s: lambda: enumerate_exact_error(
+                    X, w4, p4, s)),
+                ("mc_error_over_data", lambda s: lambda: mc_error_over_data(
+                    w4, w4, s, 3, 1, rng)),
+                ("select_topk", lambda s: lambda: select_topk(w4, s)),
+                ("select_randomized", lambda s: lambda: select_randomized(w4, s, rng)),
+                ("run_prune_pipeline", lambda s: lambda: run_prune_pipeline(
+                    state, "topk-synflow", s)),
+            )
+        },
     }
 
 

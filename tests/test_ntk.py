@@ -165,6 +165,8 @@ class TestTrainLinearizedGd:
             train_linearized_gd(snap, y, eta0=eta0, steps=10)
         with pytest.raises(StepSizeError):
             train_linearized_gd(snap, y, eta0=0.0, steps=10)
+        with pytest.raises(StepSizeError):
+            train_linearized_gd(snap, y, eta0=float("nan"), steps=10)
 
     def test_zero_steps(self):
         model, X, y, _ = small_problem()

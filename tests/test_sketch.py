@@ -127,6 +127,92 @@ class TestSampleSketchMask:
         assert (m.values >= 0).all()
 
 
+def _reference_indices(p, us):
+    """The lookup over the cumulative sum of all of p, which then moves each
+    1-d draw that hit a zero-probability index to the nearest positive one."""
+    cum = np.cumsum(p)
+    cum[-1] = 1.0
+    idx = np.searchsorted(cum, us, side="left")
+    hit_zero = np.flatnonzero(p[idx] == 0.0)
+    if hit_zero.size:
+        positive = np.flatnonzero(p > 0.0)
+        for b in hit_zero:
+            at = np.searchsorted(positive, idx[b], side="left")
+            idx[b] = positive[at] if at < positive.size else positive[-1]
+    return idx
+
+
+def _reference_mask(p, s, rng):
+    """A sketch mask accumulated draw by draw with np.add.at."""
+    pv = p.values
+    idx = _reference_indices(pv, np.atleast_1d(rng.uniform(s)))
+    m = np.zeros(pv.size)
+    np.add.at(m, idx, 1.0 / (s * pv[idx]))
+    return m
+
+
+def _distributions_with_zeros(count, seed):
+    """Seeded distributions over 1 to 8 indices, about 40% of whose entries
+    are zero (leading, interior and trailing ones among them), and a few
+    whose tiny entries leave the cumulative sum flat."""
+    fixed = [
+        [0.0, 1.0], [1.0, 0.0], [0.0, 0.3, 0.7], [0.3, 0.7, 0.0],
+        [0.0, 0.5, 0.0, 0.5, 0.0], [1e-20, 0.5, 0.0, 0.5],
+        [0.5, 1e-20, 0.5, 0.0], [0.0, 0.0, 1.0, 0.0, 0.0],
+    ]
+    out = [ProbabilityVector(np.array(v) / sum(v)) for v in fixed]
+    rng = RngStream(seed)
+    while len(out) < count:
+        raw = rng.uniform(1 + len(out) % 8)
+        raw[rng.uniform(raw.size) < 0.4] = 0.0
+        if raw.any():
+            out.append(ProbabilityVector(raw / raw.sum()))
+    return out
+
+
+def _boundary_draws(p):
+    """0, and each cumulative boundary of p with its neighbours just below
+    and just above, kept inside [0, 1)."""
+    cum = np.cumsum(p)
+    near = np.concatenate([[0.0], cum, np.nextafter(cum, 0.0), np.nextafter(cum, 1.0)])
+    return near[(near >= 0.0) & (near < 1.0)]
+
+
+class TestOneLookupAndBuilder:
+    """The loop-free lookup and the bincount builder give bit for bit what
+    the repair loop and np.add.at gave, and read the stream as far."""
+
+    def test_indices_match_the_repair_loop(self):
+        rng = RngStream(23)
+        for p in _distributions_with_zeros(3000, 1):
+            pv = p.values
+            us = np.concatenate([_boundary_draws(pv), rng.uniform(40)])
+            expected = _reference_indices(pv, us)
+            np.testing.assert_array_equal(_categorical_indices(pv, us), expected)
+            assert (pv[expected] > 0.0).all()
+
+    def test_two_dimensional_draws(self):
+        rng = RngStream(29)
+        for p in _distributions_with_zeros(500, 2):
+            pv = p.values
+            us = rng.uniform((3, 7))
+            edges = _boundary_draws(pv)[:14]
+            us.ravel()[: edges.size] = edges
+            idx = _categorical_indices(pv, us)
+            assert idx.shape == (3, 7)
+            np.testing.assert_array_equal(
+                idx, _reference_indices(pv, us.ravel()).reshape(3, 7)
+            )
+
+    def test_masks_match_add_at_and_stop_at_the_same_draw(self):
+        for k, p in enumerate(_distributions_with_zeros(1000, 3)):
+            s = 1 + k % 12
+            ours, theirs = RngStream(k, 7), RngStream(k, 7)
+            m = sample_sketch_mask(p, s, ours).values
+            assert m.tobytes() == _reference_mask(p, s, theirs).tobytes()
+            assert ours.uniform() == theirs.uniform()
+
+
 class TestApproximationError:
     def test_identity_mask_is_exact(self):
         X = DataMatrix(np.eye(2))

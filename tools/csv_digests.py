@@ -7,7 +7,7 @@ interpreter with the package imported from DIR (default: this checkout's
 src/). One line per run: `csv stdout stderr exit-code argv`, each digest
 being `-` when no file was written or nothing was printed. A refactor that
 must keep every CSV byte-identical diffs this output at the commit before
-and after it; the last four runs are refused, so a diff also shows a change
+and after it; the last six runs are refused, so a diff also shows a change
 in a refusal's message or exit code.
 """
 
@@ -36,6 +36,8 @@ RUNS = (
     "ntk-demo --s 0 --seed 1",
     "pipeline --s 65 --seed 1",
     "pipeline --d 0 --seed 1",
+    "histogram --density 0 --seed 1",
+    "pipeline --density nan --seed 1",
 )
 
 
