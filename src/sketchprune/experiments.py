@@ -223,9 +223,8 @@ def train_least_squares(
                 total += residual
                 residual -= c * (gram @ residual)
             else:
-                if gram is not None:
-                    residual += total
-                    total[:] = 0.0
+                residual += total
+                total[:] = 0.0
                 w -= c * (Xv @ residual)
                 residual = Xv.T @ w - yv
             loss = float(residual @ residual) / n
@@ -366,7 +365,6 @@ def seed_state(
     when lr is None. No test matrix is drawn: cells are scored in
     expectation over test data.
     """
-    _check_at_least(1, d=d, n=n)
     _check_at_least(0, steps=steps)
     if lr is not None:
         _check_lr(lr)

@@ -26,6 +26,7 @@ from .core import (
     StepSizeError,
     ZeroColumnError,
     _check_at_least,
+    _check_length,
     _vector_of_length,
 )
 from .sketch import optimal_probabilities
@@ -101,10 +102,7 @@ class TinyMLP:
     def _hidden(self, X: DataMatrix) -> tuple[np.ndarray, np.ndarray]:
         """The output matrix V and the hidden pre-activations
         (1/sqrt(d_in)) U X, for X with one row per input."""
-        if X.d != self.d_in:
-            raise DimensionMismatchError(
-                f"expected {self.d_in} input rows, got {X.d}"
-            )
+        _check_length(X.d, self.d_in, "input", "network inputs")
         split = self.d_in * self.width
         U = self.theta[:split].reshape(self.width, self.d_in)
         V = self.theta[split:].reshape(self.d_out, self.width)
@@ -278,7 +276,7 @@ def train_linearized_gd(
         np.linspace(0, steps, num=min(5, steps + 1)).astype(int).tolist()
     )
     checkpoint_steps = np.array(sorted(checkpoint_set))
-    kept = [theta.copy()] if 0 in checkpoint_set else []
+    kept = [theta.copy()]  # np.linspace starts every checkpoint set at step 0
     for t in range(1, steps + 1):
         theta -= scale * (J.T @ residual)
         residual = snapshot.outputs0 + J @ (theta - theta0) - yv
