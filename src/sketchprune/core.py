@@ -295,7 +295,8 @@ class RngStream:
     def substream(self, k: int) -> "RngStream":
         """Derive the k-th child stream deterministically."""
         _check_at_least(0, k=k)
-        mixed = (self.stream * 0x9E3779B97F4A7C15 + k + 1) % (2**63)
+        # on Python ints, since the product overflows any numpy integer
+        mixed = (int(self.stream) * 0x9E3779B97F4A7C15 + int(k) + 1) % (2**63)
         return RngStream(self.seed, mixed)
 
 

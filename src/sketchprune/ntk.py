@@ -25,6 +25,7 @@ from .core import (
     RngStream,
     StepSizeError,
     ZeroColumnError,
+    _all_finite,
     _check_at_least,
     _check_length,
     _vector_of_length,
@@ -93,6 +94,7 @@ class TinyMLP:
         cls, d_in: int, width: int, d_out: int, activation: str, rng: RngStream
     ) -> "TinyMLP":
         """Fresh network with N(0, 1) parameters."""
+        _check_at_least(1, d_in=d_in, width=width, d_out=d_out)
         n_params = d_in * width + width * d_out
         return cls(d_in, width, d_out, activation, rng.normal(n_params))
 
@@ -159,12 +161,11 @@ def capital_F(A) -> float:
     """Sum of reciprocal column norms of a matrix (entry magnitudes for a
     vector). Any zero column raises, since its reciprocal is undefined."""
     arr = np.asarray(A, dtype=np.float64)
-    if arr.ndim == 1:
-        norms = np.abs(arr)
-    elif arr.ndim == 2:
-        norms = np.linalg.norm(arr, axis=0)
-    else:
+    if arr.ndim not in (1, 2):
         raise DimensionMismatchError(f"expected 1-d or 2-d input, got ndim={arr.ndim}")
+    if not _all_finite(arr):
+        raise ValueError("capital_F entries must be finite")
+    norms = np.abs(arr) if arr.ndim == 1 else np.linalg.norm(arr, axis=0)
     if np.any(norms == 0.0):
         raise ZeroColumnError("zero column makes the reciprocal-norm sum undefined")
     return float((1.0 / norms).sum())

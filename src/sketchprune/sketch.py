@@ -19,8 +19,8 @@ from .core import (
     RngStream,
     _check_at_least,
     _check_budget,
+    _check_length,
     _vector_of_length,
-    as_vector,
     features,
     row_norms,
 )
@@ -99,7 +99,8 @@ def sample_sketch_mask(p: ProbabilityVector, s: int, rng: RngStream) -> Mask:
 
 def approximation_error(X: DataMatrix, w, m: Mask) -> float:
     """Euclidean distance between exact and masked feature vectors."""
-    wv = as_vector(w)
+    wv = _vector_of_length(w, X.d, "weight", "matrix rows")
+    _check_length(m.values.size, X.d, "mask", "matrix rows")
     return float(
         np.linalg.norm(features(X, wv) - features(X, wv * m.values))
     )

@@ -294,6 +294,18 @@ class TestBoundReport:
         with pytest.raises(ValueError):
             BoundReport(1.0, 0.1, 1.0, "two-sided", 10)
 
+    @pytest.mark.parametrize("empirical", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_empirical_error(self, empirical):
+        with pytest.raises(ValueError, match="^empirical error must be finite$"):
+            BoundReport(empirical, 0.1, 1.0, "equality", 10)
+
+    @pytest.mark.parametrize("se", [-0.1, math.nan, math.inf])
+    def test_rejects_bad_standard_error(self, se):
+        with pytest.raises(
+            ValueError, match="^standard error must be finite and nonnegative$"
+        ):
+            BoundReport(1.0, se, 1.0, "equality", 10)
+
 
 class TestMcOverMasks:
     def test_degenerate_is_exactly_zero(self):

@@ -105,6 +105,33 @@ class TestVerifyCommand:
             assert row[0].startswith(row[5] + "/")
             assert row[1] == "5"
 
+    def test_sampling_and_ntk_suites_pass(self, tmp_path):
+        out = tmp_path / "v.csv"
+        args = ["verify", "--methods", "lemma2,theorem1,ntk", "--seed", "5"]
+        assert main(args + ["--out", str(out)]) == 0
+        rows = [line.split(",") for line in read_lines(out)[1:]]
+        assert [row[0] for row in rows] == [
+            "lemma2/self-mask-s8", "lemma2/self-mask-s32",
+            "theorem1/ratio-0.1", "theorem1/ratio-0.5", "theorem1/ratio-1.0",
+            "ntk/jacobian-vs-fd", "ntk/masked-error-bound",
+            "ntk/zero-step-enumeration",
+        ]
+        assert all(row[-1] == "true" for row in rows)
+
+    def test_failed_check_exits_1_and_still_writes_the_csv(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def failing(seed, trials):
+            return [cli._gap_row("lemma3/forced", 1.0, 0.5)]
+
+        monkeypatch.setitem(cli._SUITES, "lemma3", (failing, None))
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--methods", "lemma3", "--out", str(out)]) == 1
+        assert capsys.readouterr().err == "FAILED checks: lemma3/forced\n"
+        lines = read_lines(out)
+        assert len(lines) == 2
+        assert lines[1].startswith("lemma3/forced,0,") and lines[1].endswith(",false")
+
     def test_all_suites_listed(self):
         assert set(VERIFY_SUITES) == {
             "lemma1", "lemma2", "lemma3", "theorem1", "lemma4",
@@ -170,6 +197,12 @@ class TestPipelineCommand:
             err = capsys.readouterr().err
             assert err.startswith("error: ") and err.count("\n") == 1
             assert not out.exists()
+
+    def test_non_integer_keep_count(self, tmp_path, capsys):
+        out = tmp_path / "p.csv"
+        assert main(["pipeline", "--s", "4,x", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: bad --s list '4,x'\n"
+        assert not out.exists()
 
     def test_keep_counts_and_density_exclude_each_other(self, tmp_path, capsys):
         config = tmp_path / "c.json"
@@ -452,6 +485,20 @@ class TestConfigResolution:
         config = tmp_path / "c.json"
         config.write_text("{not json")
         assert main(["pipeline", "--config", str(config)]) == 2
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "error: cannot read config file: "),
+        ("[1, 2]", "error: config file must hold a JSON object\n"),
+    ])
+    def test_unreadable_or_non_object_config(self, tmp_path, capsys, content, message):
+        config = tmp_path / "c.json"
+        if content is not None:
+            config.write_text(content)
+        out = tmp_path / "p.csv"
+        assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(message) and err.count("\n") == 1
+        assert not out.exists()
 
     def test_env_seed_fallback(self, tmp_path, monkeypatch):
         monkeypatch.setenv("SKETCHPRUNE_SEED", "31")

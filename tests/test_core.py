@@ -15,6 +15,7 @@ from sketchprune import (
     RngStream,
     SyntheticDataset,
     TinyMLP,
+    approximation_error,
     as_vector,
     enumerate_exact_error,
     empirical_ntk,
@@ -224,6 +225,18 @@ class TestRngStream:
         assert RngStream(5).substream(3) == RngStream(5).substream(3)
         assert RngStream(5).substream(3) != RngStream(5).substream(4)
 
+    @pytest.mark.parametrize("integer", [np.int64, np.uint64, np.int32])
+    def test_numpy_integers_give_the_stream_of_an_int(self, integer):
+        # the count rule admits numpy integers, and the mixed id overflows them
+        pairs = [
+            (RngStream(0, 5).substream(integer(3)), RngStream(0, 5).substream(3)),
+            (RngStream(2, integer(7)).substream(1), RngStream(2, 7).substream(1)),
+            (RngStream(integer(2), integer(7)), RngStream(2, 7)),
+        ]
+        for ours, theirs in pairs:
+            assert ours == theirs
+            np.testing.assert_array_equal(ours.normal(8), theirs.normal(8))
+
     def test_rejects_negative_ids(self):
         with pytest.raises(ValueError):
             RngStream(-1)
@@ -421,6 +434,19 @@ def _length_and_budget_calls():
         "train_linearized_gd": (
             lambda: train_linearized_gd(snapshot, y2, 1e-3, 1), length,
             "label length 2 does not match 3 outputs"),
+        "TinyMLP.output_vector": (
+            lambda: model.output_vector(DataMatrix(np.ones((5, 3)))), length,
+            "input length 5 does not match 4 network inputs"),
+        "approximation_error/w": (
+            lambda: approximation_error(X, w5, Mask(w4)), length,
+            f"weight length 5 {rows}"),
+        "approximation_error/mask": (
+            lambda: approximation_error(X, w4, Mask(w5)), length,
+            f"mask length 5 {rows}"),
+        # a length-1 mask would otherwise broadcast over every weight
+        "approximation_error/mask=1": (
+            lambda: approximation_error(X, w4, Mask([1.0])), length,
+            f"mask length 1 {rows}"),
         "sample_sketch_mask": (lambda: sample_sketch_mask(p4, 0, rng), budget, sketch),
         "mc_error_over_masks": (
             lambda: mc_error_over_masks(X, w4, p4, 0, 1, rng), budget, sketch),

@@ -62,6 +62,20 @@ class TestTinyMLP:
         with pytest.raises(ValueError, match="finite"):
             TinyMLP(2, 4, 1, "tanh", theta)
 
+    @pytest.mark.parametrize("sizes, message", [
+        ((0, 4, 1), "d_in must be >= 1, got 0"),
+        ((-2, 4, 1), "d_in must be >= 1, got -2"),
+        ((2, 0, 1), "width must be >= 1, got 0"),
+        ((2, 4, -1), "d_out must be >= 1, got -1"),
+        ((2, 1.5, 1), "width must be an integer, got 1.5"),
+    ])
+    def test_init_checks_sizes_before_drawing(self, sizes, message):
+        refused, untouched = RngStream(3), RngStream(3)
+        with pytest.raises(ValueError) as caught:
+            TinyMLP.init(*sizes, "tanh", refused)
+        assert str(caught.value) == message
+        assert refused.normal() == untouched.normal()
+
     def test_activation_table(self):
         assert set(ACTIVATIONS) == {"tanh", "softplus", "linear"}
         act, _ = ACTIVATIONS["softplus"]
@@ -126,6 +140,19 @@ class TestCapitalF:
     def test_zero_column_rejected(self):
         with pytest.raises(ZeroColumnError):
             capital_F(np.array([[1.0, 0.0], [1.0, 0.0]]))
+
+    @pytest.mark.parametrize("A", [
+        [math.nan, 1.0], [math.inf, 1.0], [[1.0, 2.0], [-math.inf, 1.0]],
+    ])
+    def test_non_finite_rejected(self, A):
+        # an inf column would otherwise add 1/inf = 0, dropping out unseen
+        with pytest.raises(ValueError) as caught:
+            capital_F(A)
+        assert str(caught.value) == "capital_F entries must be finite"
+
+    def test_three_d_rejected(self):
+        with pytest.raises(DimensionMismatchError, match="ndim=3"):
+            capital_F(np.ones((2, 2, 2)))
 
 
 class TestMaskFromSnapshot:

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from sketchprune import (
     DataMatrix,
     DegenerateDistributionError,
+    DimensionMismatchError,
     InvalidDensityError,
     RngStream,
     features,
@@ -215,6 +216,16 @@ class TestLayerwiseSelection:
             masks = layerwise_randomized_selection(layers, density, rng)
             assert [m.nnz for m in masks] == expect
             assert sum(m.nnz for m in masks) == k
+
+    def test_rejects_no_layers(self):
+        with pytest.raises(DimensionMismatchError, match="at least one layer"):
+            layerwise_randomized_selection([], 0.5, RngStream(0))
+
+    def test_rejects_density_that_keeps_no_weight(self):
+        # round(0.1 * 4) = 0 weights, though the density lies in (0, 1]
+        with pytest.raises(InvalidDensityError) as caught:
+            layerwise_randomized_selection([np.ones(4)], 0.1, RngStream(0))
+        assert str(caught.value) == "density 0.1 keeps no weights out of 4"
 
     def test_density_out_of_range(self):
         with pytest.raises(InvalidDensityError):
