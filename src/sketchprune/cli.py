@@ -55,7 +55,6 @@ from .ntk import (
     TinyMLP,
     analytic_jacobian,
     finite_difference_jacobian,
-    mask_probabilities,
     take_snapshot,
     theorem2_report,
     train_linearized_gd,
@@ -305,16 +304,23 @@ _suite_snip_equiv = _score_equiv_suite(
 )
 
 
-def _ntk_instance(width: int, seed: int, steps: int):
+def _ntk_instance(width: int, seed: int):
+    """The untrained network, its 4 x 8 data, labels, snapshot and mask stream."""
     rng = RngStream(seed, 108)
     X = DataMatrix(rng.normal((4, 8)))
     y = rng.normal(8)
     model = TinyMLP.init(4, width, 1, "tanh", rng)
-    snapshot = take_snapshot(model, X, y)
-    trajectory = train_linearized_gd(
-        snapshot, y, eta0=1.0 / snapshot.lambda_max, steps=steps
-    )
-    return model, X, snapshot, trajectory, rng
+    return model, X, y, take_snapshot(model, X, y), rng
+
+
+def _theorem2_row(run_id: str, width: int, seed: int, steps: int, s: int, trials: int):
+    """The Theorem 2 row of _ntk_instance(width, seed) trained for steps, its
+    distance the final movement, and the network's snapshot."""
+    model, X, y, snapshot, rng = _ntk_instance(width, seed)
+    trajectory = train_linearized_gd(snapshot, y, 1.0 / snapshot.lambda_max, steps)
+    rep = theorem2_report(model, snapshot, trajectory, X, s, trials, rng)
+    movement = float(trajectory.movement[-1])
+    return _report_row(run_id, rep, model.n_params, X.n, s, movement), snapshot
 
 
 def _ntk_params(width: int) -> int:
@@ -337,16 +343,13 @@ def _suite_ntk(seed: int, trials: int) -> list[ResultRow]:
         worst = max(worst, float(np.abs(J - J_fd).max() / np.abs(J).max()))
     fd_row = _gap_row("ntk/jacobian-vs-fd", worst, 1e-5)
 
-    model, X, snapshot, trajectory, inst_rng = _ntk_instance(64, seed, steps=100)
-    s = _default_keep_count(model.n_params)
-    rep = theorem2_report(model, snapshot, trajectory, X, s, trials, inst_rng)
-    movement = float(trajectory.movement[-1])
-    masked = _report_row("ntk/masked-error-bound", rep, model.n_params, 8, s, movement)
+    s = _default_keep_count(_ntk_params(64))
+    masked, _ = _theorem2_row("ntk/masked-error-bound", 64, seed, 100, s, trials)
 
     # at theta0 the masked linearized error is the Jacobian features' sketch error
-    model, _, snapshot, _, inst_rng = _ntk_instance(4, seed + 1, steps=0)
+    model, _, _, snapshot, inst_rng = _ntk_instance(4, seed + 1)
     J0 = DataMatrix(snapshot.jacobian.T)
-    theta0, p0 = snapshot.theta0, mask_probabilities(snapshot)
+    theta0, p0 = snapshot.theta0, optimal_probabilities(J0, snapshot.theta0)
     exact = enumerate_exact_error(J0, theta0, p0, 2)
     rep = mc_error_over_masks(J0, theta0, p0, 2, 4_000, inst_rng, reference=exact)
     zero_step = _report_row("ntk/zero-step-enumeration", rep, model.n_params, 8, 2, 0.0)
@@ -482,22 +485,18 @@ def _cmd_histogram(settings: dict) -> Iterator[tuple]:
 
 
 def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
-    width, s = settings["width"], settings["s"]
-    model, X, snapshot, trajectory, rng = _ntk_instance(
-        width, settings["seed"], settings["steps"]
+    width, seed, s = settings["width"], settings["seed"], settings["s"]
+    row, snapshot = _theorem2_row(
+        "ntk-demo", width, seed, settings["steps"], s, settings["trials"]
     )
-    rep = theorem2_report(model, snapshot, trajectory, X, s, settings["trials"], rng)
     print(
-        f"width={width} n_params={model.n_params} s={s} "
+        f"width={width} n_params={row.d} s={s} "
         f"lambda_min={snapshot.lambda_min:.6g} lambda_max={snapshot.lambda_max:.6g} "
         f"k_hat={snapshot.k_hat:.6g} r0_hat={snapshot.r0_hat:.6g} "
-        f"movement={trajectory.movement[-1]:.6g} "
-        f"empirical={rep.empirical_error:.6g} bound={rep.closed_form_or_bound:.6g}"
+        f"movement={row.distance:.6g} "
+        f"empirical={row.empirical_error:.6g} bound={row.bound:.6g}"
     )
-    row = _report_row(
-        "ntk-demo", rep, model.n_params, X.n, s, float(trajectory.movement[-1])
-    )
-    return [dataclasses.replace(row, seed=settings["seed"], method="ntk-sketch")]
+    return [dataclasses.replace(row, seed=seed, method="ntk-sketch")]
 
 
 # ---------------------------------------------------------------------------

@@ -335,9 +335,13 @@ def theorem2_report(
     (1/s) K^3 ||theta0||_1 F(J(theta0)) (||theta0||_1
         + F(theta0) 9 K^4 R0^2 / lambda_min^2
         + 6 sqrt(n_params) K^3 R0 / lambda_min),
-    with every constant replaced by its empirical surrogate.
+    with every constant replaced by its empirical surrogate. A singular
+    kernel (lambda_min <= 0) is refused before any Jacobian or mask draw.
     """
     _check_at_least(1, mask_trials=mask_trials)
+    lambda_min = snapshot.lambda_min
+    if lambda_min <= 0.0:
+        raise ValueError("empirical kernel is singular; the bound is undefined")
     jacobians = [
         analytic_jacobian(model.with_theta(theta), X) for theta in trajectory.thetas
     ]
@@ -346,9 +350,6 @@ def theorem2_report(
         mask_probabilities(snapshot), s, mask_trials, rng,
     )
 
-    lambda_min = snapshot.lambda_min
-    if lambda_min <= 0.0:
-        raise ValueError("empirical kernel is singular; the bound is undefined")
     k_hat = _lipschitz_k_hat(snapshot, trajectory, jacobians)
     l1 = float(np.abs(snapshot.theta0).sum())
     r0 = snapshot.r0_hat

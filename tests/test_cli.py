@@ -397,6 +397,23 @@ class TestHistogramCommand:
         assert capsys.readouterr().err == "error: disk went away\n"
         assert list(tmp_path.iterdir()) == []
 
+    def test_failed_write_reports_the_write_error(self, tmp_path, capsys, monkeypatch):
+        # the temporary file cannot be removed either; the write's error,
+        # not the removal's, is the one reported
+        def rows(settings):
+            yield (0.0, 1.0, 0, 1)
+            raise OSError("disk went away")
+
+        def stuck(path):
+            raise OSError("cannot remove the temporary file")
+
+        monkeypatch.setattr(cli, "_cmd_histogram", rows)
+        monkeypatch.setattr(cli.os, "unlink", stuck)
+        out = tmp_path / "h.csv"
+        assert main(["histogram", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "error: disk went away\n"
+        assert not out.exists()
+
 
 class TestNtkDemoCommand:
     def test_writes_one_row(self, tmp_path, capsys):
@@ -412,6 +429,51 @@ class TestNtkDemoCommand:
         assert row[0] == "ntk-demo"
         assert float(row[6]) <= float(row[7])
         assert "lambda_min=" in capsys.readouterr().out
+
+    def test_matches_the_verify_row(self, tmp_path):
+        # verify's ntk/masked-error-bound is the demo's row at its defaults
+        verify_out, demo_out = tmp_path / "v.csv", tmp_path / "n.csv"
+        assert main(["verify", "--methods", "ntk", "--seed", "5",
+                     "--out", str(verify_out)]) == 0
+        assert main(["ntk-demo", "--seed", "5", "--out", str(demo_out)]) == 0
+        verify_rows = {
+            line.split(",")[0]: line.split(",") for line in read_lines(verify_out)[1:]
+        }
+        demo_row = read_lines(demo_out)[1].split(",")
+        cells = [RESULT_HEADER.index(name) for name in (
+            "d", "n", "s", "empirical_error", "bound", "kind", "standard_error",
+            "distance",
+        )]
+        masked = verify_rows["ntk/masked-error-bound"]
+        assert [masked[k] for k in cells] == [demo_row[k] for k in cells]
+
+    def test_singular_kernel_is_refused_before_any_jacobian_or_mask(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        # at width 1 the 8 x 8 kernel has rank at most 5; only the snapshot's
+        # Jacobian is computed and no mask is drawn before the refusal
+        from sketchprune import ntk
+
+        calls = {"analytic_jacobian": 0, "mc_error_over_masks": 0}
+
+        def counted(name):
+            original = getattr(ntk, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(ntk, name, counted(name))
+        out = tmp_path / "n.csv"
+        assert main(["ntk-demo", "--width", "1", "--seed", "0", "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            "error: empirical kernel is singular; the bound is undefined\n"
+        )
+        assert calls == {"analytic_jacobian": 1, "mc_error_over_masks": 0}
+        assert not out.exists()
 
     def test_budget_validation(self, tmp_path, capsys, monkeypatch):
         # checked against the 40 parameters at width 8 before the network

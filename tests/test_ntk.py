@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import warnings
 
@@ -8,6 +9,7 @@ from sketchprune import (
     ACTIVATIONS,
     DataMatrix,
     DimensionMismatchError,
+    DivergenceError,
     LinearTrajectory,
     RngStream,
     StepSizeError,
@@ -126,6 +128,15 @@ class TestSnapshot:
         snap = take_snapshot(model, X, y)
         assert snap.r0_hat == pytest.approx(np.linalg.norm(model.output_vector(X) - y))
 
+    def test_refuses_a_kernel_that_is_not_psd(self, monkeypatch):
+        from sketchprune import ntk
+
+        model, X, y, _ = small_problem()
+        monkeypatch.setattr(ntk, "empirical_ntk", lambda J, width: -np.eye(J.shape[0]))
+        with pytest.raises(ValueError) as caught:
+            take_snapshot(model, X, y)
+        assert str(caught.value) == "empirical kernel is not PSD (min eig -1)"
+
 
 class TestCapitalF:
     def test_identity(self):
@@ -195,6 +206,21 @@ class TestTrainLinearizedGd:
         with pytest.raises(StepSizeError):
             train_linearized_gd(snap, y, eta0=float("nan"), steps=10)
 
+    def test_rising_loss_is_a_divergence(self):
+        # a spectrum a tenth of the true one admits ten times the critical
+        # step, at which the loss rises at once
+        model, X, y, _ = small_problem(width=32)
+        true = take_snapshot(model, X, y)
+        snap = dataclasses.replace(
+            true, lambda_min=true.lambda_min / 10, lambda_max=true.lambda_max / 10
+        )
+        eta0 = 2.0 / (snap.lambda_min + snap.lambda_max)
+        with pytest.raises(DivergenceError) as caught:
+            train_linearized_gd(snap, y, eta0=eta0, steps=10)
+        assert str(caught.value) == (
+            f"linearized loss rose at step 1 despite eta0={eta0:.6g}"
+        )
+
     def test_zero_steps(self):
         model, X, y, _ = small_problem()
         snap = take_snapshot(model, X, y)
@@ -256,6 +282,28 @@ class TestTheorem2Report:
         monkeypatch.setattr(ntk, "analytic_jacobian", counted)
         theorem2_report(model, snap, traj, X, s=4, mask_trials=10, rng=rng)
         assert len(calls) == len(traj.thetas)
+
+    def test_singular_kernel_is_refused_before_any_jacobian_or_mask(
+        self, monkeypatch
+    ):
+        from sketchprune import ntk
+
+        model, X, y, rng = small_problem(width=16)
+        snap = take_snapshot(model, X, y)
+        traj = train_linearized_gd(snap, y, eta0=1.0 / snap.lambda_max, steps=10)
+
+        def never(*args, **kwargs):
+            raise AssertionError("a Jacobian or a mask was computed")
+
+        monkeypatch.setattr(ntk, "analytic_jacobian", never)
+        monkeypatch.setattr(ntk, "mc_error_over_masks", never)
+        for lambda_min in (0.0, -1e-12):
+            singular = dataclasses.replace(snap, lambda_min=lambda_min)
+            with pytest.raises(ValueError) as caught:
+                theorem2_report(model, singular, traj, X, s=4, mask_trials=10, rng=rng)
+            assert str(caught.value) == (
+                "empirical kernel is singular; the bound is undefined"
+            )
 
     def test_warns_beyond_the_kernel_regime(self):
         from sketchprune.ntk import _lipschitz_k_hat

@@ -7,7 +7,7 @@ interpreter with the package imported from DIR (default: this checkout's
 src/). One line per run: `csv stdout stderr exit-code argv`, each digest
 being `-` when no file was written or nothing was printed. A refactor that
 must keep every CSV byte-identical diffs this output at the commit before
-and after it; the last six runs are refused, so a diff also shows a change
+and after it; the last seven runs are refused, so a diff also shows a change
 in a refusal's message or exit code.
 """
 
@@ -38,6 +38,7 @@ RUNS = (
     "pipeline --d 0 --seed 1",
     "histogram --density 0 --seed 1",
     "pipeline --density nan --seed 1",
+    "ntk-demo --width 1 --seed 0",
 )
 
 
