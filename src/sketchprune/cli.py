@@ -65,6 +65,8 @@ from .sketch import optimal_probabilities, uniform_probabilities
 __all__ = ["main", "ResultRow", "RESULT_HEADER", "HISTOGRAM_HEADER", "VERIFY_SUITES"]
 
 SEED_ENV_VAR = "SKETCHPRUNE_SEED"
+# ntk-demo's --width, --steps and --trials defaults, shared with verify's ntk suite
+_NTK_WIDTH, _NTK_STEPS, _NTK_TRIALS = 64, 100, 200
 
 
 @dataclasses.dataclass
@@ -183,8 +185,7 @@ def _small_instances(rng: RngStream, count: int):
         yield DataMatrix(rng.normal((d, n))), s
 
 
-def _suite_lemma1(seed: int, trials: int) -> list[ResultRow]:
-    rng = RngStream(seed, 101)
+def _suite_lemma1(rng: RngStream, trials: int) -> list[ResultRow]:
     closed, enumerated = [], []
     for X, s in _small_instances(rng, 30):
         w = rng.normal(X.d)
@@ -204,8 +205,7 @@ def _suite_lemma1(seed: int, trials: int) -> list[ResultRow]:
     return rows
 
 
-def _suite_lemma2(seed: int, trials: int) -> list[ResultRow]:
-    rng = RngStream(seed, 102)
+def _suite_lemma2(rng: RngStream, trials: int) -> list[ResultRow]:
     w0 = _concentrated_weights(64)
     return [
         _data_row(f"lemma2/self-mask-s{s}", w0, w0, s, trials, rng.substream(s),
@@ -214,8 +214,7 @@ def _suite_lemma2(seed: int, trials: int) -> list[ResultRow]:
     ]
 
 
-def _suite_lemma3(seed: int, trials: int | None) -> list[ResultRow]:
-    rng = RngStream(seed, 103)
+def _suite_lemma3(rng: RngStream, trials: int | None) -> list[ResultRow]:
     closed, enumerated = [], []
     worst_excess = -math.inf
     for X, s in _small_instances(rng, 20):
@@ -236,8 +235,7 @@ def _suite_lemma3(seed: int, trials: int | None) -> list[ResultRow]:
     ]
 
 
-def _suite_theorem1(seed: int, trials: int) -> list[ResultRow]:
-    rng = RngStream(seed, 104)
+def _suite_theorem1(rng: RngStream, trials: int) -> list[ResultRow]:
     rows = []
     for ratio in (0.1, 0.5, 1.0):
         w0, w_star = _flat_pair_at_ratio(64, ratio, rng)
@@ -246,8 +244,7 @@ def _suite_theorem1(seed: int, trials: int) -> list[ResultRow]:
     return rows
 
 
-def _suite_lemma4(seed: int, trials: int) -> list[ResultRow]:
-    rng = RngStream(seed, 105)
+def _suite_lemma4(rng: RngStream, trials: int) -> list[ResultRow]:
     d, n, s = 64, 32, 8
     w0, w_star = _flat_pair_at_ratio(d, 0.5, rng)
     rows = [_data_row("lemma4/uniform-bound", w0, w_star, s, trials,
@@ -272,12 +269,11 @@ def _suite_lemma4(seed: int, trials: int) -> list[ResultRow]:
     return rows
 
 
-def _score_equiv_suite(stream: int, gen_X, score, run_id: str):
+def _score_equiv_suite(gen_X, score, run_id: str):
     """A suite checking that probabilities proportional to score(X, w) equal
     the optimal p0, worst case over random instances from gen_X."""
 
-    def suite(seed: int, trials: int) -> list[ResultRow]:
-        rng = RngStream(seed, stream)
+    def suite(rng: RngStream, trials: int) -> list[ResultRow]:
         worst = 0.0
         for _ in range(trials):
             d = int(rng.integers(2, 51))
@@ -295,11 +291,11 @@ def _score_equiv_suite(stream: int, gen_X, score, run_id: str):
 # the lambdas look the library functions up when called, so a rebinding of
 # those module names (as perfbench's tracer does) is seen
 _suite_synflow_equiv = _score_equiv_suite(
-    106, lambda d, n, rng: DataMatrix(rng.normal((d, n))),
+    lambda d, n, rng: DataMatrix(rng.normal((d, n))),
     lambda X, w: synflow_scores(row_norms(X), w), "synflow-equiv/row-norm-probe",
 )
 _suite_snip_equiv = _score_equiv_suite(
-    107, lambda d, n, rng: gen_sparse_X(d, n, rng),
+    lambda d, n, rng: gen_sparse_X(d, n, rng),
     lambda X, w: snip_scores_l1(X, np.zeros(X.n), w), "snip-equiv/sparse-data",
 )
 
@@ -331,8 +327,7 @@ def _default_keep_count(n_params: int) -> int:
     return math.isqrt(n_params - 1) + 1  # ceil(sqrt(n_params))
 
 
-def _suite_ntk(seed: int, trials: int) -> list[ResultRow]:
-    rng = RngStream(seed, 109)
+def _suite_ntk(rng: RngStream, trials: int) -> list[ResultRow]:
     worst = 0.0
     for k in range(5):
         activation = ("tanh", "softplus")[k % 2]
@@ -343,11 +338,12 @@ def _suite_ntk(seed: int, trials: int) -> list[ResultRow]:
         worst = max(worst, float(np.abs(J - J_fd).max() / np.abs(J).max()))
     fd_row = _gap_row("ntk/jacobian-vs-fd", worst, 1e-5)
 
-    s = _default_keep_count(_ntk_params(64))
-    masked, _ = _theorem2_row("ntk/masked-error-bound", 64, seed, 100, s, trials)
+    s = _default_keep_count(_ntk_params(_NTK_WIDTH))
+    masked, _ = _theorem2_row("ntk/masked-error-bound", _NTK_WIDTH, rng.seed,
+                              _NTK_STEPS, s, trials)
 
     # at theta0 the masked linearized error is the Jacobian features' sketch error
-    model, _, _, snapshot, inst_rng = _ntk_instance(4, seed + 1)
+    model, _, _, snapshot, inst_rng = _ntk_instance(4, rng.seed + 1)
     J0 = DataMatrix(snapshot.jacobian.T)
     theta0, p0 = snapshot.theta0, optimal_probabilities(J0, snapshot.theta0)
     exact = enumerate_exact_error(J0, theta0, p0, 2)
@@ -356,30 +352,31 @@ def _suite_ntk(seed: int, trials: int) -> list[ResultRow]:
     return [fd_row, masked, zero_step]
 
 
-# Suites run in this order, each next to its default trial count (None for
-# lemma3, which ignores it) and called with (seed, trials). What a trial is
-# differs by suite; the verify --trials help says which.
+# Suites run in this order, each with the stream of the seed it draws from
+# and its default trial count (None for lemma3, which ignores it), and called
+# with (RngStream(seed, stream), trials). What a trial is differs by suite;
+# the verify --trials help says which. Stream 108 is taken by _ntk_instance.
 _SUITES = {
-    "lemma1": (_suite_lemma1, 20_000),
-    "lemma2": (_suite_lemma2, 2_000),
-    "lemma3": (_suite_lemma3, None),
-    "theorem1": (_suite_theorem1, 2_000),
-    "lemma4": (_suite_lemma4, 2_000),
-    "synflow-equiv": (_suite_synflow_equiv, 100),
-    "snip-equiv": (_suite_snip_equiv, 100),
-    "ntk": (_suite_ntk, 200),
+    "lemma1": (_suite_lemma1, 101, 20_000),
+    "lemma2": (_suite_lemma2, 102, 2_000),
+    "lemma3": (_suite_lemma3, 103, None),
+    "theorem1": (_suite_theorem1, 104, 2_000),
+    "lemma4": (_suite_lemma4, 105, 2_000),
+    "synflow-equiv": (_suite_synflow_equiv, 106, 100),
+    "snip-equiv": (_suite_snip_equiv, 107, 100),
+    "ntk": (_suite_ntk, 109, _NTK_TRIALS),
 }
 VERIFY_SUITES = tuple(_SUITES)
 
 
 def _cmd_verify(settings: dict) -> list[ResultRow]:
-    rows: list[ResultRow] = []
+    seed, rows = settings["seed"], []
     for suite in settings["suites"]:
-        run, default_trials = _SUITES[suite]
+        run, stream, default_trials = _SUITES[suite]
         trials = default_trials if settings["trials"] is None else settings["trials"]
         rows.extend(
-            dataclasses.replace(row, seed=settings["seed"], method=suite)
-            for row in run(settings["seed"], trials)
+            dataclasses.replace(row, seed=seed, method=suite)
+            for row in run(RngStream(seed, stream), trials)
         )
     return rows
 
@@ -557,10 +554,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--bins", type=int, default=50)
 
     p = command("ntk-demo", "kernel-regime bound demo")
-    p.add_argument("--width", type=int, default=64)
+    p.add_argument("--width", type=int, default=_NTK_WIDTH)
     p.add_argument("--s", type=int, default=None)
-    p.add_argument("--steps", type=int, default=100)
-    p.add_argument("--trials", type=int, default=200,
+    p.add_argument("--steps", type=int, default=_NTK_STEPS)
+    p.add_argument("--trials", type=int, default=_NTK_TRIALS,
                    help="mask draws for the empirical error")
 
     return parser, sub.choices

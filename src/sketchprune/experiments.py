@@ -216,6 +216,8 @@ def train_least_squares(
         residual = Xv.T @ w - yv
         total = np.zeros(n)
         prev = float(residual @ residual) / n
+        if not math.isfinite(prev):
+            raise DivergenceError(f"loss is not finite at step 0 (lr={lr:.6g})")
         tolerance = 1e-12 * max(1.0, prev)
         rises = 0
         for step in range(steps):

@@ -121,16 +121,41 @@ class TestVerifyCommand:
     def test_failed_check_exits_1_and_still_writes_the_csv(
         self, tmp_path, capsys, monkeypatch
     ):
-        def failing(seed, trials):
+        def failing(rng, trials):
             return [cli._gap_row("lemma3/forced", 1.0, 0.5)]
 
-        monkeypatch.setitem(cli._SUITES, "lemma3", (failing, None))
+        monkeypatch.setitem(cli._SUITES, "lemma3", (failing, 103, None))
         out = tmp_path / "v.csv"
         assert main(["verify", "--methods", "lemma3", "--out", str(out)]) == 1
         assert capsys.readouterr().err == "FAILED checks: lemma3/forced\n"
         lines = read_lines(out)
         assert len(lines) == 2
         assert lines[1].startswith("lemma3/forced,0,") and lines[1].endswith(",false")
+
+    def test_each_suite_draws_from_its_stream_with_its_trials(
+        self, tmp_path, monkeypatch
+    ):
+        # every suite runs once, in table order, on its own stream of the seed
+        # and at its default trials unless --trials overrides them
+        table = dict(cli._SUITES)
+        calls = []
+        for name, (_, stream, default_trials) in table.items():
+            def recorder(rng, trials, name=name):
+                calls.append((name, rng.seed, rng.stream, trials))
+                return [cli._gap_row(f"{name}/recorded", 0.0, 1.0)]
+
+            monkeypatch.setitem(cli._SUITES, name, (recorder, stream, default_trials))
+        streams = [stream for _, stream, _ in table.values()]
+        assert len(set(streams)) == len(streams) == 8
+        assert 108 not in streams  # _ntk_instance's, which ntk-demo shares
+        out = str(tmp_path / "v.csv")
+        for flags, trials in (([], None), (["--trials", "7"], 7)):
+            calls.clear()
+            assert main(["verify", "--seed", "3", "--out", out, *flags]) == 0
+            assert calls == [
+                (name, 3, stream, default_trials if trials is None else trials)
+                for name, (_, stream, default_trials) in table.items()
+            ]
 
     def test_all_suites_listed(self):
         assert set(VERIFY_SUITES) == {
@@ -298,6 +323,21 @@ class TestPipelineCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith("error: loss is not finite at step ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
+    def test_loss_overflowing_before_training_is_divergence_at_step_0(
+        self, tmp_path, capsys
+    ):
+        # finite labels whose squared loss overflows are no fault of the step size
+        out = tmp_path / "p.csv"
+        code = main([
+            "pipeline", "--d", "3", "--n", "3", "--noise-std", "1e300",
+            "--trials", "1", "--s", "1", "--out", str(out),
+        ])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: loss is not finite at step 0 (lr=")
         assert err.count("\n") == 1
         assert not out.exists()
 

@@ -216,6 +216,17 @@ class TestTrainLeastSquares:
                 with pytest.raises(DivergenceError, match="not finite at step"):
                     train_least_squares(ds.X, ds.y, np.ones(8), steps=steps, lr=lr)
 
+    def test_loss_overflowing_before_any_step_names_step_0(self):
+        # finite labels whose squared loss overflows: the step size is not
+        # to blame, so the refusal comes before the first step
+        X = gen_normal_X(3, 3, RngStream(0))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(
+                DivergenceError, match=r"^loss is not finite at step 0 \(lr=0\.1\)$"
+            ):
+                train_least_squares(X, [1e200] * 3, np.zeros(3), steps=5, lr=0.1)
+
     @pytest.mark.parametrize("steps", [100, 2000, 37])
     @pytest.mark.parametrize("d, n", [(64, 16), (32, 32), (6, 40)])
     def test_matches_weight_space_descent(self, d, n, steps):

@@ -32,6 +32,7 @@ RUNS = (
     "histogram --d 5000 --seed 2 --method randomized-snip-sparse --bins 300",
     "ntk-demo --seed 5",
     "ntk-demo --seed 2 --width 16 --steps 30",
+    "verify --methods lemma1,lemma3,ntk --trials 40 --seed 2",
     "pipeline --trials 0 --seed 1",
     "ntk-demo --s 0 --seed 1",
     "pipeline --s 65 --seed 1",
