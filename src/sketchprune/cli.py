@@ -410,10 +410,13 @@ _MEMORY = {
     # Of _ntk_params(width) parameters on _ntk_instance's 4 x 8 data: the
     # parameter draw and its frozen copy, up to 5 checkpoints, and seven 8-row
     # Jacobians (the snapshot's, one per checkpoint, and the copy in
-    # DataMatrix(J.T)); and the losses and movement of steps + 1 entries each.
+    # DataMatrix(J.T)); the losses and movement of steps + 1 entries each; and
+    # the Monte Carlo's one error per trial.
     "ntk-demo": (
-        ("width", "steps"),
-        lambda w, steps: 8 * _ntk_params(w) * (2 + 5 + 7 * 8) + 16 * (steps + 1),
+        ("width", "steps", "trials"),
+        lambda w, steps, trials: (
+            8 * _ntk_params(w) * (2 + 5 + 7 * 8) + 16 * (steps + 1) + 8 * trials
+        ),
     ),
 }
 
@@ -503,7 +506,8 @@ def _cmd_ntk_demo(settings: dict) -> list[ResultRow]:
 def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     """The parser and its subcommand parsers by name. Each subcommand's
     flags, types and defaults are also the keys, types and defaults of its
-    --config file."""
+    --config file. An integer flag's `minimum`, set on its action, is the
+    smallest value it takes; ntk-demo's --s is a budget, checked apart."""
     parser = argparse.ArgumentParser(
         prog="sketchprune",
         description="Sketch-based pruning masks, error bounds, and experiments.",
@@ -514,7 +518,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     def command(name: str, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
         p.add_argument("--seed", type=int, default=None,
-                       help=f"base seed (falls back to ${SEED_ENV_VAR}, then 0)")
+                       help=f"base seed (falls back to ${SEED_ENV_VAR}, then 0)"
+                       ).minimum = 0
         p.add_argument("--out", type=str, default=f"{name}.csv",
                        help="output CSV path")
         p.add_argument("--config", type=str, default=None,
@@ -529,11 +534,11 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
                         "data draws in lemma2, theorem1 and lemma4/uniform-bound, "
                         "random instances in synflow-equiv and snip-equiv; "
                         "lemma3 and every other check ignore it "
-                        "(default: per-suite)")
+                        "(default: per-suite)").minimum = 2
 
     p = command("pipeline", "prune, train, and measure")
-    p.add_argument("--d", type=int, default=64)
-    p.add_argument("--n", type=int, default=32)
+    p.add_argument("--d", type=int, default=64).minimum = 1
+    p.add_argument("--n", type=int, default=32).minimum = 1
     p.add_argument("--s", type=str, default=None,
                    help="comma-separated keep counts")
     p.add_argument("--density", type=float, default=None,
@@ -541,38 +546,26 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--methods", type=str, default=None,
                    help="comma-separated methods (default: all)")
     p.add_argument("--trials", type=int, default=10,
-                   help="number of consecutive seeds to run")
+                   help="number of consecutive seeds to run").minimum = 1
     p.add_argument("--noise-std", type=float, default=0.0)
-    p.add_argument("--steps", type=int, default=100)
+    p.add_argument("--steps", type=int, default=100).minimum = 0
     p.add_argument("--lr", type=float, default=None)
 
     p = command("histogram", "weight-magnitude selection histogram")
-    p.add_argument("--d", type=int, default=1024)
+    p.add_argument("--d", type=int, default=1024).minimum = 1
     p.add_argument("--density", type=float, default=0.1)
     p.add_argument("--method", type=str, default="randomized-synflow",
                    help=f"one of {', '.join(HISTOGRAM_METHODS)}")
-    p.add_argument("--bins", type=int, default=50)
+    p.add_argument("--bins", type=int, default=50).minimum = 1
 
     p = command("ntk-demo", "kernel-regime bound demo")
-    p.add_argument("--width", type=int, default=_NTK_WIDTH)
+    p.add_argument("--width", type=int, default=_NTK_WIDTH).minimum = 1
     p.add_argument("--s", type=int, default=None)
-    p.add_argument("--steps", type=int, default=_NTK_STEPS)
+    p.add_argument("--steps", type=int, default=_NTK_STEPS).minimum = 0
     p.add_argument("--trials", type=int, default=_NTK_TRIALS,
-                   help="mask draws for the empirical error")
+                   help="mask draws for the empirical error").minimum = 2
 
     return parser, sub.choices
-
-
-def _load_config_file(path: str) -> dict:
-    try:
-        payload = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ValueError(f"cannot read config file: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"config file is not valid JSON: {exc}") from exc
-    if not isinstance(payload, dict):
-        raise ValueError("config file must hold a JSON object")
-    return payload
 
 
 # JSON types a config value may have, by the type of its flag. bool is an int
@@ -583,7 +576,14 @@ _CONFIG_TYPES = {int: int, float: (int, float), str: str}
 def _config_defaults(command: str, subparser: argparse.ArgumentParser, path: str):
     """Flag defaults from a config file keyed by long option name, each value
     of its flag's type. --help and --config itself are not settings."""
-    file_config = _load_config_file(path)
+    try:
+        file_config = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise ValueError(f"cannot read config file: {exc}") from exc
+    except ValueError as exc:  # bad JSON, no UTF-8, or too many digits
+        raise ValueError(f"config file is not valid JSON: {exc}") from exc
+    if not isinstance(file_config, dict):
+        raise ValueError("config file must hold a JSON object")
     actions = {
         action.option_strings[-1][2:]: action
         for action in subparser._actions
@@ -606,19 +606,16 @@ def _config_defaults(command: str, subparser: argparse.ArgumentParser, path: str
 
 
 def _resolve_seed(seed: int | None) -> int:
-    if seed is None:
-        env = os.environ.get(SEED_ENV_VAR)
-        if env is not None:
-            try:
-                seed = int(env)
-            except ValueError as exc:
-                raise ValueError(
-                    f"{SEED_ENV_VAR} must be an integer, got {env!r}"
-                ) from exc
-        else:
-            seed = 0
-    _check_at_least(0, seed=seed)
-    return seed
+    """The seed of the flag or config, else of $SKETCHPRUNE_SEED, else 0."""
+    if seed is not None:
+        return seed
+    env = os.environ.get(SEED_ENV_VAR)
+    if env is None:
+        return 0
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
 
 
 def _split_list(raw: str, flag: str, convert=str) -> list:
@@ -650,23 +647,16 @@ def _chosen(raw: str | None, choices: tuple, what: str) -> list[str]:
     return names
 
 
-# The smallest value each integer flag but --seed and --s takes, by
-# subcommand (verify's --trials may also be absent, for the per-suite
-# defaults); each is checked before _check_memory estimates from it.
-_MINIMUMS = {
-    "verify": {"trials": 2},
-    "pipeline": {"d": 1, "n": 1, "trials": 1, "steps": 0},
-    "histogram": {"bins": 1, "d": 1},
-    "ntk-demo": {"width": 1, "steps": 0, "trials": 2},
-}
-
-
-def _resolve_settings(args) -> dict:
-    """Parsed flags plus the values derived from them, range-checked."""
+def _resolve_settings(args, subparser: argparse.ArgumentParser) -> dict:
+    """Parsed flags plus the values derived from them, range-checked: each
+    declared minimum in declaration order, before _check_memory estimates
+    from the sizes (verify's --trials may be absent, for the per-suite
+    defaults)."""
     settings = dict(vars(args), seed=_resolve_seed(args.seed))
-    for key, low in _MINIMUMS[args.command].items():
-        if settings[key] is not None:
-            _check_at_least(low, **{key: settings[key]})
+    for action in subparser._actions:
+        low = getattr(action, "minimum", None)
+        if low is not None and settings[action.dest] is not None:
+            _check_at_least(low, **{action.dest: settings[action.dest]})
     if settings.get("density") is not None:  # nan and inf fail, before math.ceil
         _check_density(settings["density"])
     _check_memory(settings)
@@ -707,14 +697,14 @@ def _resolve_settings(args) -> dict:
 def main(argv=None) -> int:
     parser, commands = _build_parser()
     args = parser.parse_args(argv)
+    subparser = commands[args.command]
     try:
         if args.config is not None:
-            subparser = commands[args.command]
             subparser.set_defaults(
                 **_config_defaults(args.command, subparser, args.config)
             )
             args = parser.parse_args(argv)
-        settings = _resolve_settings(args)
+        settings = _resolve_settings(args, subparser)
         out = Path(settings["out"])
         if args.command == "verify":
             rows = _cmd_verify(settings)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -378,7 +378,4 @@ def theorem2_report(
             stacklevel=2,
         )
 
-    return BoundReport(
-        masked.empirical_error, masked.standard_error, float(bound), "upper-bound",
-        mask_trials,
-    )
+    return replace(masked, closed_form_or_bound=float(bound), kind="upper-bound")

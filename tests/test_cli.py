@@ -547,7 +547,7 @@ class TestNtkDemoCommand:
         code = main(["ntk-demo", "--width", "64", "--out", str(out)])
         assert code == 2
         err = capsys.readouterr().err
-        assert err.startswith("error: --width 64 --steps 100 needs about ")
+        assert err.startswith("error: --width 64 --steps 100 --trials 200 needs about ")
         assert err.count("\n") == 1
         assert "physical memory" in err
         assert not out.exists()
@@ -590,12 +590,16 @@ class TestConfigResolution:
 
     @pytest.mark.parametrize("content, message", [
         (None, "error: cannot read config file: "),
-        ("[1, 2]", "error: config file must hold a JSON object\n"),
+        (b"[1, 2]", "error: config file must hold a JSON object\n"),
+        (b"\xff\xfe{}", "error: config file is not valid JSON: "),
+        # beyond Python's limit on the digits of an integer literal
+        pytest.param(b'{"d": ' + b"9" * 5000 + b"}",
+                     "error: config file is not valid JSON: ", id="5000-digits"),
     ])
     def test_unreadable_or_non_object_config(self, tmp_path, capsys, content, message):
         config = tmp_path / "c.json"
         if content is not None:
-            config.write_text(content)
+            config.write_bytes(content)
         out = tmp_path / "p.csv"
         assert main(["pipeline", "--config", str(config), "--out", str(out)]) == 2
         err = capsys.readouterr().err
@@ -778,7 +782,8 @@ class TestExitCodes:
         (["pipeline", "--d", "512", "--n", "256"], "seed_state", "--d 512 --n 256"),
         (["histogram", "--d", "6000"], "RngStream", "--d 6000 --bins 50"),
         (["histogram", "--bins", "10000"], "RngStream", "--d 1024 --bins 10000"),
-        (["ntk-demo", "--steps", "60000"], "_ntk_instance", "--width 64 --steps 60000"),
+        (["ntk-demo", "--steps", "60000"], "_ntk_instance",
+         "--width 64 --steps 60000 --trials 200"),
     ])
     def test_refuses_a_run_beyond_physical_memory(
         self, tmp_path, capsys, monkeypatch, argv, first_allocation, flags
@@ -808,9 +813,9 @@ class TestExitCodes:
         assert f"{flag} {huge} " in err and " needs about " in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--d", "--width", "--bins"])
+    @pytest.mark.parametrize("flag", ["--d", "--width", "--bins", "--trials"])
     def test_size_beyond_float_range(self, tmp_path, capsys, flag):
-        command = "ntk-demo" if flag == "--width" else "histogram"
+        command = "ntk-demo" if flag in ("--width", "--trials") else "histogram"
         out = tmp_path / "o.csv"
         self._refuses_size_beyond_float_range(capsys, out, command, flag)
 
@@ -835,7 +840,7 @@ class TestExitCodes:
     def test_value_below_its_minimum(
         self, tmp_path, capsys, command, key, low, by_config
     ):
-        assert cli._MINIMUMS[command][key] == low
+        assert self._declared_minimums()[command, key] == low
         out = tmp_path / "o.csv"
         if by_config:
             config = tmp_path / "c.json"
@@ -846,6 +851,50 @@ class TestExitCodes:
         assert main([*argv, "--out", str(out)]) == 2
         err = capsys.readouterr().err
         assert err == f"error: {key} must be >= {low}, got {low - 1}\n"
+        assert not out.exists()
+
+    @staticmethod
+    def _integer_flags() -> dict:
+        """The action of each type=int flag, by (command, dest)."""
+        _, commands = cli._build_parser()
+        return {
+            (command, action.dest): action
+            for command, subparser in commands.items()
+            for action in subparser._actions
+            if action.type is int
+        }
+
+    @classmethod
+    def _declared_minimums(cls) -> dict:
+        return {
+            key: action.minimum
+            for key, action in cls._integer_flags().items()
+            if hasattr(action, "minimum")
+        }
+
+    def test_declared_minimums(self):
+        # every integer flag but ntk-demo's --s, a budget, declares its minimum
+        expected = {(command, "seed"): 0 for command, _ in self._integer_flags()}
+        expected.update({
+            ("verify", "trials"): 2,
+            ("pipeline", "d"): 1, ("pipeline", "n"): 1,
+            ("pipeline", "trials"): 1, ("pipeline", "steps"): 0,
+            ("histogram", "d"): 1, ("histogram", "bins"): 1,
+            ("ntk-demo", "width"): 1, ("ntk-demo", "steps"): 0,
+            ("ntk-demo", "trials"): 2,
+        })
+        assert self._declared_minimums() == expected
+        assert set(self._integer_flags()) == set(expected) | {("ntk-demo", "s")}
+
+    @pytest.mark.parametrize("argv, message", [
+        (["--bins", "0", "--d", "0", "--seed=-1"], "seed must be >= 0, got -1"),
+        (["--bins", "0", "--d", "0"], "d must be >= 1, got 0"),
+    ])
+    def test_first_declared_minimum_is_named_first(self, tmp_path, capsys, argv, message):
+        # in declaration order, whatever the order on the command line
+        out = tmp_path / "o.csv"
+        assert main(["histogram", *argv, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: {message}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["verify", "pipeline"])

@@ -44,9 +44,10 @@ def test_readme_examples_run():
         if line.startswith("sketchprune ")
     ]
     assert commands
-    parser, _ = cli._build_parser()
+    parser, subparsers = cli._build_parser()
     for argv in commands:
-        cli._resolve_settings(parser.parse_args(argv))
+        args = parser.parse_args(argv)
+        cli._resolve_settings(args, subparsers[args.command])
 
 
 def test_modules_use_every_name_they_import():
