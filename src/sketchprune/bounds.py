@@ -147,7 +147,14 @@ def lemma1_exact_error(X: DataMatrix, w0, s: int) -> float:
 
 def lemma2_bound(w0, s: int) -> float:
     """Bound (1/s) ||w0||^2 on the data-averaged exact error when masking w0
-    with its own optimal distribution and X has iid N(0, 1/n) entries."""
+    with its own optimal distribution and X has iid N(0, 1/n) entries.
+
+    It holds only in a regime. With mu_n = E||X_(k)||, that error is
+    (mu_n^2 / s)(||w0||_1^2 - ||w0||_2^2), within the bound only when
+    ||w0||_1^2 / ||w0||_2^2 <= 1 + 1/mu_n^2, about 2.016 at n = 32. The
+    geometric weights (-1/4)^k sit at 15/9 ~ 1.667, inside it; flat weights
+    at d = 64, s = 8 err by about 7.75 against a bound of 0.125.
+    """
     _check_budget(s)
     wv = as_vector(w0)
     return float(wv @ wv) / s
@@ -234,8 +241,14 @@ def mc_error_over_masks(
     _check_budget(s)
     _check_length(p.d, X.d, "distribution", "matrix rows")
     errors = _mask_errors(X, wv, p.values, s, trials, rng)
-    se = float(errors.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return BoundReport(float(errors.mean()), se, reference, "equality", trials)
+    return _summary(errors, reference, "equality")
+
+
+def _summary(errors: np.ndarray, reference: float, kind: str) -> BoundReport:
+    """The mean of per-trial errors against reference, with its standard
+    error from the sample deviation (ddof=1), or 0 at one trial."""
+    se = float(errors.std(ddof=1) / math.sqrt(errors.size)) if errors.size > 1 else 0.0
+    return BoundReport(float(errors.mean()), se, reference, kind, errors.size)
 
 
 def _mask_errors(
@@ -340,5 +353,4 @@ def mc_error_over_data(
             reference = theorem1_bound(w0v, wsv, s)
         else:
             reference = lemma4_uniform_bound(wsv, s)
-    se = float(errors.std(ddof=1) / math.sqrt(x_trials)) if x_trials > 1 else 0.0
-    return BoundReport(float(errors.mean()), se, reference, "upper-bound", x_trials)
+    return _summary(errors, reference, "upper-bound")

@@ -55,6 +55,7 @@ from .ntk import (
     TinyMLP,
     analytic_jacobian,
     finite_difference_jacobian,
+    mask_probabilities,
     take_snapshot,
     theorem2_report,
     train_linearized_gd,
@@ -67,6 +68,8 @@ __all__ = ["main", "ResultRow", "RESULT_HEADER", "HISTOGRAM_HEADER", "VERIFY_SUI
 SEED_ENV_VAR = "SKETCHPRUNE_SEED"
 # ntk-demo's --width, --steps and --trials defaults, shared with verify's ntk suite
 _NTK_WIDTH, _NTK_STEPS, _NTK_TRIALS = 64, 100, 200
+# the inputs and examples of ntk-demo's data, and of verify's ntk suite
+_NTK_INPUTS, _NTK_EXAMPLES = 4, 8
 
 
 @dataclasses.dataclass
@@ -151,17 +154,13 @@ def _flat_pair_at_ratio(d: int, ratio: float, rng: RngStream):
     return w0, w0 + delta
 
 
-def _gap_row(run_id: str, worst: float, tol: float) -> ResultRow:
-    """An identity checked by its worst relative gap against tol. Like
-    _report_row, it leaves seed and method for the command to fill in."""
-    return ResultRow(
-        run_id, 0, 0, 0, 0, "", worst, tol, "equality", 0.0, math.nan,
-        passed=worst <= tol,
-    )
-
-
-def _report_row(run_id: str, rep, d: int, n: int, s: int, distance: float):
-    """A BoundReport checked by its own rule, BoundReport.satisfied."""
+def _report_row(run_id: str, rep: BoundReport, d: int = 0, n: int = 0, s: int = 0,
+                distance: float = math.nan) -> ResultRow:
+    """A BoundReport checked by its own rule, BoundReport.satisfied, with
+    seed and method left for the command to fill in. A row that aggregates
+    instances of several sizes keeps the size defaults, as an identity row
+    does: BoundReport(worst relative gap, 0.0, tolerance, "upper-bound",
+    instance count)."""
     return ResultRow(
         run_id, 0, d, n, s, "", rep.empirical_error, rep.closed_form_or_bound,
         rep.kind, rep.standard_error, distance, passed=rep.satisfied(),
@@ -192,7 +191,8 @@ def _suite_lemma1(rng: RngStream, trials: int) -> list[ResultRow]:
         closed.append(lemma1_exact_error(X, w, s))
         enumerated.append(enumerate_exact_error(X, w, optimal_probabilities(X, w), s))
     worst = _relative_gap(np.array(enumerated), np.array(closed))
-    rows = [_gap_row("lemma1/enumeration", worst, 1e-10)]
+    rows = [_report_row("lemma1/enumeration",
+                        BoundReport(worst, 0.0, 1e-10, "upper-bound", 30))]
     d, n = 32, 16
     for s in (4, 16):
         X = gen_normal_X(d, n, rng)
@@ -201,7 +201,7 @@ def _suite_lemma1(rng: RngStream, trials: int) -> list[ResultRow]:
         rep = mc_error_over_masks(
             X, w, optimal_probabilities(X, w), s, trials, rng, reference=exact
         )
-        rows.append(_report_row(f"lemma1/mc-s{s}", rep, d, n, s, math.nan))
+        rows.append(_report_row(f"lemma1/mc-s{s}", rep, d, n, s))
     return rows
 
 
@@ -230,8 +230,9 @@ def _suite_lemma3(rng: RngStream, trials: int | None) -> list[ResultRow]:
     # the largest excess over the bound against a rounding slack of 1e-12
     excess = BoundReport(worst_excess, 0.0, 1e-12, "upper-bound", 20)
     return [
-        _gap_row("lemma3/exact-vs-enumeration", worst, 1e-10),
-        _report_row("lemma3/exact-le-bound", excess, 0, 0, 0, math.nan),
+        _report_row("lemma3/exact-vs-enumeration",
+                    BoundReport(worst, 0.0, 1e-10, "upper-bound", 20)),
+        _report_row("lemma3/exact-le-bound", excess),
     ]
 
 
@@ -283,7 +284,8 @@ def _score_equiv_suite(gen_X, score, run_id: str):
             via_scores = scores_to_probabilities(score(X, w))
             direct = optimal_probabilities(X, w)
             worst = max(worst, _relative_gap(via_scores.values, direct.values))
-        return [_gap_row(run_id, worst, 1e-12)]
+        identity = BoundReport(worst, 0.0, 1e-12, "upper-bound", trials)
+        return [_report_row(run_id, identity)]
 
     return suite
 
@@ -301,11 +303,12 @@ _suite_snip_equiv = _score_equiv_suite(
 
 
 def _ntk_instance(width: int, seed: int):
-    """The untrained network, its 4 x 8 data, labels, snapshot and mask stream."""
+    """The untrained network, its _NTK_INPUTS x _NTK_EXAMPLES data, labels,
+    snapshot and mask stream."""
     rng = RngStream(seed, 108)
-    X = DataMatrix(rng.normal((4, 8)))
-    y = rng.normal(8)
-    model = TinyMLP.init(4, width, 1, "tanh", rng)
+    X = DataMatrix(rng.normal((_NTK_INPUTS, _NTK_EXAMPLES)))
+    y = rng.normal(_NTK_EXAMPLES)
+    model = TinyMLP.init(_NTK_INPUTS, width, 1, "tanh", rng)
     return model, X, y, take_snapshot(model, X, y), rng
 
 
@@ -320,7 +323,7 @@ def _theorem2_row(run_id: str, width: int, seed: int, steps: int, s: int, trials
 
 
 def _ntk_params(width: int) -> int:
-    return 5 * width  # _ntk_instance's network has 4 inputs and 1 output
+    return (_NTK_INPUTS + 1) * width  # _ntk_instance's network has 1 output
 
 
 def _default_keep_count(n_params: int) -> int:
@@ -336,19 +339,20 @@ def _suite_ntk(rng: RngStream, trials: int) -> list[ResultRow]:
         J = analytic_jacobian(model, X)
         J_fd = finite_difference_jacobian(model, X)
         worst = max(worst, float(np.abs(J - J_fd).max() / np.abs(J).max()))
-    fd_row = _gap_row("ntk/jacobian-vs-fd", worst, 1e-5)
+    fd_row = _report_row("ntk/jacobian-vs-fd",
+                         BoundReport(worst, 0.0, 1e-5, "upper-bound", 5))
 
     s = _default_keep_count(_ntk_params(_NTK_WIDTH))
     masked, _ = _theorem2_row("ntk/masked-error-bound", _NTK_WIDTH, rng.seed,
                               _NTK_STEPS, s, trials)
 
     # at theta0 the masked linearized error is the Jacobian features' sketch error
-    model, _, _, snapshot, inst_rng = _ntk_instance(4, rng.seed + 1)
+    _, _, _, snapshot, inst_rng = _ntk_instance(4, rng.seed + 1)
     J0 = DataMatrix(snapshot.jacobian.T)
-    theta0, p0 = snapshot.theta0, optimal_probabilities(J0, snapshot.theta0)
+    theta0, p0 = snapshot.theta0, mask_probabilities(snapshot)
     exact = enumerate_exact_error(J0, theta0, p0, 2)
     rep = mc_error_over_masks(J0, theta0, p0, 2, 4_000, inst_rng, reference=exact)
-    zero_step = _report_row("ntk/zero-step-enumeration", rep, model.n_params, 8, 2, 0.0)
+    zero_step = _report_row("ntk/zero-step-enumeration", rep, J0.d, J0.n, 2, 0.0)
     return [fd_row, masked, zero_step]
 
 
@@ -399,6 +403,9 @@ def _gib(size: int) -> str:
 
 # The bytes of each command's largest arrays, from the size flags named.
 _MEMORY = {
+    # the one error per trial that mc_error_over_masks and mc_error_over_data
+    # keep; an absent --trials, each suite's default, is never refused
+    "verify": (("trials",), lambda trials: 8 * (trials or 0)),
     # a seed's d x n draw, and the min(d, n)-square matrix that
     # max_hessian_eigenvalue decomposes
     "pipeline": (("d", "n"), lambda d, n: 8 * (d * n + min(d, n) ** 2)),
@@ -407,17 +414,14 @@ _MEMORY = {
     # a bin (traced: 40 at --bins 1e5 to 4e5) for its edge, its two counts
     # and np.histogram's work arrays, as each CSV line is written when made.
     "histogram": (("d", "bins"), lambda d, b: 16 * _BLOCK_ELEMENTS + 104 * d + 48 * b),
-    # Of _ntk_params(width) parameters on _ntk_instance's 4 x 8 data: the
-    # parameter draw and its frozen copy, up to 5 checkpoints, and seven 8-row
+    # Of _ntk_params(width) parameters on _ntk_instance's data: the parameter
+    # draw and its frozen copy, up to 5 checkpoints, and seven _NTK_EXAMPLES-row
     # Jacobians (the snapshot's, one per checkpoint, and the copy in
     # DataMatrix(J.T)); the losses and movement of steps + 1 entries each; and
     # the Monte Carlo's one error per trial.
-    "ntk-demo": (
-        ("width", "steps", "trials"),
-        lambda w, steps, trials: (
-            8 * _ntk_params(w) * (2 + 5 + 7 * 8) + 16 * (steps + 1) + 8 * trials
-        ),
-    ),
+    "ntk-demo": (("width", "steps", "trials"), lambda w, steps, trials: (
+        8 * _ntk_params(w) * (2 + 5 + 7 * _NTK_EXAMPLES) + 16 * (steps + 1) + 8 * trials
+    )),
 }
 
 
@@ -425,8 +429,6 @@ def _check_memory(settings: dict):
     """Refuse a run before it allocates, and before any value is derived
     from its sizes, when the bytes of its largest arrays as estimated from
     its size flags exceed physical memory."""
-    if settings["command"] not in _MEMORY:
-        return
     names, estimate = _MEMORY[settings["command"]]
     need = estimate(*(settings[name] for name in names))
     have = _physical_memory()

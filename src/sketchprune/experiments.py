@@ -133,11 +133,16 @@ def gen_sparse_X(d: int, n: int, rng: RngStream) -> DataMatrix:
     """Data matrix with exactly one N(0, 1) entry per row, at a uniformly
     random column."""
     _check_at_least(1, d=d, n=n)
-    cols = rng.integers(0, n, size=d)
+    cols, vals = _sparse_entries(d, n, rng)
     M = np.zeros((d, n))
-    M[np.arange(d), cols] = rng.normal(d)
+    M[np.arange(d), cols] = vals
     M.setflags(write=False)
     return DataMatrix(M)
+
+
+def _sparse_entries(d: int, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
+    """The column and the N(0, 1) value of the one entry of each of d rows."""
+    return rng.integers(0, n, size=d), rng.normal(d)
 
 
 def make_dataset(d: int, n: int, noise_std: float, rng: RngStream) -> SyntheticDataset:
@@ -274,8 +279,9 @@ class MaskMethod:
 
 def _snip_sparse_mask(norms: np.ndarray, n: int, w, s: int, rng: RngStream) -> Mask:
     """select_randomized over the SNIP scores, at zero labels, of a probe
-    drawn from rng as gen_sparse_X(d, n, rng) draws it, d = norms.size. The
-    data's norms are not read: the probe stands in for the data.
+    drawn from rng by _sparse_entries, as gen_sparse_X(d, n, rng) draws it,
+    d = norms.size. The data's norms are not read: the probe stands in for
+    the data.
 
     Probe row j holds one value vals_j at column cols_j, so the probe's
     features are f = bincount(cols, vals * w) and snip_scores_l1 reduces to
@@ -283,9 +289,7 @@ def _snip_sparse_mask(norms: np.ndarray, n: int, w, s: int, rng: RngStream) -> M
     other product has one nonzero term, so the mask is the one the dense
     d x n probe gives, in O(d + n) memory.
     """
-    d = norms.size
-    cols = rng.integers(0, n, size=d)
-    vals = rng.normal(d)
+    cols, vals = _sparse_entries(norms.size, n, rng)
     wv = as_vector(w)
     signs = np.sign(np.bincount(cols, weights=vals * wv, minlength=n))
     scores = np.abs(wv) * np.abs(vals * signs[cols]) / n

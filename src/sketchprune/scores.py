@@ -112,8 +112,8 @@ def layerwise_randomized_selection(
 ) -> list[Mask]:
     """Global-threshold-then-randomize selection across layers.
 
-    A global keep count k = round(density * total) is resolved by a stable
-    descending sort of the concatenated scores (ties fall to the lower layer
+    A global keep count k = round(density * total) is resolved by
+    select_topk over the concatenated scores (ties fall to the lower layer
     and index), the survivor count inside each layer fixes that layer's
     budget, and each budget is refilled by randomized score-proportional
     selection within the layer. A layer with zero budget gets an all-zero
@@ -130,10 +130,8 @@ def layerwise_randomized_selection(
         raise InvalidDensityError(
             f"density {global_density} keeps no weights out of {total}"
         )
-    concat = np.concatenate(vecs)
-    survivors = np.argsort(-concat, kind="stable")[:k]
-    layer_of = np.searchsorted(np.cumsum(sizes), survivors, side="right")
-    counts = np.bincount(layer_of, minlength=len(vecs))
+    kept = select_topk(np.concatenate(vecs), k)
+    counts = np.add.reduceat(kept.values, np.cumsum(sizes) - sizes)
     masks = []
     for vec, count in zip(vecs, counts):
         if count == 0:

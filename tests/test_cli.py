@@ -13,6 +13,7 @@ from sketchprune.cli import (
     VERIFY_SUITES,
     main,
 )
+from sketchprune.bounds import BoundReport
 from sketchprune.core import RngStream, row_norms
 from sketchprune.experiments import (
     MASK_METHODS,
@@ -122,7 +123,8 @@ class TestVerifyCommand:
         self, tmp_path, capsys, monkeypatch
     ):
         def failing(rng, trials):
-            return [cli._gap_row("lemma3/forced", 1.0, 0.5)]
+            rep = BoundReport(1.0, 0.0, 0.5, "upper-bound", 1)
+            return [cli._report_row("lemma3/forced", rep)]
 
         monkeypatch.setitem(cli._SUITES, "lemma3", (failing, 103, None))
         out = tmp_path / "v.csv"
@@ -142,7 +144,8 @@ class TestVerifyCommand:
         for name, (_, stream, default_trials) in table.items():
             def recorder(rng, trials, name=name):
                 calls.append((name, rng.seed, rng.stream, trials))
-                return [cli._gap_row(f"{name}/recorded", 0.0, 1.0)]
+                rep = BoundReport(0.0, 0.0, 1.0, "upper-bound", 1)
+                return [cli._report_row(f"{name}/recorded", rep)]
 
             monkeypatch.setitem(cli._SUITES, name, (recorder, stream, default_trials))
         streams = [stream for _, stream, _ in table.values()]
@@ -156,6 +159,23 @@ class TestVerifyCommand:
                 (name, 3, stream, default_trials if trials is None else trials)
                 for name, (_, stream, default_trials) in table.items()
             ]
+
+    def test_each_row_is_judged_by_its_report(self, tmp_path):
+        # passed is BoundReport.satisfied of the row's own cells, for every
+        # row but lemma4/p0-beats-uniform, which keeps its strict tuned <
+        # untuned rule
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--seed", "5", "--out", str(out)]) == 0
+        header, *lines = read_lines(out)
+        rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
+        assert len(rows) == 17
+        for row in rows:
+            if row["run_id"] == "lemma4/p0-beats-uniform":
+                continue
+            rep = BoundReport(float(row["empirical_error"]),
+                              float(row["standard_error"]), float(row["bound"]),
+                              row["kind"], 1)
+            assert row["passed"] == ("true" if rep.satisfied() else "false")
 
     def test_all_suites_listed(self):
         assert set(VERIFY_SUITES) == {
@@ -813,11 +833,39 @@ class TestExitCodes:
         assert f"{flag} {huge} " in err and " needs about " in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("flag", ["--d", "--width", "--bins", "--trials"])
-    def test_size_beyond_float_range(self, tmp_path, capsys, flag):
-        command = "ntk-demo" if flag in ("--width", "--trials") else "histogram"
+    @pytest.mark.parametrize("command, flag", [
+        ("histogram", "--d"), ("ntk-demo", "--width"), ("histogram", "--bins"),
+        ("ntk-demo", "--trials"), ("verify", "--trials"),
+    ], ids=["--d", "--width", "--bins", "--trials", "verify--trials"])
+    def test_size_beyond_float_range(self, tmp_path, capsys, command, flag):
         out = tmp_path / "o.csv"
         self._refuses_size_beyond_float_range(capsys, out, command, flag)
+
+    def test_every_command_estimates_its_memory(self):
+        # from flags the command declares
+        _, commands = cli._build_parser()
+        for command, subparser in commands.items():
+            names, _ = cli._MEMORY[command]
+            flags = {name for action in subparser._actions
+                     for name in action.option_strings}
+            assert {f"--{name}" for name in names} <= flags, command
+        assert set(cli._MEMORY) == set(commands)
+
+    def test_verify_trials_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
+        # refused before any suite runs; each would keep one error per trial
+        # or, in synflow-equiv, loop over them without end
+        def never(rng, trials):
+            raise AssertionError("a suite ran")
+
+        for name, (_, stream, default_trials) in dict(cli._SUITES).items():
+            monkeypatch.setitem(cli._SUITES, name, (never, stream, default_trials))
+        huge = "100000000000000000000000"
+        out = tmp_path / "v.csv"
+        assert main(["verify", "--trials", huge, "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: --trials {huge} needs about ")
+        assert "physical memory" in err and err.count("\n") == 1
+        assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--d", "--n"])
     def test_pipeline_size_beyond_float_range(self, tmp_path, capsys, flag):

@@ -217,6 +217,13 @@ class TestLayerwiseSelection:
             assert [m.nnz for m in masks] == expect
             assert sum(m.nnz for m in masks) == k
 
+    def test_ties_across_layers_fall_to_the_lower_layer(self):
+        # round(0.75 * 4) = 3 of four equal scores: both of layer 0's, then
+        # the first of layer 1's
+        layers = [np.array([1.0, 1.0]), np.array([1.0, 1.0])]
+        masks = layerwise_randomized_selection(layers, 0.75, RngStream(0))
+        assert [m.nnz for m in masks] == [2, 1]
+
     def test_rejects_no_layers(self):
         with pytest.raises(DimensionMismatchError, match="at least one layer"):
             layerwise_randomized_selection([], 0.5, RngStream(0))

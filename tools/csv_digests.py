@@ -7,9 +7,10 @@ interpreter with the package imported from DIR (default: this checkout's
 src/). One line per run: `csv stdout stderr exit-code argv`, each digest
 being `-` when no file was written or nothing was printed. A refactor that
 must keep every CSV byte-identical diffs this output at the commit before
-and after it; the last eight runs are refused, so a diff also shows a change
-in a refusal's message or exit code. The last refusal's message names the
-machine's physical memory, so its stderr digest differs between machines.
+and after it; the last nine runs are refused, so a diff also shows a change
+in a refusal's message or exit code. The last two refusals' messages name
+the machine's physical memory, so their stderr digests differ between
+machines.
 """
 
 from __future__ import annotations
@@ -42,6 +43,7 @@ RUNS = (
     "pipeline --density nan --seed 1",
     "ntk-demo --width 1 --seed 0",
     "ntk-demo --trials 100000000000000000000000 --seed 1",
+    "verify --methods lemma1 --trials 100000000000000000000000 --seed 1",
 )
 
 
