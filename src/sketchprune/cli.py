@@ -40,7 +40,7 @@ from .bounds import (
 )
 from .core import (
     _BLOCK_ELEMENTS, DataMatrix, DivergenceError, RngStream, _check_at_least,
-    _check_budget, _check_density, row_norms,
+    _check_budget, _check_density, _frozen, row_norms,
 )
 from .experiments import (
     MASK_METHODS,
@@ -410,9 +410,11 @@ _MEMORY = {
     # max_hessian_eigenvalue decomposes
     "pipeline": (("d", "n"), lambda d, n: 8 * (d * n + min(d, n) ** 2)),
     # One gen_chi_input block and its squares; at most 13 d-vectors, 104 bytes
-    # an entry (traced: 6.3 to 12.2 across the binary methods); and 48 bytes
-    # a bin (traced: 40 at --bins 1e5 to 4e5) for its edge, its two counts
-    # and np.histogram's work arrays, as each CSV line is written when made.
+    # an entry (traced past the block and bins: 34 bytes for randomized-synflow
+    # and uniform, 36 for topk-synflow and 50 for randomized-snip-sparse at
+    # d=65536, and 39, 40 and 55 at d=262144); and 48 bytes a bin (traced: 40
+    # at --bins 1e5 to 4e5) for its edge, its two counts and np.histogram's
+    # work arrays, as each CSV line is written when made.
     "histogram": (("d", "bins"), lambda d, b: 16 * _BLOCK_ELEMENTS + 104 * d + 48 * b),
     # Of _ntk_params(width) parameters on _ntk_instance's data: the parameter
     # draw and its frozen copy, up to 5 checkpoints, and seven _NTK_EXAMPLES-row
@@ -473,7 +475,7 @@ def _cmd_pipeline(settings: dict) -> list[ResultRow]:
 def _cmd_histogram(settings: dict) -> Iterator[tuple]:
     d = settings["d"]
     root = RngStream(settings["seed"])
-    w = root.substream(0).normal(d)
+    w = _frozen(root.substream(0).normal(d))
     # the row norms of a d x 128 normal matrix, drawn without holding it
     norms = gen_chi_input(d, root.substream(1), 128)
     # in [1, d], since 0 < density <= 1

@@ -80,16 +80,26 @@ def _blocks(count: int, width: int):
 
 def _all_finite(arr: np.ndarray) -> bool:
     # One pass over arr, a block at a time, so no mask of arr's size is
-    # built; ravel in memory order is a view of a contiguous array.
+    # built; an array of one block is its own block. ravel in memory order
+    # is a view of a contiguous array.
+    if arr.size <= _BLOCK_ELEMENTS:
+        return bool(np.isfinite(arr).all())
     flat = arr.ravel(order="K")
     return all(np.isfinite(flat[block]).all() for block in _blocks(flat.size, 1))
 
 
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """arr, made read-only: how the library hands over an array it has just
+    built, so that validation adopts it instead of copying it."""
+    arr.setflags(write=False)
+    return arr
+
+
 def _validated_array(values, name: str, ndim: int) -> np.ndarray:
     # A float64 array that owns its memory and is already read-only is
-    # adopted, not copied: freezing a fresh array hands it over, which spares
-    # the data generators a second d x n copy. Writeable arrays and views are
-    # still copied.
+    # adopted, not copied: freezing a fresh array hands it over (_frozen),
+    # which spares a copy of each matrix, norm, score and mask the library
+    # builds. Writeable arrays and views are still copied.
     if (
         type(values) is np.ndarray
         and values.dtype == np.float64
@@ -194,15 +204,11 @@ class DataMatrix:
     # works on a frozen dataclass.
     @cached_property
     def _norms(self) -> np.ndarray:
-        norms = _row_norms(self.values)
-        norms.setflags(write=False)
-        return norms
+        return _frozen(_row_norms(self.values))
 
     @cached_property
     def _gram(self) -> np.ndarray:
-        gram = self.values.T @ self.values
-        gram.setflags(write=False)
-        return gram
+        return _frozen(self.values.T @ self.values)
 
 
 @dataclass(frozen=True)
@@ -221,9 +227,7 @@ class ProbabilityVector:
         total = float(arr.sum())
         if abs(total - 1.0) >= 1e-9:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-        arr = arr / total
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen(arr / total))
 
     @property
     def d(self) -> int:

@@ -20,6 +20,7 @@ from .core import (
     _blocks,
     _check_at_least,
     _check_budget,
+    _frozen,
     _vector_of_length,
     as_vector,
     features,
@@ -104,8 +105,7 @@ def gen_normal_X(d: int, n: int, rng: RngStream) -> DataMatrix:
     _check_at_least(1, d=d, n=n)
     x = rng.normal((d, n))
     x /= math.sqrt(n)
-    x.setflags(write=False)
-    return DataMatrix(x)
+    return DataMatrix(_frozen(x))
 
 
 def gen_chi_input(d: int, rng: RngStream, n: int = 128) -> np.ndarray:
@@ -116,6 +116,8 @@ def gen_chi_input(d: int, rng: RngStream, n: int = 128) -> np.ndarray:
     near 1, tighter for larger n. The rows are drawn by gen_normal_X a block
     at a time, which consumes the stream exactly as one (d, n) draw does and
     reduces each row as the whole matrix would, so memory stays flat in d.
+    The norms are returned read-only, as `row_norms` returns them: copy
+    them before writing.
     """
     _check_at_least(1, d=d, n=n)
     norms = np.empty(d)
@@ -126,7 +128,7 @@ def gen_chi_input(d: int, rng: RngStream, n: int = 128) -> np.ndarray:
         # and about 20% more time.
         block = gen_normal_X(rows.stop - rows.start, n, rng)
         norms[rows] = row_norms(block)
-    return norms
+    return _frozen(norms)
 
 
 def gen_sparse_X(d: int, n: int, rng: RngStream) -> DataMatrix:
@@ -136,8 +138,7 @@ def gen_sparse_X(d: int, n: int, rng: RngStream) -> DataMatrix:
     cols, vals = _sparse_entries(d, n, rng)
     M = np.zeros((d, n))
     M[np.arange(d), cols] = vals
-    M.setflags(write=False)
-    return DataMatrix(M)
+    return DataMatrix(_frozen(M))
 
 
 def _sparse_entries(d: int, n: int, rng: RngStream) -> tuple[np.ndarray, np.ndarray]:
@@ -249,7 +250,7 @@ def train_least_squares(
             else:
                 rises = 0
             prev = loss
-    return as_vector(w)
+    return as_vector(_frozen(w))
 
 
 @dataclass(frozen=True)
@@ -293,7 +294,7 @@ def _snip_sparse_mask(norms: np.ndarray, n: int, w, s: int, rng: RngStream) -> M
     wv = as_vector(w)
     signs = np.sign(np.bincount(cols, weights=vals * wv, minlength=n))
     scores = np.abs(wv) * np.abs(vals * signs[cols]) / n
-    return select_randomized(scores, s, rng)
+    return select_randomized(_frozen(scores), s, rng)
 
 
 def _expected_sketch_error(p: ProbabilityVector, w_star: np.ndarray, s: int) -> float:
@@ -346,7 +347,9 @@ MASK_METHODS = {
         MaskMethod("randomized-snip-sparse", _snip_sparse_mask),
         MaskMethod(
             "uniform",
-            lambda norms, n, w, s, rng: select_randomized(np.ones(norms.size), s, rng),
+            lambda norms, n, w, s, rng: select_randomized(
+                _frozen(np.ones(norms.size)), s, rng
+            ),
         ),
     )
 }

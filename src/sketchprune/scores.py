@@ -18,6 +18,7 @@ from .core import (
     RngStream,
     _check_budget,
     _check_density,
+    _frozen,
     _nonnegative_vector,
     _vector_of_length,
     as_vector,
@@ -43,7 +44,9 @@ def synflow_scores(inputs, w) -> np.ndarray:
     """
     iv = _nonnegative_vector(inputs, "probe input")
     wv = _vector_of_length(w, iv.size, "weight", "probe inputs")
-    return as_vector(iv * np.abs(wv))
+    scores = np.abs(wv)
+    np.multiply(iv, scores, out=scores)
+    return as_vector(_frozen(scores))
 
 
 def snip_scores_l1(X: DataMatrix, y, w) -> np.ndarray:
@@ -55,7 +58,11 @@ def snip_scores_l1(X: DataMatrix, y, w) -> np.ndarray:
     yv = _vector_of_length(y, X.n, "label", "examples")
     wv = as_vector(w)
     signs = np.sign(features(X, wv) - yv)
-    return as_vector(np.abs(wv) * np.abs(X.values @ signs) / X.n)
+    scores = X.values @ signs
+    np.abs(scores, out=scores)
+    np.multiply(np.abs(wv), scores, out=scores)
+    scores /= X.n
+    return as_vector(_frozen(scores))
 
 
 def scores_to_probabilities(scores) -> ProbabilityVector:
@@ -74,7 +81,7 @@ def select_topk(scores, s: int) -> Mask:
     order = np.argsort(-sv, kind="stable")
     m = np.zeros(sv.size)
     m[order[:s]] = 1.0
-    return Mask(m, kind="binary")
+    return Mask(_frozen(m), kind="binary")
 
 
 def select_randomized(scores, s: int, rng: RngStream) -> Mask:
@@ -90,21 +97,30 @@ def select_randomized(scores, s: int, rng: RngStream) -> Mask:
     """
     sv = _nonnegative_vector(scores, "score")
     _check_budget(s, sv.size)
-    positive = sv > 0.0
-    n_positive = int(np.count_nonzero(positive))
+    n_positive = int(np.count_nonzero(sv))
     if n_positive < s:
         raise DegenerateDistributionError(
             f"only {n_positive} positive scores for a keep count of {s}"
         )
-    u = rng.uniform(sv.size)
-    keys = np.full(sv.size, np.inf)
-    # u_i == 0 gives an exponential of 0 and the key -inf, the smallest key
-    # there is, so the log of zero is expected there and not an error.
-    with np.errstate(divide="ignore"):
-        keys[positive] = np.log(-np.log1p(-u[positive])) - np.log(sv[positive])
+    # The keys are computed in the uniform draw's own buffer, one ufunc at a
+    # time, so each has the bits it had when computed on copies of the
+    # positive entries. u_i == 0 gives an exponential of 0 and the key -inf,
+    # the smallest key there is, so that log of zero is expected; so is a
+    # zero score's, whose key (nan when its u_i is 0) is set to +inf below.
+    keys = rng.uniform(sv.size)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        np.negative(keys, out=keys)
+        np.log1p(keys, out=keys)
+        np.negative(keys, out=keys)
+        np.log(keys, out=keys)
+        np.subtract(keys, np.log(sv), out=keys)
+    keys[sv == 0.0] = np.inf
+    # Only the s kept indices outlive the keys and their argpartition.
+    kept = np.argpartition(keys, s - 1)[:s].copy()
+    del keys
     m = np.zeros(sv.size)
-    m[np.argpartition(keys, s - 1)[:s]] = 1.0
-    return Mask(m, kind="binary")
+    m[kept] = 1.0
+    return Mask(_frozen(m), kind="binary")
 
 
 def layerwise_randomized_selection(
@@ -130,12 +146,12 @@ def layerwise_randomized_selection(
         raise InvalidDensityError(
             f"density {global_density} keeps no weights out of {total}"
         )
-    kept = select_topk(np.concatenate(vecs), k)
+    kept = select_topk(_frozen(np.concatenate(vecs)), k)
     counts = np.add.reduceat(kept.values, np.cumsum(sizes) - sizes)
     masks = []
     for vec, count in zip(vecs, counts):
         if count == 0:
-            masks.append(Mask(np.zeros(vec.size), kind="binary"))
+            masks.append(Mask(_frozen(np.zeros(vec.size)), kind="binary"))
         else:
             masks.append(select_randomized(vec, int(count), rng))
     return masks

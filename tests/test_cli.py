@@ -396,6 +396,22 @@ class TestHistogramCommand:
         assert code == 0
         assert peak < 16 * 2**20
 
+    def test_wide_run_peaks_below_six_d_vectors(self, tmp_path):
+        # At most w, the norms, the scores, the keys and the scores' logs are
+        # live at once, 0.5 MiB each: the arrays the library builds are
+        # handed over frozen, not copied, and the keys are computed in the
+        # uniform draw's buffer. A narrow run first makes the one-time
+        # allocations, such as numpy.random's import.
+        assert main(["histogram", "--d", "64", "--out", str(tmp_path / "w.csv")]) == 0
+        tracemalloc.start()
+        try:
+            code = main(["histogram", "--d", "65536", "--out", str(tmp_path / "h.csv")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 3 * 2**20
+
     def test_many_bins_hold_no_csv_text(self, tmp_path):
         # Each bin's line is written as it is made: 400000 bins take 40
         # bytes each in arrays, where the whole CSV text held three times

@@ -177,6 +177,58 @@ class TestSelectRandomized:
         with pytest.raises(DegenerateDistributionError):
             select_randomized([1.0, 0.0, 0.0], 2, RngStream(0))
 
+    @pytest.mark.filterwarnings("error")
+    def test_keys_in_place_keep_the_indices_of_keys_on_copies(self):
+        # The reference computes the keys on boolean-indexed copies of the
+        # positive entries, as select_randomized once did; the keys computed
+        # in the draw's own buffer must keep the same indices, bit for bit.
+        def reference(scores, s, u):
+            positive = scores > 0.0
+            keys = np.full(scores.size, np.inf)
+            with np.errstate(divide="ignore"):
+                keys[positive] = np.log(-np.log1p(-u[positive])) - np.log(
+                    scores[positive]
+                )
+            m = np.zeros(scores.size)
+            m[np.argpartition(keys, s - 1)[:s]] = 1.0
+            return m
+
+        class ListedUniforms:
+            """Hands out the given uniforms, recording each draw's size."""
+
+            def __init__(self, u):
+                self.u, self.sizes = u, []
+
+            def uniform(self, size=None):
+                self.sizes.append(size)
+                return self.u[:size].copy()
+
+        rng = RngStream(9)
+        for _ in range(200):
+            d = int(rng.integers(2, 40))
+            scores = rng.uniform(d) * 10.0 ** rng.integers(-3, 3, size=d)
+            kind = rng.integers(0, 4, size=d)
+            scores[kind == 0] = 0.0
+            scores[kind == 1] = -0.0
+            scores[kind == 2] *= 1e-312  # subnormal: at most 1e-310
+            positive = np.count_nonzero(scores)
+            if positive == 0:
+                continue
+            s = int(rng.integers(1, positive + 1))
+            u = rng.uniform(d)
+            # a forced u == 0, at a zero score and at a positive one
+            u[np.flatnonzero(scores == 0.0)[:1]] = 0.0
+            u[np.flatnonzero(scores > 0.0)[:1]] = 0.0
+            for frozen in (False, True):
+                given = scores.copy()
+                given.setflags(write=not frozen)
+                stub = ListedUniforms(u)
+                m = select_randomized(given, s, stub)
+                np.testing.assert_array_equal(m.values, reference(scores, s, u))
+                np.testing.assert_array_equal(given, scores)
+                assert np.array_equal(np.signbit(given), np.signbit(scores))
+                assert stub.sizes == [d]
+
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1), d=st.integers(2, 10), s=st.integers(1, 10))
     def test_exactly_s_ones(self, seed, d, s):

@@ -7,10 +7,11 @@ interpreter with the package imported from DIR (default: this checkout's
 src/). One line per run: `csv stdout stderr exit-code argv`, each digest
 being `-` when no file was written or nothing was printed. A refactor that
 must keep every CSV byte-identical diffs this output at the commit before
-and after it; the last nine runs are refused, so a diff also shows a change
-in a refusal's message or exit code. The last two refusals' messages name
-the machine's physical memory, so their stderr digests differ between
-machines.
+and after it. The three histogram runs at d=65536 select by
+randomized-synflow, uniform and topk-synflow. The last nine of the 21 runs
+are refused, so a diff also shows a change in a refusal's message or exit
+code. The last two refusals' messages name the machine's physical memory,
+so their stderr digests differ between machines.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ RUNS = (
     "pipeline --d 8 --n 40 --seed 0",
     "histogram --d 65536 --seed 5",
     "histogram --d 65536 --seed 5 --method uniform",
+    "histogram --d 65536 --seed 5 --method topk-synflow",
     "histogram --d 5000 --seed 2 --method randomized-snip-sparse --bins 300",
     "ntk-demo --seed 5",
     "ntk-demo --seed 2 --width 16 --steps 30",
