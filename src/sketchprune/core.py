@@ -80,10 +80,7 @@ def _blocks(count: int, width: int):
 
 def _all_finite(arr: np.ndarray) -> bool:
     # One pass over arr, a block at a time, so no mask of arr's size is
-    # built; an array of one block is its own block. ravel in memory order
-    # is a view of a contiguous array.
-    if arr.size <= _BLOCK_ELEMENTS:
-        return bool(np.isfinite(arr).all())
+    # built; ravel in memory order is a view of a contiguous array.
     flat = arr.ravel(order="K")
     return all(np.isfinite(flat[block]).all() for block in _blocks(flat.size, 1))
 

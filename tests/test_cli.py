@@ -396,12 +396,17 @@ class TestHistogramCommand:
         assert code == 0
         assert peak < 16 * 2**20
 
-    def test_wide_run_peaks_below_six_d_vectors(self, tmp_path):
-        # At most w, the norms, the scores, the keys and the scores' logs are
-        # live at once, 0.5 MiB each: the arrays the library builds are
-        # handed over frozen, not copied, and the keys are computed in the
-        # uniform draw's buffer. A narrow run first makes the one-time
-        # allocations, such as numpy.random's import.
+    def test_wide_run_peaks_at_five_d_vectors(self, tmp_path):
+        # The peak is in select_randomized, where w, the norms, the scores,
+        # the keys and the scores' logs are live, 0.5 MiB each: the arrays
+        # the library builds are handed over frozen, not copied, and the keys
+        # are computed in the uniform draw's buffer. Those five and about
+        # 0.1 MiB of smaller arrays (the bins, numpy's temporaries) measured
+        # 2.60 MiB; the bound leaves room for one more d-vector. Copying the
+        # library's arrays and the positive entries read 4.11 MiB. A narrow
+        # run first makes the one-time allocations, such as numpy.random's
+        # import.
+        d_vector = 65536 * 8
         assert main(["histogram", "--d", "64", "--out", str(tmp_path / "w.csv")]) == 0
         tracemalloc.start()
         try:
@@ -410,7 +415,7 @@ class TestHistogramCommand:
         finally:
             tracemalloc.stop()
         assert code == 0
-        assert peak < 3 * 2**20
+        assert peak < int(2.6 * 2**20) + d_vector
 
     def test_many_bins_hold_no_csv_text(self, tmp_path):
         # Each bin's line is written as it is made: 400000 bins take 40
