@@ -92,6 +92,15 @@ class BoundReport:
         return self.empirical_error <= self.closed_form_or_bound + slack
 
 
+def _sketch_operands(X: DataMatrix, w, p: ProbabilityVector, s: int) -> np.ndarray:
+    """The weights w validated, once the budget s and the lengths of w and p
+    are checked against the rows of X: the operands of an s-draw sketch."""
+    _check_budget(s)
+    wv = _vector_of_length(w, X.d, "weight", "matrix rows")
+    _check_length(p.d, X.d, "distribution", "matrix rows")
+    return wv
+
+
 def exact_expected_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> float:
     """Expected squared feature error of an s-draw sketch mask under p.
 
@@ -103,9 +112,7 @@ def exact_expected_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> floa
     p_k; an active index with zero probability makes the expectation
     infinite and raises.
     """
-    _check_budget(s)
-    wv = _vector_of_length(w, X.d, "weight", "matrix rows")
-    _check_length(p.d, X.d, "distribution", "matrix rows")
+    wv = _sketch_operands(X, w, p, s)
     return float(_variance_form_errors(X.values[None], wv, p.values[None], s)[0])
 
 
@@ -237,9 +244,7 @@ def mc_error_over_masks(
     those of a trial-by-trial loop, and memory stays flat in trials.
     """
     _check_at_least(1, trials=trials)
-    wv = _vector_of_length(w_apply, X.d, "weight", "matrix rows")
-    _check_budget(s)
-    _check_length(p.d, X.d, "distribution", "matrix rows")
+    wv = _sketch_operands(X, w_apply, p, s)
     errors = _mask_errors(X, wv, p.values, s, trials, rng)
     return _summary(errors, reference, "equality")
 
@@ -278,9 +283,7 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
     of at most core._BLOCK_ELEMENTS // max(d, n), so memory is flat in both,
     and each chunk's masks come from sketch's one mask builder.
     """
-    _check_budget(s)
-    wv = _vector_of_length(w, X.d, "weight", "matrix rows")
-    _check_length(p.d, X.d, "distribution", "matrix rows")
+    wv = _sketch_operands(X, w, p, s)
     if X.d**s > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"{X.d}^{s} ordered sequences exceed the limit of {ENUMERATION_LIMIT}"

@@ -3,21 +3,15 @@ built on them."""
 
 from __future__ import annotations
 
-import math
-from typing import Sequence
-
 import numpy as np
 
 from .core import (
     DataMatrix,
     DegenerateDistributionError,
-    DimensionMismatchError,
-    InvalidDensityError,
     Mask,
     ProbabilityVector,
     RngStream,
     _check_budget,
-    _check_density,
     _frozen,
     _nonnegative_vector,
     _vector_of_length,
@@ -31,7 +25,6 @@ __all__ = [
     "scores_to_probabilities",
     "select_topk",
     "select_randomized",
-    "layerwise_randomized_selection",
 ]
 
 
@@ -122,36 +115,3 @@ def select_randomized(scores, s: int, rng: RngStream) -> Mask:
     m[kept] = 1.0
     return Mask(_frozen(m), kind="binary")
 
-
-def layerwise_randomized_selection(
-    layer_scores: Sequence, global_density: float, rng: RngStream
-) -> list[Mask]:
-    """Global-threshold-then-randomize selection across layers.
-
-    A global keep count k = round(density * total) is resolved by
-    select_topk over the concatenated scores (ties fall to the lower layer
-    and index), the survivor count inside each layer fixes that layer's
-    budget, and each budget is refilled by randomized score-proportional
-    selection within the layer. A layer with zero budget gets an all-zero
-    mask.
-    """
-    vecs = [as_vector(ls) for ls in layer_scores]
-    if not vecs:
-        raise DimensionMismatchError("at least one layer is required")
-    sizes = np.array([v.size for v in vecs])
-    total = int(sizes.sum())
-    _check_density(global_density)
-    k = int(math.floor(global_density * total + 0.5))
-    if k < 1:
-        raise InvalidDensityError(
-            f"density {global_density} keeps no weights out of {total}"
-        )
-    kept = select_topk(_frozen(np.concatenate(vecs)), k)
-    counts = np.add.reduceat(kept.values, np.cumsum(sizes) - sizes)
-    masks = []
-    for vec, count in zip(vecs, counts):
-        if count == 0:
-            masks.append(Mask(_frozen(np.zeros(vec.size)), kind="binary"))
-        else:
-            masks.append(select_randomized(vec, int(count), rng))
-    return masks

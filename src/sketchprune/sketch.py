@@ -19,9 +19,7 @@ from .core import (
     RngStream,
     _check_at_least,
     _check_budget,
-    _check_length,
     _vector_of_length,
-    features,
     row_norms,
 )
 
@@ -29,7 +27,6 @@ __all__ = [
     "optimal_probabilities",
     "uniform_probabilities",
     "sample_sketch_mask",
-    "approximation_error",
 ]
 
 
@@ -96,11 +93,3 @@ def sample_sketch_mask(p: ProbabilityVector, s: int, rng: RngStream) -> Mask:
     idx = _categorical_indices(pv, rng.uniform((1, s)))
     return Mask(_mask_rows(idx, 1.0 / (s * pv[idx]), pv.size)[0], kind="sketch")
 
-
-def approximation_error(X: DataMatrix, w, m: Mask) -> float:
-    """Euclidean distance between exact and masked feature vectors."""
-    wv = _vector_of_length(w, X.d, "weight", "matrix rows")
-    _check_length(m.values.size, X.d, "mask", "matrix rows")
-    return float(
-        np.linalg.norm(features(X, wv) - features(X, wv * m.values))
-    )

@@ -15,7 +15,6 @@ from sketchprune import (
     RngStream,
     SyntheticDataset,
     TinyMLP,
-    approximation_error,
     as_vector,
     enumerate_exact_error,
     empirical_ntk,
@@ -437,16 +436,6 @@ def _length_and_budget_calls():
         "TinyMLP.output_vector": (
             lambda: model.output_vector(DataMatrix(np.ones((5, 3)))), length,
             "input length 5 does not match 4 network inputs"),
-        "approximation_error/w": (
-            lambda: approximation_error(X, w5, Mask(w4)), length,
-            f"weight length 5 {rows}"),
-        "approximation_error/mask": (
-            lambda: approximation_error(X, w4, Mask(w5)), length,
-            f"mask length 5 {rows}"),
-        # a length-1 mask would otherwise broadcast over every weight
-        "approximation_error/mask=1": (
-            lambda: approximation_error(X, w4, Mask([1.0])), length,
-            f"mask length 1 {rows}"),
         "sample_sketch_mask": (lambda: sample_sketch_mask(p4, 0, rng), budget, sketch),
         "mc_error_over_masks": (
             lambda: mc_error_over_masks(X, w4, p4, 0, 1, rng), budget, sketch),

@@ -14,7 +14,6 @@ from sketchprune import (
     ProbabilityVector,
     RngStream,
     SupportError,
-    approximation_error,
     as_vector,
     features,
     gen_chi_input,
@@ -369,12 +368,14 @@ class TestExpectedSketchError:
         w_star = _trained(state, 100, None)
         p = MASK_METHODS[method].distribution(row_norms(X), state.w0)
         rng = RngStream(12)
-        errors = np.array([
-            approximation_error(
-                gen_normal_X(8, 4, rng), w_star, sample_sketch_mask(p, 3, rng)
-            ) ** 2
-            for _ in range(20_000)
-        ])
+
+        def fresh_error():
+            X_test = gen_normal_X(8, 4, rng)
+            m = sample_sketch_mask(p, 3, rng)
+            residual = features(X_test, w_star) - features(X_test, w_star * m.values)
+            return float(np.sum(residual**2))
+
+        errors = np.array([fresh_error() for _ in range(20_000)])
         se = errors.std(ddof=1) / math.sqrt(errors.size)
         cell = run_prune_pipeline(state, method, 3)
         assert abs(cell.masked_error - errors.mean()) < 4.0 * se
@@ -397,6 +398,21 @@ class TestExpectedSketchError:
                 cell = run_prune_pipeline(state, "sketch-p0", s)
                 assert cell.bound == theorem1_bound(state.w0, w_star, s)
                 assert 0.0 < cell.masked_error <= cell.bound
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP item 9: the cell tunes p on one realized training matrix, "
+        "while Theorem 1 bounds the error averaged over data"))
+    def test_tuned_within_theorem1_on_seed_24(self):
+        # s=4 reads 106.2 against a bound of 103.85; every s of the grid
+        # exceeds it in the same ratio
+        state = seed_state(64, 32, 24)
+        above = [
+            (s, cell.masked_error, cell.bound)
+            for s in (4, 8, 16, 32)
+            for cell in [run_prune_pipeline(state, "sketch-p0", s)]
+            if cell.masked_error > cell.bound
+        ]
+        assert not above
 
     def test_trained_weight_off_the_support_raises(self):
         # training moves the weight that w0 holds at an exact zero, where the

@@ -9,12 +9,10 @@ from hypothesis import strategies as st
 from sketchprune import (
     DataMatrix,
     DegenerateDistributionError,
-    DimensionMismatchError,
     InvalidDensityError,
     RngStream,
     features,
     gen_sparse_X,
-    layerwise_randomized_selection,
     optimal_probabilities,
     row_norms,
     scores_to_probabilities,
@@ -239,58 +237,6 @@ class TestSelectRandomized:
         assert m.kind == "binary"
         assert m.nnz == s
         assert set(np.unique(m.values)) <= {0.0, 1.0}
-
-
-class TestLayerwiseSelection:
-    def test_full_density_single_layer(self):
-        masks = layerwise_randomized_selection([np.ones(4)], 1.0, RngStream(0))
-        np.testing.assert_array_equal(masks[0].values, np.ones(4))
-
-    def test_disjoint_ranges_starve_low_layer(self):
-        high = np.array([10.0, 11.0, 12.0])
-        low = np.array([1.0, 2.0])
-        masks = layerwise_randomized_selection([high, low], 3 / 5, RngStream(0))
-        assert masks[0].nnz == 3
-        np.testing.assert_array_equal(masks[1].values, [0.0, 0.0])
-
-    def test_counts_match_global_topk(self):
-        rng = RngStream(7)
-        for density in (0.1, 0.35, 0.8):
-            sizes = [5, 9, 3]
-            layers = [rng.uniform(size) + 1e-6 for size in sizes]
-            flat = np.concatenate(layers)
-            k = int(math.floor(density * flat.size + 0.5))
-            survivors = select_topk(flat, k).values
-            offsets = np.cumsum([0] + sizes)
-            expect = [
-                int(survivors[offsets[i]:offsets[i + 1]].sum()) for i in range(3)
-            ]
-            masks = layerwise_randomized_selection(layers, density, rng)
-            assert [m.nnz for m in masks] == expect
-            assert sum(m.nnz for m in masks) == k
-
-    def test_ties_across_layers_fall_to_the_lower_layer(self):
-        # round(0.75 * 4) = 3 of four equal scores: both of layer 0's, then
-        # the first of layer 1's
-        layers = [np.array([1.0, 1.0]), np.array([1.0, 1.0])]
-        masks = layerwise_randomized_selection(layers, 0.75, RngStream(0))
-        assert [m.nnz for m in masks] == [2, 1]
-
-    def test_rejects_no_layers(self):
-        with pytest.raises(DimensionMismatchError, match="at least one layer"):
-            layerwise_randomized_selection([], 0.5, RngStream(0))
-
-    def test_rejects_density_that_keeps_no_weight(self):
-        # round(0.1 * 4) = 0 weights, though the density lies in (0, 1]
-        with pytest.raises(InvalidDensityError) as caught:
-            layerwise_randomized_selection([np.ones(4)], 0.1, RngStream(0))
-        assert str(caught.value) == "density 0.1 keeps no weights out of 4"
-
-    def test_density_out_of_range(self):
-        with pytest.raises(InvalidDensityError):
-            layerwise_randomized_selection([np.ones(4)], 0.0, RngStream(0))
-        with pytest.raises(InvalidDensityError):
-            layerwise_randomized_selection([np.ones(4)], 1.2, RngStream(0))
 
 
 def test_synflow_probabilities_match_optimal_many_instances():

@@ -7,11 +7,8 @@ from sketchprune import (
     DataMatrix,
     DegenerateDistributionError,
     InvalidDensityError,
-    Mask,
     ProbabilityVector,
     RngStream,
-    approximation_error,
-    features,
     optimal_probabilities,
     sample_sketch_mask,
     uniform_probabilities,
@@ -212,25 +209,3 @@ class TestOneLookupAndBuilder:
             assert m.tobytes() == _reference_mask(p, s, theirs).tobytes()
             assert ours.uniform() == theirs.uniform()
 
-
-class TestApproximationError:
-    def test_identity_mask_is_exact(self):
-        X = DataMatrix(np.eye(2))
-        assert approximation_error(X, [1.0, 1.0], Mask([1.0, 1.0], kind="binary")) == 0.0
-
-    def test_hand_value(self):
-        X = DataMatrix(np.eye(2))
-        err = approximation_error(X, [1.0, 1.0], Mask([2.0, 0.0], kind="sketch"))
-        assert err == pytest.approx(np.sqrt(2.0))
-
-    def test_zero_weights(self):
-        X = DataMatrix(np.eye(2))
-        assert approximation_error(X, [0.0, 0.0], Mask([2.0, 0.0], kind="sketch")) == 0.0
-
-    def test_matches_direct_norm(self):
-        rng = RngStream(9)
-        X = DataMatrix(rng.normal((5, 4)))
-        w = rng.normal(5)
-        m = sample_sketch_mask(optimal_probabilities(X, w), 2, rng)
-        direct = np.linalg.norm(features(X, w) - features(X, w * m.values))
-        assert approximation_error(X, w, m) == pytest.approx(direct, rel=1e-12)

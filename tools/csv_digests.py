@@ -12,17 +12,25 @@ randomized-synflow, uniform and topk-synflow. The last nine of the 21 runs
 are refused, so a diff also shows a change in a refusal's message or exit
 code. The last two refusals' messages name the machine's physical memory,
 so their stderr digests differ between machines.
+
+A first `#` line names numpy's version, the BLAS library and its thread
+count, as `perfbench/child.py probe` reads them in one more interpreter
+under the same environment. Digests compare only at one BLAS thread count:
+the `pipeline --d 4096` CSV differs between OPENBLAS_NUM_THREADS=1 and 2.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
 
 RUNS = (
     "verify --seed 5",
@@ -53,10 +61,23 @@ def _digest(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest() if data else "-"
 
 
+def _blas_setup(src: Path, env: dict, work: Path) -> str:
+    """The `#` line naming the numpy and BLAS that the runs load."""
+    report = work / "probe.json"
+    subprocess.run(
+        [sys.executable, str(ROOT / "perfbench" / "child.py"), "probe",
+         str(report), str(src)],
+        cwd=work, env=env, check=True,
+    )
+    machine = json.loads(report.read_text())["machine"]
+    return (f"# numpy {machine['numpy']}, BLAS {machine['blas']} "
+            f"{machine['blas_version']}, {machine['blas_threads']} threads")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--src", type=Path,
-                        default=Path(__file__).resolve().parent.parent / "src",
+                        default=ROOT / "src",
                         help="directory holding the sketchprune package")
     src = parser.parse_args().src.resolve()
     if not (src / "sketchprune" / "cli.py").is_file():
@@ -64,6 +85,7 @@ def main() -> int:
     env = {k: v for k, v in os.environ.items() if k != "SKETCHPRUNE_SEED"}
     env["PYTHONPATH"] = str(src)
     with tempfile.TemporaryDirectory() as work:
+        print(_blas_setup(src, env, Path(work)), flush=True)
         for k, argv in enumerate(RUNS):
             out = Path(work) / f"{k}.csv"
             run = subprocess.run(

@@ -1,6 +1,6 @@
 """List the statement lines of the sketchprune package that no test executes.
 
-    python3 tools/unexecuted_lines.py [PYTEST_ARGS ...]
+    python3 tools/unexecuted_lines.py [--cli] [PYTEST_ARGS ...]
 
 Runs pytest in this process (default arguments: `-q -p no:cacheprovider
 tests`) with a line-trace hook set before the package is imported, and
@@ -9,6 +9,12 @@ per module, the statement lines (found with `ast`; docstrings are not
 statements here) that no traced frame reached. A compound statement counts
 as executed when any line of its header runs, a `try` when its first
 statement does, and a decorated definition when its decorator line does.
+
+With --cli, before pytest runs, `sketchprune.cli.main` is called under the
+same trace once for each run of tools/csv_digests.py (its RUNS), with
+`--out` in a temporary directory, SKETCHPRUNE_SEED unset as there, and
+stdout and stderr discarded. What is still listed then is run by no fixed
+command and by none of the tests given.
 
 Only this interpreter is traced: a test that runs the package in a
 subprocess (the CLI byte-identity tests, tools/csv_digests.py) adds no
@@ -19,8 +25,11 @@ roughly doubles the suite's running time; this is a tool, not a test.
 from __future__ import annotations
 
 import ast
+import contextlib
+import io
 import os
 import sys
+import tempfile
 import threading
 from pathlib import Path
 
@@ -64,6 +73,29 @@ def _statement_spans(tree: ast.Module):
     return spans
 
 
+def _run_digest_commands():
+    """Call the CLI in process on each argv of csv_digests.RUNS, as
+    csv_digests runs them: SKETCHPRUNE_SEED unset and --out in a temporary
+    directory. Output and exit codes are discarded."""
+    import csv_digests
+    from sketchprune import cli
+
+    seed = os.environ.pop("SKETCHPRUNE_SEED", None)
+    try:
+        with tempfile.TemporaryDirectory() as work:
+            for k, argv in enumerate(csv_digests.RUNS):
+                out = str(Path(work) / f"{k}.csv")
+                with contextlib.redirect_stdout(io.StringIO()), \
+                        contextlib.redirect_stderr(io.StringIO()):
+                    try:
+                        cli.main([*argv.split(), "--out", out])
+                    except SystemExit:  # a flag the parser refuses
+                        pass
+    finally:
+        if seed is not None:
+            os.environ["SKETCHPRUNE_SEED"] = seed
+
+
 def main(argv: list[str]) -> int:
     src = str(ROOT / "src")
     sys.path.insert(0, src)
@@ -92,9 +124,14 @@ def main(argv: list[str]) -> int:
 
     import pytest
 
+    cli_runs = argv[:1] == ["--cli"]
+    if cli_runs:
+        argv = argv[1:]
     threading.settrace(tracer)
     sys.settrace(tracer)
     try:
+        if cli_runs:
+            _run_digest_commands()
         status = pytest.main(argv or ["-q", "-p", "no:cacheprovider",
                                       str(ROOT / "tests")])
     finally:
