@@ -101,6 +101,14 @@ def _sketch_operands(X: DataMatrix, w, p: ProbabilityVector, s: int) -> np.ndarr
     return wv
 
 
+def _pair_operands(w0, w_star, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """w0 and w_star validated after the budget s, w_star's length against
+    w0's: the operands of a mask tuned on w0 and applied to w_star."""
+    _check_budget(s)
+    w0v = as_vector(w0)
+    return w0v, _vector_of_length(w_star, w0v.size, "w_star", "initial weights")
+
+
 def exact_expected_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> float:
     """Expected squared feature error of an s-draw sketch mask under p.
 
@@ -197,9 +205,7 @@ def theorem1_bound(w0, w_star, s: int) -> float:
     with w0_k = 0 but delta_k != 0 is never sampled yet carries weight, so
     the error is infinite there and SupportError is raised.
     """
-    _check_budget(s)
-    w0v = as_vector(w0)
-    wsv = _vector_of_length(w_star, w0v.size, "w_star", "initial weights")
+    w0v, wsv = _pair_operands(w0, w_star, s)
     w0_abs = np.abs(w0v)
     l1 = float(w0_abs.sum())
     if l1 <= 0.0:
@@ -249,10 +255,14 @@ def mc_error_over_masks(
     return _summary(errors, reference, "equality")
 
 
+def _standard_error(x: np.ndarray) -> float:
+    """The standard error of the mean of x, by its sample deviation (ddof=1)."""
+    return float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+
+
 def _summary(errors: np.ndarray, reference: float, kind: str) -> BoundReport:
-    """The mean of per-trial errors against reference, with its standard
-    error from the sample deviation (ddof=1), or 0 at one trial."""
-    se = float(errors.std(ddof=1) / math.sqrt(errors.size)) if errors.size > 1 else 0.0
+    """The mean of per-trial errors against reference, with its standard error."""
+    se = _standard_error(errors)
     return BoundReport(float(errors.mean()), se, reference, kind, errors.size)
 
 
@@ -334,9 +344,7 @@ def mc_error_over_data(
     _check_at_least(1, x_trials=x_trials, n=n)
     if distribution not in ("optimal", "uniform"):
         raise ValueError(f"unknown distribution {distribution!r}")
-    _check_budget(s)
-    w0v = as_vector(w0)
-    wsv = _vector_of_length(w_star, w0v.size, "w_star", "initial weights")
+    w0v, wsv = _pair_operands(w0, w_star, s)
     d = w0v.size
     scale = 1.0 / math.sqrt(n)
     uniform = uniform_probabilities(d).values[None]

@@ -29,13 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
-    BoundReport,
-    enumerate_exact_error,
-    exact_expected_error,
-    lemma1_exact_error,
-    lemma2_bound,
-    lemma3_bound,
-    mc_error_over_data,
+    BoundReport, _standard_error, enumerate_exact_error, exact_expected_error,
+    lemma1_exact_error, lemma2_bound, lemma3_bound, mc_error_over_data,
     mc_error_over_masks,
 )
 from .core import (
@@ -43,22 +38,12 @@ from .core import (
     _check_budget, _check_density, _frozen, row_norms,
 )
 from .experiments import (
-    MASK_METHODS,
-    METHODS,
-    gen_chi_input,
-    gen_normal_X,
-    gen_sparse_X,
-    run_prune_pipeline,
-    seed_state,
+    _CHI_COLUMNS, MASK_METHODS, METHODS, gen_chi_input, gen_normal_X, gen_sparse_X,
+    run_prune_pipeline, seed_state,
 )
 from .ntk import (
-    TinyMLP,
-    analytic_jacobian,
-    finite_difference_jacobian,
-    mask_probabilities,
-    take_snapshot,
-    theorem2_report,
-    train_linearized_gd,
+    _CHECKPOINTS, TinyMLP, _param_count, analytic_jacobian, finite_difference_jacobian,
+    mask_probabilities, take_snapshot, theorem2_report, train_linearized_gd,
 )
 from .scores import scores_to_probabilities, snip_scores_l1, synflow_scores
 from .sketch import optimal_probabilities, uniform_probabilities
@@ -259,7 +244,7 @@ def _suite_lemma4(rng: RngStream, trials: int) -> list[ResultRow]:
         w = pair_rng.normal(d) / math.sqrt(d)
         tuned[k] = exact_expected_error(X, w, optimal_probabilities(X, w), s)
         untuned[k] = exact_expected_error(X, w, uniform, s)
-    gap_se = float((tuned - untuned).std(ddof=1) / math.sqrt(200))
+    gap_se = _standard_error(tuned - untuned)
     rows.append(
         ResultRow(
             "lemma4/p0-beats-uniform", 0, d, n, s, "",
@@ -323,7 +308,7 @@ def _theorem2_row(run_id: str, width: int, seed: int, steps: int, s: int, trials
 
 
 def _ntk_params(width: int) -> int:
-    return (_NTK_INPUTS + 1) * width  # _ntk_instance's network has 1 output
+    return _param_count(_NTK_INPUTS, width, 1)  # _ntk_instance's network
 
 
 def _default_keep_count(n_params: int) -> int:
@@ -417,12 +402,13 @@ _MEMORY = {
     # work arrays, as each CSV line is written when made.
     "histogram": (("d", "bins"), lambda d, b: 16 * _BLOCK_ELEMENTS + 104 * d + 48 * b),
     # Of _ntk_params(width) parameters on _ntk_instance's data: the parameter
-    # draw and its frozen copy, up to 5 checkpoints, and seven _NTK_EXAMPLES-row
-    # Jacobians (the snapshot's, one per checkpoint, and the copy in
-    # DataMatrix(J.T)); the losses and movement of steps + 1 entries each; and
-    # the Monte Carlo's one error per trial.
+    # draw and its frozen copy, up to _CHECKPOINTS checkpoints, and
+    # _CHECKPOINTS + 2 _NTK_EXAMPLES-row Jacobians (the snapshot's, one per
+    # checkpoint, and the copy in DataMatrix(J.T)); the losses and movement of
+    # steps + 1 entries each; and the Monte Carlo's one error per trial.
     "ntk-demo": (("width", "steps", "trials"), lambda w, steps, trials: (
-        8 * _ntk_params(w) * (2 + 5 + 7 * _NTK_EXAMPLES) + 16 * (steps + 1) + 8 * trials
+        8 * _ntk_params(w) * (2 + _CHECKPOINTS + (_CHECKPOINTS + 2) * _NTK_EXAMPLES)
+        + 16 * (steps + 1) + 8 * trials
     )),
 }
 
@@ -442,6 +428,11 @@ def _check_memory(settings: dict):
         )
 
 
+def _density_keep_count(settings: dict) -> int:
+    # ceil(density * d) lies in [1, d], since 0 < density <= 1
+    return math.ceil(settings["density"] * settings["d"])
+
+
 def _cmd_pipeline(settings: dict) -> list[ResultRow]:
     d, n = settings["d"], settings["n"]
     rows = []
@@ -452,21 +443,12 @@ def _cmd_pipeline(settings: dict) -> list[ResultRow]:
         for method in sorted(settings["methods"]):  # rows in (method, s) order
             for s in sorted(settings["s_values"]):
                 result = run_prune_pipeline(state, method, s)
-                rows.append(
-                    ResultRow(
-                        run_id=f"pipeline/{seed}/{method}/{s}",
-                        seed=seed,
-                        d=d,
-                        n=n,
-                        s=s,
-                        method=method,
-                        empirical_error=result.masked_error,
-                        bound=result.bound,
-                        kind="upper-bound" if math.isfinite(result.bound) else "none",
-                        standard_error=math.nan,
-                        distance=result.w0_wstar_distance,
-                    )
-                )
+                kind = "upper-bound" if math.isfinite(result.bound) else "none"
+                rows.append(ResultRow(
+                    f"pipeline/{seed}/{method}/{s}", seed, d, n, s, method,
+                    result.masked_error, result.bound, kind, math.nan,
+                    result.w0_wstar_distance,
+                ))
         # free this seed's matrix before the next seed draws its own
         del state
     return rows
@@ -476,11 +458,11 @@ def _cmd_histogram(settings: dict) -> Iterator[tuple]:
     d = settings["d"]
     root = RngStream(settings["seed"])
     w = _frozen(root.substream(0).normal(d))
-    # the row norms of a d x 128 normal matrix, drawn without holding it
-    norms = gen_chi_input(d, root.substream(1), 128)
-    # in [1, d], since 0 < density <= 1
-    s = math.ceil(settings["density"] * d)
-    mask = MASK_METHODS[settings["method"]].build(norms, 128, w, s, root.substream(2))
+    # the row norms of a d x _CHI_COLUMNS normal matrix, drawn without holding it
+    norms = gen_chi_input(d, root.substream(1))
+    mask = MASK_METHODS[settings["method"]].build(
+        norms, _CHI_COLUMNS, w, _density_keep_count(settings), root.substream(2)
+    )
     magnitudes = np.abs(w)
     edges = np.linspace(0.0, float(magnitudes.max()), settings["bins"] + 1)
     count_all, _ = np.histogram(magnitudes, bins=edges)
@@ -675,7 +657,7 @@ def _resolve_settings(args, subparser: argparse.ArgumentParser) -> dict:
         if args.s is not None:
             s_values = _split_list(args.s, "--s", int)
         elif args.density is not None:
-            s_values = [math.ceil(args.density * args.d)]
+            s_values = [_density_keep_count(settings)]
         else:
             s_values = [8]
         for s in s_values:

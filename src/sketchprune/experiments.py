@@ -108,7 +108,11 @@ def gen_normal_X(d: int, n: int, rng: RngStream) -> DataMatrix:
     return DataMatrix(_frozen(x))
 
 
-def gen_chi_input(d: int, rng: RngStream, n: int = 128) -> np.ndarray:
+# the columns of the data whose row norms gen_chi_input draws by default
+_CHI_COLUMNS = 128
+
+
+def gen_chi_input(d: int, rng: RngStream, n: int = _CHI_COLUMNS) -> np.ndarray:
     """The row norms of gen_normal_X(d, n, rng), bit for bit, without the
     d x n matrix.
 

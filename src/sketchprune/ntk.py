@@ -62,6 +62,14 @@ ACTIVATIONS = {
     "linear": (lambda z: z, lambda z: np.ones_like(z)),
 }
 
+# the most parameter vectors that train_linearized_gd keeps
+_CHECKPOINTS = 5
+
+
+def _param_count(d_in: int, width: int, d_out: int) -> int:
+    """The entries of a TinyMLP's width x d_in and d_out x width matrices."""
+    return d_in * width + width * d_out
+
 
 @dataclass(frozen=True)
 class TinyMLP:
@@ -87,7 +95,7 @@ class TinyMLP:
 
     @property
     def n_params(self) -> int:
-        return self.d_in * self.width + self.width * self.d_out
+        return _param_count(self.d_in, self.width, self.d_out)
 
     @classmethod
     def init(
@@ -95,8 +103,8 @@ class TinyMLP:
     ) -> "TinyMLP":
         """Fresh network with N(0, 1) parameters."""
         _check_at_least(1, d_in=d_in, width=width, d_out=d_out)
-        n_params = d_in * width + width * d_out
-        return cls(d_in, width, d_out, activation, rng.normal(n_params))
+        theta = rng.normal(_param_count(d_in, width, d_out))
+        return cls(d_in, width, d_out, activation, theta)
 
     def with_theta(self, theta) -> "TinyMLP":
         return TinyMLP(self.d_in, self.width, self.d_out, self.activation, theta)
@@ -249,7 +257,7 @@ def train_linearized_gd(
 ) -> LinearTrajectory:
     """Gradient descent on the squared loss of the model linearized at
     theta0, with the parameter step scaled by eta0/width. Parameters are kept
-    at up to 5 evenly spaced steps, the first and the last among them.
+    at up to _CHECKPOINTS evenly spaced steps, the first and the last among them.
 
     With that scaling the residual contracts by (I - eta0 * empirical_ntk)
     each step, so eta0 may not exceed 2/(lambda_min + lambda_max). The loss
@@ -260,9 +268,7 @@ def train_linearized_gd(
     _check_at_least(0, steps=steps)
     critical = 2.0 / (snapshot.lambda_min + snapshot.lambda_max)
     if not 0 < eta0 <= critical * (1.0 + 1e-12):
-        raise StepSizeError(
-            f"eta0 must lie in (0, {critical:.6g}], got {eta0}"
-        )
+        raise StepSizeError(f"eta0 must lie in (0, {critical:.6g}], got {eta0}")
     scale = eta0 / snapshot.width
     theta0 = snapshot.theta0
     theta = theta0.copy()
@@ -274,7 +280,7 @@ def train_linearized_gd(
     tolerance = 1e-12 * max(1.0, losses[0])
     # sorted(set(...)), not np.unique, whose first call imports numpy.ma
     checkpoint_set = set(
-        np.linspace(0, steps, num=min(5, steps + 1)).astype(int).tolist()
+        np.linspace(0, steps, num=min(_CHECKPOINTS, steps + 1)).astype(int).tolist()
     )
     checkpoint_steps = np.array(sorted(checkpoint_set))
     kept = [theta.copy()]  # np.linspace starts every checkpoint set at step 0
@@ -356,17 +362,11 @@ def theorem2_report(
     f_jacobian = capital_F(snapshot.jacobian)
     f_theta = capital_F(snapshot.theta0)
     n_params = snapshot.theta0.size
-    bound = (
-        k_hat**3
-        * l1
-        * f_jacobian
-        * (
-            l1
-            + f_theta * 9.0 * k_hat**4 * r0**2 / lambda_min**2
-            + 6.0 * math.sqrt(n_params) * k_hat**3 * r0 / lambda_min
-        )
-        / s
-    )
+    bound = k_hat**3 * l1 * f_jacobian * (
+        l1
+        + f_theta * 9.0 * k_hat**4 * r0**2 / lambda_min**2
+        + 6.0 * math.sqrt(n_params) * k_hat**3 * r0 / lambda_min
+    ) / s
 
     movement_cap = 3.0 * k_hat * r0 / lambda_min
     max_movement = float(trajectory.movement.max())
