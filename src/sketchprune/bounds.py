@@ -266,14 +266,18 @@ def _summary(errors: np.ndarray, reference: float, kind: str) -> BoundReport:
     return BoundReport(float(errors.mean()), se, reference, kind, errors.size)
 
 
+def _draw_weights(wv: np.ndarray, pv: np.ndarray, s: int) -> np.ndarray:
+    """w_k / (s p_k), what a draw of index k adds to the weights; 0 where p_k = 0."""
+    return np.divide(wv, s * pv, out=np.zeros(pv.size), where=pv > 0.0)
+
+
 def _mask_errors(
     X: DataMatrix, wv: np.ndarray, pv: np.ndarray, s: int, trials: int, rng: RngStream
 ) -> np.ndarray:
     """The squared feature error of each of `trials` sketch masks, for
     operands already checked by mc_error_over_masks."""
     d = X.d
-    # A draw at index k adds w_k / (s p_k) to the weights; none lands where p_k = 0
-    step = np.divide(wv, s * pv, out=np.zeros(d), where=pv > 0.0)
+    step = _draw_weights(wv, pv, s)
     base = features(X, wv)
     errors = np.empty(trials)
     for block in _blocks(trials, max(d, s, X.n)):
@@ -290,8 +294,9 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
 
     Independent of the closed forms above; cost grows as d^s, so sequences
     beyond the enumeration limit are refused. Sequences are taken in chunks
-    of at most core._BLOCK_ELEMENTS // max(d, n), so memory is flat in both,
-    and each chunk's masks come from sketch's one mask builder.
+    of at most core._BLOCK_ELEMENTS // max(d, n), so memory is flat in both.
+    Each draw of index k adds w_k / (s p_k) to the weights, as in
+    mc_error_over_masks, through sketch's one mask builder.
     """
     wv = _sketch_operands(X, w, p, s)
     if X.d**s > ENUMERATION_LIMIT:
@@ -299,6 +304,7 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
             f"{X.d}^{s} ordered sequences exceed the limit of {ENUMERATION_LIMIT}"
         )
     pv = p.values
+    step = _draw_weights(wv, pv, s)
     support = p.support()
     base = features(X, wv)
     # Sequence i draws support[digit j of i in base m] at draw j, most
@@ -309,8 +315,7 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
     for chunk in _blocks(m**s, max(X.d, X.n)):
         block = support[np.arange(chunk.start, chunk.stop)[:, None] // places % m]
         weights = pv[block].prod(axis=1)
-        masks = _mask_rows(block, 1.0 / (s * pv[block]), X.d)
-        feats = (wv * masks) @ X.values
+        feats = _mask_rows(block, step[block], X.d) @ X.values
         residual = ((base - feats) ** 2).sum(axis=1)
         total += float(weights @ residual)
     return total

@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -227,6 +228,18 @@ class TestEnumeration:
             assert enumerate_exact_error(X, w, p, 2) == pytest.approx(
                 exact_expected_error(X, w, p, 2), rel=1e-10
             )
+
+    @pytest.mark.parametrize("s", [1, 2])
+    def test_subnormal_probability_does_not_overflow(self, s):
+        # p_2 is about 1e-310, so 1 / (s p_2) overflows, while the weight a
+        # draw of index 2 adds, w_2 / (s p_2), is about 1 / s; the Monte
+        # Carlo and the closed form both read 0 here
+        X = DataMatrix([[1.0], [1.0]])
+        w = [1.0, 1e-310]
+        p = optimal_probabilities(X, w)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert enumerate_exact_error(X, w, p, s) == exact_expected_error(X, w, p, s)
 
     def test_budget_guard(self):
         rng = RngStream(2)
