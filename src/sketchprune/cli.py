@@ -244,14 +244,11 @@ def _suite_lemma4(rng: RngStream, trials: int) -> list[ResultRow]:
         w = pair_rng.normal(d) / math.sqrt(d)
         tuned[k] = exact_expected_error(X, w, optimal_probabilities(X, w), s)
         untuned[k] = exact_expected_error(X, w, uniform, s)
-    gap_se = _standard_error(tuned - untuned)
-    rows.append(
-        ResultRow(
-            "lemma4/p0-beats-uniform", 0, d, n, s, "",
-            float(tuned.mean()), float(untuned.mean()), "upper-bound",
-            gap_se, math.nan, passed=bool(tuned.mean() < untuned.mean()),
-        )
-    )
+    rows.append(ResultRow(
+        "lemma4/p0-beats-uniform", 0, d, n, s, "", float(tuned.mean()),
+        float(untuned.mean()), "upper-bound", _standard_error(tuned - untuned),
+        math.nan, passed=bool(tuned.mean() < untuned.mean()),
+    ))
     return rows
 
 
@@ -395,11 +392,11 @@ _MEMORY = {
     # max_hessian_eigenvalue decomposes
     "pipeline": (("d", "n"), lambda d, n: 8 * (d * n + min(d, n) ** 2)),
     # One gen_chi_input block and its squares; at most 13 d-vectors, 104 bytes
-    # an entry (traced past the block and bins: 34 bytes for randomized-synflow
-    # and uniform, 36 for topk-synflow and 50 for randomized-snip-sparse at
-    # d=65536, and 39, 40 and 55 at d=262144); and 48 bytes a bin (traced: 40
-    # at --bins 1e5 to 4e5) for its edge, its two counts and np.histogram's
-    # work arrays, as each CSV line is written when made.
+    # an entry (traced past the block and bins: 34 bytes for randomized-synflow,
+    # uniform and randomized-snip-sparse and 36 for topk-synflow at d=65536,
+    # and 39 and 40 at d=262144); and 48 bytes a bin (traced: 40 at --bins 1e5
+    # to 4e5) for its edge, its two counts and np.histogram's work arrays, as
+    # each CSV line is written when made.
     "histogram": (("d", "bins"), lambda d, b: 16 * _BLOCK_ELEMENTS + 104 * d + 48 * b),
     # Of _ntk_params(width) parameters on _ntk_instance's data: the parameter
     # draw and its frozen copy, up to _CHECKPOINTS checkpoints, and

@@ -297,7 +297,14 @@ def _snip_sparse_mask(norms: np.ndarray, n: int, w, s: int, rng: RngStream) -> M
     cols, vals = _sparse_entries(norms.size, n, rng)
     wv = as_vector(w)
     signs = np.sign(np.bincount(cols, weights=vals * wv, minlength=n))
-    scores = np.abs(wv) * np.abs(vals * signs[cols]) / n
+    # Built in the buffer of signs[cols], taking |w_j| |x| as |w_j x|, which
+    # has the same bits; the probe is freed before select_randomized's keys.
+    scores = signs[cols]
+    scores *= vals
+    del cols, vals
+    scores *= wv
+    np.abs(scores, out=scores)
+    scores /= n
     return select_randomized(_frozen(scores), s, rng)
 
 

@@ -295,12 +295,7 @@ def train_linearized_gd(
             )
         if t in checkpoint_set:
             kept.append(theta.copy())
-    return LinearTrajectory(
-        thetas=np.array(kept),
-        checkpoint_steps=checkpoint_steps,
-        movement=movement,
-        losses=losses,
-    )
+    return LinearTrajectory(np.array(kept), checkpoint_steps, movement, losses)
 
 
 def _lipschitz_k_hat(

@@ -403,19 +403,22 @@ class TestHistogramCommand:
         # are computed in the uniform draw's buffer. Those five and about
         # 0.1 MiB of smaller arrays (the bins, numpy's temporaries) measured
         # 2.60 MiB; the bound leaves room for one more d-vector. Copying the
-        # library's arrays and the positive entries read 4.11 MiB. A narrow
-        # run first makes the one-time allocations, such as numpy.random's
-        # import.
+        # library's arrays and the positive entries read 4.11 MiB. The sparse
+        # SNIP probe's columns and values, freed before selection, read 3.60
+        # MiB while they were kept. A narrow run first makes the one-time
+        # allocations, such as numpy.random's import.
         d_vector = 65536 * 8
-        assert main(["histogram", "--d", "64", "--out", str(tmp_path / "w.csv")]) == 0
-        tracemalloc.start()
-        try:
-            code = main(["histogram", "--d", "65536", "--out", str(tmp_path / "h.csv")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert code == 0
-        assert peak < int(2.6 * 2**20) + d_vector
+        for method in ("randomized-synflow", "randomized-snip-sparse"):
+            run = ["histogram", "--method", method, "--out"]
+            assert main([*run, str(tmp_path / "w.csv"), "--d", "64"]) == 0
+            tracemalloc.start()
+            try:
+                code = main([*run, str(tmp_path / "h.csv"), "--d", "65536"])
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0, method
+            assert peak < int(2.6 * 2**20) + d_vector, method
 
     def test_many_bins_hold_no_csv_text(self, tmp_path):
         # Each bin's line is written as it is made: 400000 bins take 40

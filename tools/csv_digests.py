@@ -7,11 +7,11 @@ interpreter with the package imported from DIR (default: this checkout's
 src/). One line per run: `csv stdout stderr exit-code argv`, each digest
 being `-` when no file was written or nothing was printed. A refactor that
 must keep every CSV byte-identical diffs this output at the commit before
-and after it. The three histogram runs at d=65536 select by
-randomized-synflow, uniform and topk-synflow. The last nine of the 21 runs
-are refused, so a diff also shows a change in a refusal's message or exit
-code. The last two refusals' messages name the machine's physical memory,
-so their stderr digests differ between machines.
+and after it. The four histogram runs at d=65536 select by
+randomized-synflow, uniform, topk-synflow and randomized-snip-sparse. The
+last nine of the 22 runs are refused, so a diff also shows a change in a
+refusal's message or exit code. The last two refusals' messages name the
+machine's physical memory, so their stderr digests differ between machines.
 
 A first `#` line names numpy's version, the BLAS library and its thread
 count, as `perfbench/child.py probe` reads them in one more interpreter
@@ -45,6 +45,7 @@ RUNS = (
     "ntk-demo --seed 5",
     "ntk-demo --seed 2 --width 16 --steps 30",
     "verify --methods lemma1,lemma3,ntk --trials 40 --seed 2",
+    "histogram --d 65536 --seed 5 --method randomized-snip-sparse",
     "pipeline --trials 0 --seed 1",
     "ntk-demo --s 0 --seed 1",
     "pipeline --s 65 --seed 1",
