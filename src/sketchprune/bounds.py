@@ -282,7 +282,7 @@ def _mask_errors(
     errors = np.empty(trials)
     for block in _blocks(trials, max(d, s, X.n)):
         idx = _categorical_indices(pv, rng.uniform((block.stop - block.start, s)))
-        residual = _mask_rows(idx, step[idx], d) @ X.values
+        residual = _mask_rows(idx, step[idx], d).reshape(-1, d) @ X.values
         np.subtract(base, residual, out=residual)
         errors[block] = np.einsum("ij,ij->i", residual, residual)
     return errors
@@ -315,7 +315,7 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
     for chunk in _blocks(m**s, max(X.d, X.n)):
         block = support[np.arange(chunk.start, chunk.stop)[:, None] // places % m]
         weights = pv[block].prod(axis=1)
-        feats = _mask_rows(block, step[block], X.d) @ X.values
+        feats = _mask_rows(block, step[block], X.d).reshape(-1, X.d) @ X.values
         residual = ((base - feats) ** 2).sum(axis=1)
         total += float(weights @ residual)
     return total

@@ -7,11 +7,11 @@ Four subcommands, each writing its CSV a row at a time (temp file, then rename):
 * histogram  -- selected-vs-all weight-magnitude histogram for one method
 * ntk-demo   -- kernel-regime bound demo on a tiny dense network
 
-Every invocation is deterministic for a fixed flag set: all randomness
-derives from --seed (or the SKETCHPRUNE_SEED environment variable when the
-flag and config file are silent). Flags are spelled in full; a --config
-file's keys are the subcommand's other flags. List flags (--methods, --s)
-take comma-separated items, none of them twice.
+Every invocation is deterministic for a fixed flag set and config file: all
+randomness derives from --seed, else the config file's seed, else 0. Flags
+are spelled in full; a --config file's keys are the subcommand's other
+flags. List flags (--methods, --s) take comma-separated items, none of them
+twice.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .sketch import optimal_probabilities, uniform_probabilities
 
 __all__ = ["main", "ResultRow", "RESULT_HEADER", "HISTOGRAM_HEADER", "VERIFY_SUITES"]
 
-SEED_ENV_VAR = "SKETCHPRUNE_SEED"
 # ntk-demo's --width, --steps and --trials defaults, shared with verify's ntk suite
 _NTK_WIDTH, _NTK_STEPS, _NTK_TRIALS = 64, 100, 200
 # the inputs and examples of ntk-demo's data, and of verify's ntk suite
@@ -500,9 +499,8 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     def command(name: str, summary: str) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=summary, allow_abbrev=False)
-        p.add_argument("--seed", type=int, default=None,
-                       help=f"base seed (falls back to ${SEED_ENV_VAR}, then 0)"
-                       ).minimum = 0
+        p.add_argument("--seed", type=int, default=0,
+                       help="base seed (default: 0)").minimum = 0
         p.add_argument("--out", type=str, default=f"{name}.csv",
                        help="output CSV path")
         p.add_argument("--config", type=str, default=None,
@@ -588,19 +586,6 @@ def _config_defaults(command: str, subparser: argparse.ArgumentParser, path: str
     return defaults
 
 
-def _resolve_seed(seed: int | None) -> int:
-    """The seed of the flag or config, else of $SKETCHPRUNE_SEED, else 0."""
-    if seed is not None:
-        return seed
-    env = os.environ.get(SEED_ENV_VAR)
-    if env is None:
-        return 0
-    try:
-        return int(env)
-    except ValueError as exc:
-        raise ValueError(f"{SEED_ENV_VAR} must be an integer, got {env!r}") from exc
-
-
 def _split_list(raw: str, flag: str, convert=str) -> list:
     """The converted items of a comma-separated list flag: at least one, and
     none twice, since a repeated item would repeat a run_id and its work."""
@@ -635,7 +620,7 @@ def _resolve_settings(args, subparser: argparse.ArgumentParser) -> dict:
     declared minimum in declaration order, before _check_memory estimates
     from the sizes (verify's --trials may be absent, for the per-suite
     defaults)."""
-    settings = dict(vars(args), seed=_resolve_seed(args.seed))
+    settings = dict(vars(args))
     for action in subparser._actions:
         low = getattr(action, "minimum", None)
         if low is not None and settings[action.dest] is not None:

@@ -19,6 +19,7 @@ from .core import (
     RngStream,
     _check_at_least,
     _check_budget,
+    _frozen,
     _vector_of_length,
     row_norms,
 )
@@ -74,11 +75,12 @@ def _categorical_indices(p: np.ndarray, us: np.ndarray) -> np.ndarray:
 
 
 def _mask_rows(cols: np.ndarray, values: np.ndarray, d: int) -> np.ndarray:
-    """The (k, d) array whose row i sums values[i, j] at column cols[i, j]
-    over j, in order: k masks from one np.bincount."""
+    """k masks from one np.bincount, in the fresh flat array it returns:
+    mask i, at entries [i d, (i+1) d), sums values[i, j] at column cols[i, j]
+    over j, in order."""
     k = cols.shape[0]
     flat = (cols + (np.arange(k) * d)[:, None]).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=k * d).reshape(k, d)
+    return np.bincount(flat, weights=values.ravel(), minlength=k * d)
 
 
 def sample_sketch_mask(p: ProbabilityVector, s: int, rng: RngStream) -> Mask:
@@ -91,5 +93,5 @@ def sample_sketch_mask(p: ProbabilityVector, s: int, rng: RngStream) -> Mask:
     _check_budget(s)
     pv = p.values
     idx = _categorical_indices(pv, rng.uniform((1, s)))
-    return Mask(_mask_rows(idx, 1.0 / (s * pv[idx]), pv.size)[0], kind="sketch")
+    return Mask(_frozen(_mask_rows(idx, 1.0 / (s * pv[idx]), pv.size)), kind="sketch")
 

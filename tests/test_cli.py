@@ -650,25 +650,25 @@ class TestConfigResolution:
         assert err.startswith(message) and err.count("\n") == 1
         assert not out.exists()
 
-    def test_env_seed_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SKETCHPRUNE_SEED", "31")
+    @pytest.mark.parametrize("env", ["31", "many"])
+    @pytest.mark.parametrize("source, seed", [
+        ("flag", "5"), ("config", "7"), ("neither", "0"),
+    ])
+    def test_seed_comes_from_flag_or_config_only(self, tmp_path, monkeypatch,
+                                                  env, source, seed):
+        # an exported SKETCHPRUNE_SEED is not read, whatever it holds
+        monkeypatch.setenv("SKETCHPRUNE_SEED", env)
         out = tmp_path / "p.csv"
-        code = main(["pipeline", "--d", "8", "--n", "4", "--s", "2",
-                     "--methods", "sketch-p0", "--trials", "1", "--out", str(out)])
-        assert code == 0
-        assert read_lines(out)[1].split(",")[1] == "31"
-
-    def test_flag_beats_env_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SKETCHPRUNE_SEED", "31")
-        out = tmp_path / "p.csv"
-        code = main(["pipeline", "--d", "8", "--n", "4", "--s", "2", "--seed", "5",
-                     "--methods", "sketch-p0", "--trials", "1", "--out", str(out)])
-        assert code == 0
-        assert read_lines(out)[1].split(",")[1] == "5"
-
-    def test_bad_env_seed(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("SKETCHPRUNE_SEED", "many")
-        assert main(["pipeline", "--out", str(tmp_path / "p.csv")]) == 2
+        argv = ["pipeline", "--d", "8", "--n", "4", "--s", "2",
+                "--methods", "sketch-p0", "--trials", "1", "--out", str(out)]
+        if source == "flag":
+            argv += ["--seed", "5"]
+        elif source == "config":
+            config = tmp_path / "c.json"
+            config.write_text(json.dumps({"seed": 7}))
+            argv += ["--config", str(config)]
+        assert main(argv) == 0
+        assert read_lines(out)[1].split(",")[1] == seed
 
     def test_missing_subcommand_is_usage_error(self):
         with pytest.raises(SystemExit):
@@ -986,18 +986,16 @@ class TestExitCodes:
         assert capsys.readouterr().err == "error: --methods lists nothing: ''\n"
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", ["flag", "config", "env"])
-    def test_negative_seed(self, tmp_path, capsys, monkeypatch, source):
+    @pytest.mark.parametrize("source", ["flag", "config"])
+    def test_negative_seed(self, tmp_path, capsys, source):
         out = tmp_path / "p.csv"
         argv = ["pipeline", "--out", str(out)]
         if source == "flag":
             argv.append("--seed=-1")
-        elif source == "config":
+        else:
             config = tmp_path / "c.json"
             config.write_text(json.dumps({"seed": -1}))
             argv += ["--config", str(config)]
-        else:
-            monkeypatch.setenv("SKETCHPRUNE_SEED", "-1")
         assert main(argv) == 2
         assert capsys.readouterr().err == "error: seed must be >= 0, got -1\n"
         assert not out.exists()

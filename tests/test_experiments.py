@@ -31,6 +31,7 @@ from sketchprune import (
     snip_scores_l1,
     theorem1_bound,
     train_least_squares,
+    uniform_probabilities,
 )
 from sketchprune import core, experiments
 from sketchprune.experiments import MASK_METHODS
@@ -398,6 +399,27 @@ class TestExpectedSketchError:
                 cell = run_prune_pipeline(state, "sketch-p0", s)
                 assert cell.bound == theorem1_bound(state.w0, w_star, s)
                 assert 0.0 < cell.masked_error <= cell.bound
+
+    def test_init_distribution_wins_exactly_where_the_rule_says(self):
+        # ROADMAP item 16: at p = |w0| / ||w0||_1 the error is (A - ||w*||^2)/s
+        # with A = ||w0||_1 sum_k w*_k^2 / |w0_k|, and uniform p gives
+        # (d - 1) ||w*||^2 / s, so p wins exactly when A < d ||w*||^2. The
+        # two grids lie on either side: p wins on no seed of the first and
+        # on most of the second.
+        wins = set()
+        for d, n, s in ((64, 32, 8), (1024, 16, 16)):
+            for seed in range(20):
+                state = seed_state(d, n, seed)
+                w0, w_star = np.abs(state.w0), state.w_star
+                p = ProbabilityVector(w0 / w0.sum())
+                A = w0.sum() * np.sum(w_star**2 / w0)
+                init = experiments._expected_sketch_error(p, w_star, s)
+                uniform = experiments._expected_sketch_error(
+                    uniform_probabilities(d), w_star, s
+                )
+                assert (init < uniform) == (A < d * np.sum(w_star**2))
+                wins.add(init < uniform)
+        assert wins == {True, False}
 
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP item 9: the cell tunes p on one realized training matrix, "

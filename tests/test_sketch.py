@@ -13,6 +13,7 @@ from sketchprune import (
     sample_sketch_mask,
     uniform_probabilities,
 )
+from sketchprune import sketch
 from sketchprune.sketch import _categorical_indices
 
 
@@ -208,4 +209,16 @@ class TestOneLookupAndBuilder:
             m = sample_sketch_mask(p, s, ours).values
             assert m.tobytes() == _reference_mask(p, s, theirs).tobytes()
             assert ours.uniform() == theirs.uniform()
+
+    def test_mask_adopts_the_built_array(self, monkeypatch):
+        # the builder's fresh array is handed over frozen, not copied
+        build, built = sketch._mask_rows, []
+
+        def spy(*args):
+            built.append(build(*args))
+            return built[-1]
+
+        monkeypatch.setattr(sketch, "_mask_rows", spy)
+        mask = sample_sketch_mask(uniform_probabilities(50), 7, RngStream(3))
+        assert len(built) == 1 and np.shares_memory(mask.values, built[0])
 

@@ -83,8 +83,7 @@ def main() -> int:
     src = parser.parse_args().src.resolve()
     if not (src / "sketchprune" / "cli.py").is_file():
         parser.error(f"no sketchprune package under {src}")
-    env = {k: v for k, v in os.environ.items() if k != "SKETCHPRUNE_SEED"}
-    env["PYTHONPATH"] = str(src)
+    env = dict(os.environ, PYTHONPATH=str(src))
     with tempfile.TemporaryDirectory() as work:
         print(_blas_setup(src, env, Path(work)), flush=True)
         for k, argv in enumerate(RUNS):

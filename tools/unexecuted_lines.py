@@ -12,9 +12,8 @@ statement does, and a decorated definition when its decorator line does.
 
 With --cli, before pytest runs, `sketchprune.cli.main` is called under the
 same trace once for each run of tools/csv_digests.py (its RUNS), with
-`--out` in a temporary directory, SKETCHPRUNE_SEED unset as there, and
-stdout and stderr discarded. What is still listed then is run by no fixed
-command and by none of the tests given.
+`--out` in a temporary directory and stdout and stderr discarded. What is
+still listed then is run by no fixed command and by none of the tests given.
 
 Only this interpreter is traced: a test that runs the package in a
 subprocess (the CLI byte-identity tests, tools/csv_digests.py) adds no
@@ -75,25 +74,20 @@ def _statement_spans(tree: ast.Module):
 
 def _run_digest_commands():
     """Call the CLI in process on each argv of csv_digests.RUNS, as
-    csv_digests runs them: SKETCHPRUNE_SEED unset and --out in a temporary
-    directory. Output and exit codes are discarded."""
+    csv_digests runs them, with --out in a temporary directory. Output and
+    exit codes are discarded."""
     import csv_digests
     from sketchprune import cli
 
-    seed = os.environ.pop("SKETCHPRUNE_SEED", None)
-    try:
-        with tempfile.TemporaryDirectory() as work:
-            for k, argv in enumerate(csv_digests.RUNS):
-                out = str(Path(work) / f"{k}.csv")
-                with contextlib.redirect_stdout(io.StringIO()), \
-                        contextlib.redirect_stderr(io.StringIO()):
-                    try:
-                        cli.main([*argv.split(), "--out", out])
-                    except SystemExit:  # a flag the parser refuses
-                        pass
-    finally:
-        if seed is not None:
-            os.environ["SKETCHPRUNE_SEED"] = seed
+    with tempfile.TemporaryDirectory() as work:
+        for k, argv in enumerate(csv_digests.RUNS):
+            out = str(Path(work) / f"{k}.csv")
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                try:
+                    cli.main([*argv.split(), "--out", out])
+                except SystemExit:  # a flag the parser refuses
+                    pass
 
 
 def main(argv: list[str]) -> int:
