@@ -161,18 +161,11 @@ def lemma1_exact_error(X: DataMatrix, w0, s: int) -> float:
 
 
 def lemma2_bound(w0, s: int) -> float:
-    """Bound (1/s) ||w0||^2 on the data-averaged exact error when masking w0
-    with its own optimal distribution and X has iid N(0, 1/n) entries.
-
-    It holds only in a regime. With mu_n = E||X_(k)||, that error is
-    (mu_n^2 / s)(||w0||_1^2 - ||w0||_2^2), within the bound only when
-    ||w0||_1^2 / ||w0||_2^2 <= 1 + 1/mu_n^2, about 2.016 at n = 32. The
-    geometric weights (-1/4)^k sit at 15/9 ~ 1.667, inside it; flat weights
-    at d = 64, s = 8 err by about 7.75 against a bound of 0.125.
+    """Bound ||w0||_1^2 / s on the data-averaged exact error when masking w0
+    with its own optimal distribution and X has iid N(0, 1/n) entries:
+    theorem1_bound at w* = w0, valid for every w0.
     """
-    _check_budget(s)
-    wv = as_vector(w0)
-    return float(wv @ wv) / s
+    return theorem1_bound(w0, w0, s)
 
 
 def lemma3_bound(

@@ -123,12 +123,6 @@ def _relative_gap(observed: np.ndarray, expected: np.ndarray) -> float:
     )
 
 
-def _concentrated_weights(d: int) -> np.ndarray:
-    # geometric magnitude decay keeps the l1/l2 ratio small, the regime
-    # where the random-data self-mask bound actually holds
-    return (-0.25) ** np.arange(d)
-
-
 def _flat_pair_at_ratio(d: int, ratio: float, rng: RngStream):
     # constant-magnitude w0, with w_star at distance ratio * ||w0|| from it
     signs = np.where(rng.uniform(d) < 0.5, -1.0, 1.0)
@@ -190,7 +184,7 @@ def _suite_lemma1(rng: RngStream, trials: int) -> list[ResultRow]:
 
 
 def _suite_lemma2(rng: RngStream, trials: int) -> list[ResultRow]:
-    w0 = _concentrated_weights(64)
+    w0 = rng.normal(64)
     return [
         _data_row(f"lemma2/self-mask-s{s}", w0, w0, s, trials, rng.substream(s),
                   reference=lemma2_bound(w0, s))

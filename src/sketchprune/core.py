@@ -50,7 +50,8 @@ class EnumerationLimitError(ValueError):
 
 
 class DivergenceError(RuntimeError):
-    """Training loss increased on consecutive steps."""
+    """Training diverged: the linearized loss rose on a step, or the
+    least-squares loss went non-finite or rose on two consecutive steps."""
 
 
 class StepSizeError(ValueError):

@@ -19,15 +19,14 @@ import numpy as np
 from .bounds import BoundReport, mc_error_over_masks
 from .core import (
     DataMatrix,
-    DimensionMismatchError,
     DivergenceError,
     ProbabilityVector,
     RngStream,
     StepSizeError,
     ZeroColumnError,
-    _all_finite,
     _check_at_least,
     _check_length,
+    _validated_array,
     _vector_of_length,
 )
 from .sketch import optimal_probabilities
@@ -168,11 +167,7 @@ def finite_difference_jacobian(model: TinyMLP, X: DataMatrix) -> np.ndarray:
 def capital_F(A) -> float:
     """Sum of reciprocal column norms of a matrix (entry magnitudes for a
     vector). Any zero column raises, since its reciprocal is undefined."""
-    arr = np.asarray(A, dtype=np.float64)
-    if arr.ndim not in (1, 2):
-        raise DimensionMismatchError(f"expected 1-d or 2-d input, got ndim={arr.ndim}")
-    if not _all_finite(arr):
-        raise ValueError("capital_F entries must be finite")
+    arr = _validated_array(A, "capital_F", ndim=1 if np.ndim(A) == 1 else 2)
     norms = np.abs(arr) if arr.ndim == 1 else np.linalg.norm(arr, axis=0)
     if np.any(norms == 0.0):
         raise ZeroColumnError("zero column makes the reciprocal-norm sum undefined")

@@ -83,10 +83,21 @@ class TestLemma1:
 
 class TestLemma2:
     def test_hand_value(self):
-        assert lemma2_bound([3.0, 4.0], 5) == pytest.approx(5.0)
+        assert lemma2_bound([3.0, 4.0], 5) == pytest.approx((3.0 + 4.0) ** 2 / 5)
 
     def test_zero_weights(self):
-        assert lemma2_bound([0.0, 0.0], 3) == 0.0
+        with pytest.raises(DegenerateDistributionError):
+            lemma2_bound([0.0, 0.0], 3)
+
+    def test_holds_for_flat_weights(self):
+        # ||w0||_1^2 / ||w0||_2^2 = d = 64: the self-mask error averages about
+        # 7.75, far above ||w0||_2^2 / s = 0.125 but below ||w0||_1^2 / s = 8
+        rng = RngStream(34)
+        w0 = np.where(rng.uniform(64) < 0.5, -1.0, 1.0) / 8.0
+        rep = mc_error_over_data(
+            w0, w0, 8, 32, 2000, rng.substream(1), reference=lemma2_bound(w0, 8)
+        )
+        assert rep.satisfied()
 
     def test_doubling_budget_halves(self):
         w = [1.0, 2.0, -2.0]
@@ -173,7 +184,7 @@ class TestLemma4:
         w0 = rng.normal(6)
         w_star = rng.normal(6)
         ratio = lemma4_uniform_bound(w_star, 2) / lemma2_bound(w0, 2)
-        expected = 6 * float(w_star @ w_star) / float(w0 @ w0)
+        expected = 6 * float(w_star @ w_star) / float(np.abs(w0).sum()) ** 2
         assert ratio == pytest.approx(expected, rel=1e-12)
 
 

@@ -165,6 +165,12 @@ class TestCapitalF:
         with pytest.raises(DimensionMismatchError, match="ndim=3"):
             capital_F(np.ones((2, 2, 2)))
 
+    @pytest.mark.parametrize("A", [[], np.zeros((2, 0))])
+    def test_empty_rejected(self, A):
+        with pytest.raises(DimensionMismatchError) as caught:
+            capital_F(A)
+        assert str(caught.value) == "capital_F must not be empty"
+
 
 class TestMaskFromSnapshot:
     def test_probabilities_sum_to_one(self):
