@@ -34,7 +34,7 @@ from .bounds import (
     mc_error_over_masks,
 )
 from .core import (
-    _BLOCK_ELEMENTS, DataMatrix, DivergenceError, RngStream, _check_at_least,
+    DataMatrix, DivergenceError, RngStream, _check_at_least,
     _check_budget, _check_density, _frozen, row_norms,
 )
 from .experiments import (
@@ -384,13 +384,12 @@ _MEMORY = {
     # a seed's d x n draw, and the min(d, n)-square matrix that
     # max_hessian_eigenvalue decomposes
     "pipeline": (("d", "n"), lambda d, n: 8 * (d * n + min(d, n) ** 2)),
-    # One gen_chi_input block and its squares; at most 13 d-vectors, 104 bytes
-    # an entry (traced past the block and bins: 34 bytes for randomized-synflow,
-    # uniform and randomized-snip-sparse and 36 for topk-synflow at d=65536,
-    # and 39 and 40 at d=262144); and 48 bytes a bin (traced: 40 at --bins 1e5
-    # to 4e5) for its edge, its two counts and np.histogram's work arrays, as
-    # each CSV line is written when made.
-    "histogram": (("d", "bins"), lambda d, b: 16 * _BLOCK_ELEMENTS + 104 * d + 48 * b),
+    # At most 13 d-vectors, 104 bytes an entry (traced with the default bins:
+    # 42 bytes for randomized-synflow, uniform and randomized-snip-sparse and
+    # 44 for topk-synflow at d=65536, and 41 and 42 at d=262144); and 48 bytes
+    # a bin (traced: 40 at --bins 1e5 to 4e5) for its edge, its two counts and
+    # np.histogram's work arrays, as each CSV line is written when made.
+    "histogram": (("d", "bins"), lambda d, b: 104 * d + 48 * b),
     # Of _ntk_params(width) parameters on _ntk_instance's data: the parameter
     # draw and its frozen copy, up to _CHECKPOINTS checkpoints, and
     # _CHECKPOINTS + 2 _NTK_EXAMPLES-row Jacobians (the snapshot's, one per
@@ -448,11 +447,13 @@ def _cmd_histogram(settings: dict) -> Iterator[tuple]:
     d = settings["d"]
     root = RngStream(settings["seed"])
     w = _frozen(root.substream(0).normal(d))
-    # the row norms of a d x _CHI_COLUMNS normal matrix, drawn without holding it
+    # the row norms of a d x _CHI_COLUMNS normal matrix, drawn by their law
     norms = gen_chi_input(d, root.substream(1))
     mask = MASK_METHODS[settings["method"]].build(
         norms, _CHI_COLUMNS, w, _density_keep_count(settings), root.substream(2)
     )
+    # freed before the histograms, where the run's resident memory peaks
+    del norms
     magnitudes = np.abs(w)
     edges = np.linspace(0.0, float(magnitudes.max()), settings["bins"] + 1)
     count_all, _ = np.histogram(magnitudes, bins=edges)

@@ -66,10 +66,10 @@ class SupportError(ValueError):
     """Sampling distribution has zero mass on an index that carries weight."""
 
 
-# Entries in each block of a streamed pass (256 KiB of float64). On
-# gen_chi_input's d=65536, n=128 draw (2-core Xeon, numpy 2.4, OpenBLAS),
-# blocks of 2^14 to 2^18 entries took the same time within noise, and 2^15
-# the least in the median; peak memory grows with the block, by 12 MB at 2^20.
+# Entries in each block of a streamed pass (256 KiB of float64). On row_norms
+# of a 65536 x 128 matrix (2-core Xeon, numpy 2.4), blocks of 2^14 to 2^17
+# entries took the same time within 10%, 2^15 and 2^16 the least, and 2^13
+# 30% more; a pass holds one block of squares, 8 bytes an entry.
 _BLOCK_ELEMENTS = 2**15
 
 
@@ -293,6 +293,10 @@ class RngStream:
     def integers(self, low: int, high: int | None = None, size=None):
         """Integer draws from [low, high)."""
         return self._generator.integers(low, high, size)
+
+    def chisquare(self, df, size=None):
+        """Chi-square draws with df degrees of freedom."""
+        return self._generator.chisquare(df, size)
 
     def substream(self, k: int) -> "RngStream":
         """Derive the k-th child stream deterministically."""

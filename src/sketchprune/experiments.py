@@ -17,7 +17,6 @@ from .core import (
     ProbabilityVector,
     RngStream,
     SupportError,
-    _blocks,
     _check_at_least,
     _check_budget,
     _frozen,
@@ -113,25 +112,19 @@ _CHI_COLUMNS = 128
 
 
 def gen_chi_input(d: int, rng: RngStream, n: int = _CHI_COLUMNS) -> np.ndarray:
-    """The row norms of gen_normal_X(d, n, rng), bit for bit, without the
-    d x n matrix.
+    """d iid draws with the law of a row norm of gen_normal_X(d, n, rng),
+    without the d x n matrix.
 
-    Each entry is the norm of n iid N(0, 1/n) variables; entries concentrate
-    near 1, tighter for larger n. The rows are drawn by gen_normal_X a block
-    at a time, which consumes the stream exactly as one (d, n) draw does and
-    reduces each row as the whole matrix would, so memory stays flat in d.
-    The norms are returned read-only, as `row_norms` returns them: copy
-    them before writing.
+    The norm of n iid N(0, 1/n) variables has the law sqrt(chi^2_n / n), so
+    each entry is one chi-square draw, at O(d) time and memory whatever n
+    is; entries concentrate near 1, tighter for larger n. The norms are
+    returned read-only, as `row_norms` returns them: copy them before
+    writing.
     """
     _check_at_least(1, d=d, n=n)
-    norms = np.empty(d)
-    for rows in _blocks(d, n):
-        # Bound to a name, each block lives until the next one is drawn. Freed
-        # before that draw, it goes back to the OS, and each new block faults
-        # its pages in afresh: at d=65536, 25080 minor faults against 600,
-        # and about 20% more time.
-        block = gen_normal_X(rows.stop - rows.start, n, rng)
-        norms[rows] = row_norms(block)
+    norms = rng.chisquare(n, d)
+    norms /= n
+    np.sqrt(norms, out=norms)
     return _frozen(norms)
 
 

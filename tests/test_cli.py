@@ -385,8 +385,8 @@ class TestHistogramCommand:
         assert float(rows[0][0]) == 0.0
 
     def test_wide_run_holds_no_matrix(self, tmp_path):
-        # The d x 128 matrix would be 64 MiB by itself; its norms are drawn a
-        # block of rows at a time, and the d-vectors take 0.5 MiB each.
+        # The d x 128 matrix would be 64 MiB by itself; its norms are drawn as
+        # chi variates, and the d-vectors take 0.5 MiB each.
         tracemalloc.start()
         try:
             code = main(["histogram", "--d", "65536", "--out", str(tmp_path / "h.csv")])
@@ -824,8 +824,8 @@ class TestExitCodes:
     # before its first allocation when one flag that sizes its arrays grows.
     @pytest.mark.parametrize("argv, first_allocation, flags", [
         (["pipeline", "--d", "512", "--n", "256"], "seed_state", "--d 512 --n 256"),
-        (["histogram", "--d", "6000"], "RngStream", "--d 6000 --bins 50"),
-        (["histogram", "--bins", "10000"], "RngStream", "--d 1024 --bins 10000"),
+        (["histogram", "--d", "11000"], "RngStream", "--d 11000 --bins 50"),
+        (["histogram", "--bins", "21000"], "RngStream", "--d 1024 --bins 21000"),
         (["ntk-demo", "--steps", "60000"], "_ntk_instance",
          "--width 64 --steps 60000 --trials 200"),
     ])

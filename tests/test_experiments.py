@@ -33,7 +33,7 @@ from sketchprune import (
     train_least_squares,
     uniform_probabilities,
 )
-from sketchprune import core, experiments
+from sketchprune import experiments
 from sketchprune.experiments import MASK_METHODS
 
 
@@ -94,18 +94,36 @@ class TestGenChiInput:
             gen_chi_input(5, RngStream(0), n=n)
 
     @pytest.mark.parametrize("seed", [0, 1])
-    def test_bit_identical_to_whole_matrix_norm(self, seed):
-        # The rows are drawn and reduced a block at a time; the norms, and
-        # the stream left behind, are those of one whole (d, n) draw, at
-        # sizes on both sides of a block and over many blocks.
-        rows = core._BLOCK_ELEMENTS // 128
-        shapes = [(d, 128) for d in (1, rows - 1, rows, rows + 1, 5000, 65536, 100_000)]
-        shapes += [(1000, 3), (3, core._BLOCK_ELEMENTS + 1)]
-        for d, n in shapes:
-            rng, twin = RngStream(seed), RngStream(seed)
-            reference = row_norms(gen_normal_X(d, n, twin))
-            np.testing.assert_array_equal(gen_chi_input(d, rng, n), reference)
-            assert rng.uniform() == twin.uniform()
+    @pytest.mark.parametrize("n", [1, 3, 128])
+    def test_law_of_a_row_norm(self, n, seed):
+        # The norms follow the law of gen_normal_X's row norms: a two-sample
+        # Kolmogorov-Smirnov statistic below its critical value at
+        # alpha = 1e-6, 0.01 * sqrt(ln(2 / alpha) / 2) for 20000 draws each.
+        d = 20_000
+        drawn = gen_chi_input(d, RngStream(seed), n)
+        reference = row_norms(gen_normal_X(d, n, RngStream(seed, 1)))
+        assert _ks_statistic(drawn, reference) < 0.0269
+        sq = drawn**2
+        se = sq.std(ddof=1) / math.sqrt(d)
+        assert abs(sq.mean() - 1.0) < 4.0 * se
+
+    @pytest.mark.parametrize("seed", [0, 1])
+    @pytest.mark.parametrize("n", [1, 3, 128])
+    def test_consumes_one_chisquare_draw(self, n, seed):
+        rng, twin = RngStream(seed), RngStream(seed)
+        gen_chi_input(1000, rng, n)
+        twin.chisquare(n, 1000)
+        assert rng.uniform() == twin.uniform()
+
+
+def _ks_statistic(a, b) -> float:
+    """The two-sample Kolmogorov-Smirnov statistic: the largest distance
+    between the empirical distribution functions of a and b."""
+    a, b = np.sort(a), np.sort(b)
+    points = np.concatenate([a, b])
+    cdf_a = np.searchsorted(a, points, side="right") / a.size
+    cdf_b = np.searchsorted(b, points, side="right") / b.size
+    return float(np.abs(cdf_a - cdf_b).max())
 
 
 class TestGenSparseX:
