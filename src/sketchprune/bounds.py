@@ -36,7 +36,6 @@ from .sketch import (
     _mask_rows,
     _optimal_probabilities,
     optimal_probabilities,
-    uniform_probabilities,
 )
 
 __all__ = [
@@ -221,6 +220,46 @@ def lemma4_uniform_bound(w_star, s: int) -> float:
     return wsv.size / s * float(wsv @ wsv)
 
 
+# The sketch distributions, by mc_error_over_data's names: the probabilities
+# from row norms, (d,) or (k, d), and w0, which the caller renormalizes once,
+# and the bound (w0, w_star, s) on their masks' data-averaged error. Entries
+# call through this module's globals, so rebinding a global reaches every call.
+_SKETCHES = {
+    "optimal": (lambda norms, w0: _optimal_probabilities(norms, w0),
+                lambda w0, w_star, s: theorem1_bound(w0, w_star, s)),
+    "uniform": (lambda norms, w0: np.full(norms.shape, 1.0 / norms.shape[-1]),
+                lambda w0, w_star, s: lemma4_uniform_bound(w_star, s)),
+}
+
+
+def _expected_sketch_error(p: ProbabilityVector, w_star: np.ndarray, s: int) -> float:
+    """(1/s) sum_k w*_k^2 (1 - p_k) / p_k, the squared feature error of w*
+    under an s-draw sketch mask from p, in expectation over the mask and
+    over test data with iid N(0, 1/n) entries.
+
+    Given the mask m, the test data average ||X^T (w* (1 - m))||^2 to
+    ||w* (1 - m)||^2, and the count of draws of k is Binomial(s, p_k), so
+    E(1 - m_k)^2 = (1 - p_k) / (s p_k). Every term is nonnegative. An index
+    with p_k = 0 but w*_k != 0 makes the estimator biased, and raises.
+    """
+    active = w_star != 0.0
+    pa = p.values[active]
+    if np.any(pa == 0.0):
+        raise SupportError(
+            "sampling distribution has zero mass on an active trained weight"
+        )
+    return float((w_star[active] ** 2 * (1.0 - pa) / pa).sum()) / s
+
+
+def _init_beats_uniform(w0: np.ndarray, w_star: np.ndarray) -> bool:
+    """Whether p = |w0| / ||w0||_1 gives w* a lower _expected_sketch_error
+    than uniform p: with A = ||w0||_1 sum_k w*_k^2 / |w0_k| they are
+    (A - ||w*||^2) / s and (d - 1) ||w*||^2 / s, so exactly when A < d ||w*||^2."""
+    w0_abs = np.abs(w0)
+    A = w0_abs.sum() * np.sum(w_star**2 / w0_abs)
+    return bool(A < w_star.size * np.sum(w_star**2))
+
+
 def mc_error_over_masks(
     X: DataMatrix,
     w_apply,
@@ -328,10 +367,10 @@ def mc_error_over_data(
     expected masked-feature error of w_star when the mask distribution is
     tuned on (X, w0).
 
-    distribution="optimal" tunes p on (X, w0) and reports against the
-    trained-weights bound; distribution="uniform" samples uniformly and
-    reports against the dimension-scaled bound. An explicit reference
-    overrides either default.
+    distribution names an entry of the sketch table: "optimal" tunes p on
+    (X, w0) and reports against Theorem 1's bound, "uniform" samples
+    uniformly against Lemma 4's; another name raises ValueError. An
+    explicit reference overrides the entry's bound.
 
     The matrices are drawn in blocks of several trials, one (k, d, n) draw
     per block, with at most core._BLOCK_ELEMENTS entries in a block (one
@@ -340,26 +379,19 @@ def mc_error_over_data(
     trial-by-trial loop, and memory stays flat in x_trials.
     """
     _check_at_least(1, x_trials=x_trials, n=n)
-    if distribution not in ("optimal", "uniform"):
+    if distribution not in _SKETCHES:
         raise ValueError(f"unknown distribution {distribution!r}")
+    probabilities, bound = _SKETCHES[distribution]
     w0v, wsv = _pair_operands(w0, w_star, s)
     d = w0v.size
     scale = 1.0 / math.sqrt(n)
-    uniform = uniform_probabilities(d).values[None]
     errors = np.empty(x_trials)
     for trials in _blocks(x_trials, d * n):
         Xs = rng.normal((trials.stop - trials.start, d, n))
         np.multiply(Xs, scale, out=Xs)
-        if distribution == "optimal":
-            ps = _optimal_probabilities(_row_norms(Xs), w0v)
-            # the renormalization ProbabilityVector applies to each one
-            ps /= ps.sum(axis=1, keepdims=True)
-        else:
-            ps = uniform
+        ps = probabilities(_row_norms(Xs), w0v)
+        # the renormalization ProbabilityVector applies to each one
+        ps /= ps.sum(axis=1, keepdims=True)
         errors[trials] = _variance_form_errors(Xs, wsv, ps, s)
-    if reference is None:
-        if distribution == "optimal":
-            reference = theorem1_bound(w0v, wsv, s)
-        else:
-            reference = lemma4_uniform_bound(wsv, s)
+    reference = bound(w0v, wsv, s) if reference is None else reference
     return _summary(errors, reference, "upper-bound")

@@ -9,14 +9,13 @@ from typing import Callable
 
 import numpy as np
 
-from .bounds import lemma4_uniform_bound, theorem1_bound
+from .bounds import _SKETCHES, _expected_sketch_error
 from .core import (
     DataMatrix,
     DivergenceError,
     Mask,
     ProbabilityVector,
     RngStream,
-    SupportError,
     _check_at_least,
     _check_budget,
     _frozen,
@@ -26,7 +25,6 @@ from .core import (
     row_norms,
 )
 from .scores import select_randomized, select_topk, synflow_scores
-from .sketch import _optimal_probabilities, uniform_probabilities
 
 __all__ = [
     "MASK_METHODS",
@@ -258,17 +256,16 @@ class MaskMethod:
     `row_norms`) and its example count n, so a caller that needs no matrix
     can pass norms drawn by `gen_chi_input`. A binary method has
     `build(norms, n, w, s, rng)`, which returns a mask keeping exactly s
-    weights. A fractional sketch method has instead `distribution(norms, w)`,
-    the ProbabilityVector that its s draws of `sample_sketch_mask` sample
-    from, and `bound(w0, w_star, s)`, which caps the expected squared feature
-    error of a mask tuned on w0 and applied to the trained weights w_star.
-    The weights w have one entry per row.
+    weights. A fractional sketch method has instead `sketch`, a distribution
+    name of `mc_error_over_data`, whose entry in bounds' table gives the
+    probabilities from (norms, w) that `sample_sketch_mask` draws from and
+    the bound (w0, w_star, s) on the expected squared feature error of a
+    mask tuned on w0 and applied to the trained weights w_star.
     """
 
     name: str
     build: Callable[[np.ndarray, int, np.ndarray, int, RngStream], Mask] | None = None
-    distribution: Callable[[np.ndarray, np.ndarray], ProbabilityVector] | None = None
-    bound: Callable[[np.ndarray, np.ndarray, int], float] | None = None
+    sketch: str | None = None
 
     @property
     def binary(self) -> bool:
@@ -301,43 +298,13 @@ def _snip_sparse_mask(norms: np.ndarray, n: int, w, s: int, rng: RngStream) -> M
     return select_randomized(_frozen(scores), s, rng)
 
 
-def _expected_sketch_error(p: ProbabilityVector, w_star: np.ndarray, s: int) -> float:
-    """(1/s) sum_k w*_k^2 (1 - p_k) / p_k, the squared feature error of w*
-    under an s-draw sketch mask from p, in expectation over the mask and
-    over test data with iid N(0, 1/n) entries.
-
-    Given the mask m, the test data average ||X^T (w* (1 - m))||^2 to
-    ||w* (1 - m)||^2, and the count of draws of k is Binomial(s, p_k), so
-    E(1 - m_k)^2 = (1 - p_k) / (s p_k). Every term is nonnegative. An index
-    with p_k = 0 but w*_k != 0 makes the estimator biased, and raises.
-    """
-    active = w_star != 0.0
-    pa = p.values[active]
-    if np.any(pa == 0.0):
-        raise SupportError(
-            "sampling distribution has zero mass on an active trained weight"
-        )
-    return float((w_star[active] ** 2 * (1.0 - pa) / pa).sum()) / s
-
-
-# Entries reach library functions through this module's globals, never by
-# holding them, so rebinding a module attribute (as tracing does) reaches
-# every call.
+# Entries call library functions through this module's globals, so
+# rebinding a module attribute (as tracing does) reaches every call.
 MASK_METHODS = {
     m.name: m
     for m in (
-        MaskMethod(
-            "sketch-p0",
-            distribution=lambda norms, w: ProbabilityVector(
-                _optimal_probabilities(norms, w)
-            ),
-            bound=lambda w0, w_star, s: theorem1_bound(w0, w_star, s),
-        ),
-        MaskMethod(
-            "sketch-uniform",
-            distribution=lambda norms, w: uniform_probabilities(norms.size),
-            bound=lambda w0, w_star, s: lemma4_uniform_bound(w_star, s),
-        ),
+        MaskMethod("sketch-p0", sketch="optimal"),
+        MaskMethod("sketch-uniform", sketch="uniform"),
         MaskMethod(
             "topk-synflow",
             lambda norms, n, w, s, rng: select_topk(synflow_scores(norms, w), s),
@@ -412,8 +379,9 @@ def run_prune_pipeline(state: SeedState, method: str, s: int) -> PipelineResult:
         masked_error = float(dropped @ dropped)
         bound = math.nan
     else:
-        p = spec.distribution(norms, state.w0)
+        probabilities, bound_of = _SKETCHES[spec.sketch]
+        p = ProbabilityVector(probabilities(norms, state.w0))
         masked_error = _expected_sketch_error(p, w_star, s)
-        bound = spec.bound(state.w0, w_star, s)
+        bound = bound_of(state.w0, w_star, s)
     distance = float(np.linalg.norm(w_star - state.w0))
     return PipelineResult(masked_error, bound, distance)

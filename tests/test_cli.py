@@ -13,7 +13,7 @@ from sketchprune.cli import (
     VERIFY_SUITES,
     main,
 )
-from sketchprune.bounds import BoundReport
+from sketchprune.bounds import BoundReport, lemma4_uniform_bound, theorem1_bound
 from sketchprune.core import RngStream, row_norms
 from sketchprune.experiments import (
     MASK_METHODS,
@@ -24,6 +24,7 @@ from sketchprune.experiments import (
     train_least_squares,
 )
 from sketchprune.scores import select_randomized, snip_scores_l1
+from sketchprune.sketch import optimal_probabilities, uniform_probabilities
 
 
 def read_lines(path):
@@ -35,7 +36,8 @@ def reference_cell(d, n, s, method, seed, noise_std=0.0, steps=100, lr=None):
 
     The error is the expectation over test data: ||w* (1 - m)||^2 for a
     binary mask m, and (1/s) sum_k w*_k^2 (1 - p_k) / p_k, over the masks
-    as well, for a sketch distribution p.
+    as well, for a sketch distribution p. A sketch cell's p and bound come
+    from the public functions, not from the table the pipeline reads.
     """
     root = RngStream(seed)
     data = make_dataset(d, n, noise_std, root.substream(0))
@@ -46,9 +48,12 @@ def reference_cell(d, n, s, method, seed, noise_std=0.0, steps=100, lr=None):
         mask = spec.build(row_norms(data.X), n, w0, s, root.substream(2))
         dropped = w_star * (1.0 - mask.values)
         return float(dropped @ dropped), math.nan, float(np.linalg.norm(w_star - w0))
-    p = spec.distribution(row_norms(data.X), w0).values
-    error = float((w_star**2 * (1.0 - p) / p).sum()) / s
-    return error, spec.bound(w0, w_star, s), float(np.linalg.norm(w_star - w0))
+    if method == "sketch-p0":
+        p, bound = optimal_probabilities(data.X, w0), theorem1_bound(w0, w_star, s)
+    else:
+        p, bound = uniform_probabilities(d), lemma4_uniform_bound(w_star, s)
+    error = float((w_star**2 * (1.0 - p.values) / p.values).sum()) / s
+    return error, bound, float(np.linalg.norm(w_star - w0))
 
 
 class TestVerifyCommand:

@@ -22,6 +22,7 @@ from sketchprune import (
     lemma4_uniform_bound,
     make_dataset,
     max_hessian_eigenvalue,
+    mc_error_over_data,
     optimal_probabilities,
     row_norms,
     run_prune_pipeline,
@@ -33,7 +34,7 @@ from sketchprune import (
     train_least_squares,
     uniform_probabilities,
 )
-from sketchprune import experiments
+from sketchprune import bounds, experiments
 from sketchprune.experiments import MASK_METHODS
 
 
@@ -346,20 +347,38 @@ class TestMaskMethods:
         X = gen_normal_X(20, 8, rng)
         w0 = rng.normal(20)
         w_star = rng.normal(20)
-        # a binary method builds its mask; a sketch method gives the
-        # distribution its masks are drawn from
+        # a binary method builds its mask; a sketch method names the entry
+        # of bounds' table that gives the distribution its masks are drawn
+        # from, and their bound
         if method.binary:
-            assert method.distribution is None
+            assert method.sketch is None
             mask = method.build(row_norms(X), X.n, w0, 5, rng.substream(1))
             assert mask.kind == "binary" and mask.nnz == 5
         else:
             assert method.build is None
-            p = method.distribution(row_norms(X), w0)
+            probabilities, bound_of = bounds._SKETCHES[method.sketch]
+            p = ProbabilityVector(probabilities(row_norms(X), w0))
             assert isinstance(p, ProbabilityVector) and p.d == 20
             mask = sample_sketch_mask(p, 5, rng.substream(1))
             assert mask.kind == "sketch" and 1 <= mask.nnz <= 5
-        bound = method.bound(w0, w_star, 5) if method.bound else math.nan
+        bound = bound_of(w0, w_star, 5) if method.sketch else math.nan
         assert math.isfinite(bound) == (not method.binary)
+
+    @pytest.mark.parametrize("method, distribution", [
+        ("sketch-p0", "optimal"), ("sketch-uniform", "uniform"),
+    ])
+    def test_pipeline_and_data_average_share_one_bound(self, method, distribution):
+        # the pipeline cell and mc_error_over_data read one table entry, so
+        # a cell's bound is the data average's default reference, bit for bit
+        for seed in range(3):
+            state = seed_state(16, 8, seed)
+            for s in (2, 5):
+                cell = run_prune_pipeline(state, method, s)
+                rep = mc_error_over_data(
+                    state.w0, state.w_star, s, 8, 1, RngStream(seed, 1),
+                    distribution=distribution,
+                )
+                assert cell.bound == rep.closed_form_or_bound
 
 
 class TestSparseSnipProbe:
@@ -385,7 +404,8 @@ class TestExpectedSketchError:
         state = seed_state(8, 4, seed=11)
         X = state.dataset.X
         w_star = _trained(state, 100, None)
-        p = MASK_METHODS[method].distribution(row_norms(X), state.w0)
+        probabilities, _ = bounds._SKETCHES[MASK_METHODS[method].sketch]
+        p = ProbabilityVector(probabilities(row_norms(X), state.w0))
         rng = RngStream(12)
 
         def fresh_error():
@@ -419,23 +439,20 @@ class TestExpectedSketchError:
                 assert 0.0 < cell.masked_error <= cell.bound
 
     def test_init_distribution_wins_exactly_where_the_rule_says(self):
-        # ROADMAP item 16: at p = |w0| / ||w0||_1 the error is (A - ||w*||^2)/s
-        # with A = ||w0||_1 sum_k w*_k^2 / |w0_k|, and uniform p gives
-        # (d - 1) ||w*||^2 / s, so p wins exactly when A < d ||w*||^2. The
-        # two grids lie on either side: p wins on no seed of the first and
-        # on most of the second.
+        # ROADMAP item 16: p = |w0| / ||w0||_1 beats uniform p exactly where
+        # bounds._init_beats_uniform says. The two grids lie on either side:
+        # p wins on no seed of the first and on most of the second.
         wins = set()
         for d, n, s in ((64, 32, 8), (1024, 16, 16)):
             for seed in range(20):
                 state = seed_state(d, n, seed)
                 w0, w_star = np.abs(state.w0), state.w_star
                 p = ProbabilityVector(w0 / w0.sum())
-                A = w0.sum() * np.sum(w_star**2 / w0)
-                init = experiments._expected_sketch_error(p, w_star, s)
-                uniform = experiments._expected_sketch_error(
+                init = bounds._expected_sketch_error(p, w_star, s)
+                uniform = bounds._expected_sketch_error(
                     uniform_probabilities(d), w_star, s
                 )
-                assert (init < uniform) == (A < d * np.sum(w_star**2))
+                assert (init < uniform) == bounds._init_beats_uniform(w0, w_star)
                 wins.add(init < uniform)
         assert wins == {True, False}
 

@@ -5,8 +5,9 @@
 For each grid (d, n, s) below, over seeds 0 to seeds-1, one markdown row:
 the median ||w* - w0|| / ||w0||; on how many seeds the `sketch-p0`
 pipeline cell reads below the `sketch-uniform` cell; on how many the
-closed-form rule predicts that the init-time distribution p = |w0| / ||w0||_1
-beats uniform, A < d ||w*||^2 with A = ||w0||_1 sum_k w*_k^2 / |w0_k|; and
+closed-form rule `bounds._init_beats_uniform` predicts that the init-time
+distribution p = |w0| / ||w0||_1 beats uniform, A < d ||w*||^2 with
+A = ||w0||_1 sum_k w*_k^2 / |w0_k|; and
 on how many the two agree. The cells are those `pipeline --d D --n N --s S
 --methods sketch-p0,sketch-uniform --trials SEEDS --seed 0` writes, and
 `sketch-p0` tunes p on the data as well, so the rule, which reads only w0
@@ -35,6 +36,7 @@ GRIDS = (
 def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     from sketchprune import run_prune_pipeline, seed_state
+    from sketchprune.bounds import _init_beats_uniform
 
     print("| d, n, s | seeds | median ‖w*−w0‖/‖w0‖ | `sketch-p0` below "
           "`sketch-uniform` | rule predicts | agree |")
@@ -48,8 +50,7 @@ def main() -> int:
             cells = [run_prune_pipeline(state, method, s).masked_error
                      for method in ("sketch-p0", "sketch-uniform")]
             below.append(cells[0] < cells[1])
-            a = np.abs(w0).sum() * np.sum(w_star**2 / np.abs(w0))
-            predicted.append(a < d * np.sum(w_star**2))
+            predicted.append(_init_beats_uniform(w0, w_star))
         agree = sum(b == p for b, p in zip(below, predicted))
         print(f"| {d}, {n}, {s} | {seeds} | {np.median(moved):.2f} | "
               f"{sum(below)} | {sum(predicted)} | {agree} |", flush=True)
