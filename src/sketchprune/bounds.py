@@ -25,7 +25,6 @@ from .core import (
     _check_at_least,
     _check_budget,
     _check_length,
-    _row_norms,
     _vector_of_length,
     as_vector,
     features,
@@ -120,32 +119,14 @@ def exact_expected_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> floa
     infinite and raises.
     """
     wv = _sketch_operands(X, w, p, s)
-    return float(_variance_form_errors(X.values[None], wv, p.values[None], s)[0])
-
-
-def _variance_form_errors(
-    Xs: np.ndarray, wv: np.ndarray, ps: np.ndarray, s: int
-) -> np.ndarray:
-    """Exact expected error (variance form) for each of k matrices at once.
-
-    Xs is a (k, d, n) block of finite data matrices; ps holds one
-    distribution per matrix, (k, d), or one shared by all, (1, d). Raises
-    SupportError where a distribution misses an active weight on a nonzero
-    row. Xs is left unchanged.
-    """
-    uncovered = (ps == 0.0) & (wv != 0.0)
-    if uncovered.any():
-        if np.any(uncovered & (_row_norms(Xs) > 0.0)):
-            raise SupportError(
-                "sampling distribution has zero mass on an active weight"
-            )
-    scale = np.divide(wv, ps, out=np.zeros(ps.shape), where=ps > 0.0)
-    feats = np.matmul(Xs.transpose(0, 2, 1), wv)
-    residual = np.multiply(Xs, scale[:, :, None])
-    np.subtract(residual, feats[:, None, :], out=residual)
-    squared = np.einsum("kij,kij->ki", residual, residual)
-    # A batched vector product, which sums as p @ squared does for one matrix.
-    return (ps[:, None, :] @ squared[:, :, None])[:, 0, 0] / s
+    pv = p.values
+    uncovered = (pv == 0.0) & (wv != 0.0)
+    if uncovered.any() and np.any(uncovered & (row_norms(X) > 0.0)):
+        raise SupportError("sampling distribution has zero mass on an active weight")
+    scale = np.divide(wv, pv, out=np.zeros(pv.size), where=pv > 0.0)
+    residual = X.values * scale[:, None]
+    np.subtract(residual, X.values.T @ wv, out=residual)
+    return float(pv @ np.einsum("ij,ij->i", residual, residual)) / s
 
 
 def lemma1_exact_error(X: DataMatrix, w0, s: int) -> float:
@@ -372,11 +353,20 @@ def mc_error_over_data(
     uniformly against Lemma 4's; another name raises ValueError. An
     explicit reference overrides the entry's bound.
 
-    The matrices are drawn in blocks of several trials, one (k, d, n) draw
-    per block, with at most core._BLOCK_ELEMENTS entries in a block (one
-    trial when a single matrix is larger). A block consumes the stream
-    exactly as k draws of (d, n) do, so the draws are those of a
-    trial-by-trial loop, and memory stays flat in x_trials.
+    A trial's exact error depends on X only through its row norms r_k and
+    ||X^T w*||, so no matrix is drawn. Row k is drawn in the frame of the
+    running sum S_(k-1) = sum_(l<k) w*_l X_(l): its component along S_(k-1)
+    is a_k ~ N(0, 1/n), and its orthogonal remainder has squared norm
+    b_k^2 ~ chi^2_(n-1) / n (b = 0 when n = 1). By rotation invariance,
+    r_k = hypot(a_k, b_k) and t_k = ||S_k|| = hypot(t_(k-1) + w*_k a_k,
+    w*_k b_k) have the law the d x n matrix gives. See _frame_errors for
+    the error's nonnegative form.
+
+    The trials are drawn in the blocks of _data_blocks, so memory stays flat
+    in x_trials. Per block of k trials the stream gives one (k, d) standard
+    normal draw (the a_k), then, when n > 1, one (k, d) chi-square draw with
+    n - 1 degrees of freedom (the n b_k^2): d normals and d chi-squares a
+    trial, in place of the d n normals of a drawn matrix.
     """
     _check_at_least(1, x_trials=x_trials, n=n)
     if distribution not in _SKETCHES:
@@ -384,14 +374,75 @@ def mc_error_over_data(
     probabilities, bound = _SKETCHES[distribution]
     w0v, wsv = _pair_operands(w0, w_star, s)
     d = w0v.size
-    scale = 1.0 / math.sqrt(n)
     errors = np.empty(x_trials)
-    for trials in _blocks(x_trials, d * n):
-        Xs = rng.normal((trials.stop - trials.start, d, n))
-        np.multiply(Xs, scale, out=Xs)
-        ps = probabilities(_row_norms(Xs), w0v)
-        # the renormalization ProbabilityVector applies to each one
-        ps /= ps.sum(axis=1, keepdims=True)
-        errors[trials] = _variance_form_errors(Xs, wsv, ps, s)
+    for trials in _data_blocks(x_trials, d):
+        shape = (trials.stop - trials.start, d)
+        a = rng.normal(shape)
+        a *= 1.0 / math.sqrt(n)
+        b2 = rng.chisquare(n - 1, shape) if n > 1 else np.zeros(shape)
+        b2 /= n
+        errors[trials] = _frame_errors(a, b2, w0v, wsv, probabilities) / s
     reference = bound(w0v, wsv, s) if reference is None else reference
     return _summary(errors, reference, "upper-bound")
+
+
+def _data_blocks(x_trials: int, d: int):
+    """mc_error_over_data's blocks of max(1, core._BLOCK_ELEMENTS // (4 d))
+    trials: a block holds about six (k, d) arrays at once, so its peak stays
+    near one and a half blocks of entries."""
+    return _blocks(x_trials, 4 * d)
+
+
+def _frame_errors(
+    a: np.ndarray, b2: np.ndarray, w0v: np.ndarray, wsv: np.ndarray, probabilities
+) -> np.ndarray:
+    """s times the exact expected error of each of k trials, from the (k, d)
+    frame components a and squared remainders b2 of mc_error_over_data,
+    which it overwrites.
+
+    With c_k = |w*_k| r_k and C = sum_k c_k, the error sum_k c_k^2 / p_k -
+    t_d^2 is evaluated as sum_(p_k > 0) p_k (c_k / p_k - C)^2 +
+    (C - t_d)(C + t_d), every term nonnegative. C - t_d is the sum of
+    g_k = c_k + t_(k-1) - t_k = 2 t_(k-1) |w*_k| (r_k - sigma_k a_k) /
+    (t_(k-1) + c_k + t_k), sigma_k = sign(w*_k), where r_k - sigma_k a_k is
+    taken as b_k^2 / (r_k + sigma_k a_k) when sigma_k a_k > 0, so no step
+    subtracts nearly equal numbers. Raises SupportError where p misses an
+    active weight on a nonzero row.
+    """
+    r = a * a
+    r += b2
+    np.sqrt(r, out=r)
+    w_abs = np.abs(wsv)
+    c = w_abs * r
+    total = c.sum(axis=1)
+    ps = probabilities(r, w0v)
+    # the renormalization ProbabilityVector applies to each one
+    ps /= ps.sum(axis=1, keepdims=True)
+    if np.any((ps == 0.0) & (wsv != 0.0) & (r > 0.0)):
+        raise SupportError("sampling distribution has zero mass on an active weight")
+    ratio = np.divide(c, ps, out=np.zeros(ps.shape), where=ps > 0.0)
+    ratio -= total[:, None]
+    spread = np.einsum("ij,ij,ij->i", ps, ratio, ratio)
+    del ps, ratio
+    # 2 |w*_k| (r_k - sigma_k a_k): r_k + |a_k|, or b_k^2 over that where
+    # sigma_k a_k > 0, that is where w*_k a_k > 0
+    lift = np.abs(a)
+    lift += r
+    del r
+    along = np.multiply(a, wsv, out=a)
+    np.divide(b2, lift, out=lift, where=along > 0.0)
+    lift *= 2.0 * w_abs
+    across = np.sqrt(b2, out=b2)
+    across *= wsv
+    # t[:, k] is t_k; a zero weight leaves t where it was, as hypot(t, 0) = t
+    trials, d = a.shape
+    t = np.zeros((trials, d + 1))
+    for j in range(d):
+        np.add(t[:, j], along[:, j], out=t[:, j + 1])
+        np.hypot(t[:, j + 1], across[:, j], out=t[:, j + 1])
+    width = t[:, :-1] + c
+    width += t[:, 1:]
+    # width is 0 only where t_(k-1) is, and so is the step
+    step = np.multiply(t[:, :-1], lift, out=lift)
+    np.divide(step, width, out=step, where=width > 0.0)
+    return spread + step.sum(axis=1) * (total + t[:, -1])

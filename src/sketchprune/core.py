@@ -308,13 +308,7 @@ class RngStream:
 
 def _row_norms(A: np.ndarray) -> np.ndarray:
     """Euclidean norm of every row of a 2-d float64 array, bit-identical to
-    np.linalg.norm(A, axis=1), squaring a block of rows at a time.
-
-    A (k, d, n) stack gives the (k, d) norms of its k matrices; a C-order
-    stack is reduced as the (k*d, n) matrix it is a view of.
-    """
-    if A.ndim == 3:
-        return _row_norms(A.reshape(-1, A.shape[2])).reshape(A.shape[:2])
+    np.linalg.norm(A, axis=1), squaring a block of rows at a time."""
     d, n = A.shape
     # Only in C order is each row of a block summed in the same (pairwise)
     # order as in the whole matrix; in F order a one-row block is not, so

@@ -437,13 +437,38 @@ class TestMaskErrorBlocks:
         assert peak < 6 * 8 * s
 
 
+def _frame_draws(rng, d, n, x_trials):
+    """The (a, b) of mc_error_over_data's trials, drawn from rng in its
+    documented order: per block, a (k, d) normal draw, then, when n > 1, a
+    (k, d) chi-square draw with n - 1 degrees of freedom."""
+    for block in bounds._data_blocks(x_trials, d):
+        shape = (block.stop - block.start, d)
+        a = rng.normal(shape) / math.sqrt(n)
+        b2 = rng.chisquare(n - 1, shape) / n if n > 1 else np.zeros(shape)
+        yield from zip(a, np.sqrt(b2))
+
+
+def _frame_matrix(a, b, w_star):
+    """The d x 2 matrix whose row k is a_k e + b_k e_perp, with e the unit
+    vector along S_(k-1) = sum_(l<k) w*_l X_(l) (the first axis while S is
+    zero) and e_perp e turned a quarter."""
+    rows = np.empty((a.size, 2))
+    S = np.zeros(2)
+    for k in range(a.size):
+        t = np.linalg.norm(S)
+        e = S / t if t > 0.0 else np.array([1.0, 0.0])
+        rows[k] = a[k] * e + b[k] * np.array([-e[1], e[0]])
+        S += w_star[k] * rows[k]
+    return DataMatrix(rows)
+
+
 def _per_trial_mean_and_se(w0, w_star, s, n, x_trials, rng, distribution):
     """mc_error_over_data's estimate built one matrix at a time from the
-    public API."""
+    public API, each matrix the d x 2 frame matrix of one trial's draws."""
     d = len(w0)
     errors = []
-    for _ in range(x_trials):
-        X = DataMatrix(rng.normal((d, n)) * (1.0 / math.sqrt(n)))
+    for a, b in _frame_draws(rng, d, n, x_trials):
+        X = _frame_matrix(a, b, w_star)
         if distribution == "optimal":
             p = optimal_probabilities(X, w0)
         else:
@@ -454,13 +479,19 @@ def _per_trial_mean_and_se(w0, w_star, s, n, x_trials, rng, distribution):
     return errors.mean(), se
 
 
+def _chi_mean(n):
+    """E||X_(k)|| for a row of n iid N(0, 1/n) entries."""
+    return math.sqrt(2.0 / n) * math.exp(math.lgamma((n + 1) / 2) - math.lgamma(n / 2))
+
+
 class TestMcOverData:
-    # At d=64, n=32 a block holds 16 trials, so 37 ends on a partial block;
-    # a 200 x 170 matrix alone exceeds a block.
+    # At d=64 a block holds 128 trials, so 37 trials fill part of one block
+    # and 600 end on a partial one; at d=200 a block holds 40.
     @pytest.mark.parametrize("distribution", ["optimal", "uniform"])
     @pytest.mark.parametrize(
         "d, n, x_trials",
-        [(64, 32, 1), (64, 32, 37), (7, 3, 37), (200, 170, 3)],
+        [(64, 32, 1), (64, 32, 37), (7, 3, 37), (200, 170, 3), (64, 32, 600),
+         (8, 1, 37), (1, 5, 9)],
     )
     def test_matches_per_trial_reference(self, distribution, d, n, x_trials):
         source = RngStream(31)
@@ -476,13 +507,55 @@ class TestMcOverData:
         assert rep.empirical_error == pytest.approx(mean, rel=1e-12)
         assert rep.standard_error == pytest.approx(se, rel=1e-12)
 
-    @pytest.mark.parametrize("d, n, x_trials", [(8, 5, 37), (200, 170, 2)])
-    def test_consumes_one_normal_per_entry(self, d, n, x_trials):
+    @pytest.mark.parametrize("n", [1, 4])
+    @pytest.mark.parametrize("spread", [0.0, 0.1])
+    def test_graded_weights_match_per_trial_reference(self, n, spread):
+        # w0 = (1e-4)^k: the raw difference sum c_k^2 / p_k - t_d^2 loses
+        # about five digits here; w* = w0 is the self-mask case.
+        w0 = 1e-4 ** np.arange(8.0)
+        w_star = w0 * (1.0 + spread * RngStream(33).normal(8))
+        rep = mc_error_over_data(w0, w_star, 4, n, 37, RngStream(34))
+        mean, se = _per_trial_mean_and_se(w0, w_star, 4, n, 37, RngStream(34), "optimal")
+        assert rep.empirical_error > 0.0
+        assert rep.empirical_error == pytest.approx(mean, rel=1e-12)
+        assert rep.standard_error == pytest.approx(se, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_single_weight_is_exactly_zero(self, n):
+        rep = mc_error_over_data([0.3], [-2.0], 1, n, 50, RngStream(35))
+        assert (rep.empirical_error, rep.standard_error) == (0.0, 0.0)
+
+    @pytest.mark.parametrize(
+        # d=4096 takes 2 trials a block, so 11 take six
+        "d, n, x_trials", [(8, 5, 37), (200, 170, 2), (8, 1, 37), (4096, 3, 11)],
+    )
+    def test_consumes_the_documented_draws(self, d, n, x_trials):
         used, twin = RngStream(40), RngStream(40)
         w = RngStream(41).normal(d)
         mc_error_over_data(w, w, 2, n, x_trials, used)
-        twin.normal((x_trials, d, n))
+        for _ in _frame_draws(twin, d, n, x_trials):
+            pass
         np.testing.assert_array_equal(used.normal(4), twin.normal(4))
+
+    @pytest.mark.parametrize("distribution", ["optimal", "uniform"])
+    @pytest.mark.parametrize("d, n", [(64, 32), (7, 3), (8, 2), (8, 1)])
+    def test_mean_meets_closed_form(self, distribution, d, n):
+        # E_X of the exact error: (mu_n^2 / s)(||w0||_1 sum w*^2 / |w0| - ||w*||^2)
+        # under optimal p, (d - 1) ||w*||^2 / s under uniform p.
+        source = RngStream(36)
+        w0 = source.normal(d)
+        w_star = w0 + 0.5 * source.normal(d)
+        s = 4
+        rep = mc_error_over_data(
+            w0, w_star, s, n, 20_000, RngStream(37), distribution=distribution
+        )
+        norm2 = float(w_star @ w_star)
+        if distribution == "optimal":
+            A = np.abs(w0).sum() * np.sum(w_star**2 / np.abs(w0))
+            expected = _chi_mean(n) ** 2 * (A - norm2) / s
+        else:
+            expected = (d - 1) * norm2 / s
+        assert abs(rep.empirical_error - expected) <= 4.0 * rep.standard_error
 
     def test_inactive_initial_weight_under_active_target_raises(self):
         w0 = np.array([1.0, 0.0, 2.0])

@@ -46,7 +46,6 @@ from sketchprune import (
     uniform_probabilities,
 )
 from sketchprune import core
-from sketchprune.core import _row_norms
 
 
 class TestDataMatrix:
@@ -292,16 +291,6 @@ def test_row_norms_hold_no_matrix_sized_temporary():
     finally:
         tracemalloc.stop()
     assert peak < 2**20
-
-
-@pytest.mark.parametrize(
-    # the last two stacks span more than one block of 2**16 entries
-    "k, d, n", [(1, 5, 3), (4, 64, 32), (2, 65536, 1), (8, 100, 1000)],
-)
-def test_stacked_row_norms_equal_per_matrix_row_norms(k, d, n):
-    stack = RngStream(k * d).normal((k, d, n))
-    expected = np.stack([row_norms(DataMatrix(matrix)) for matrix in stack])
-    np.testing.assert_array_equal(_row_norms(stack), expected)
 
 
 def test_row_norms_computed_once_and_shared():
