@@ -174,9 +174,8 @@ def theorem1_bound(w0, w_star, s: int) -> float:
     trained w_star, for X with iid N(0, 1/n) entries:
 
     (1/s) ||w0||_1 (sum_k delta_k^2 / |w0_k| + 2 ||delta||_1 + ||w0||_1),
-    with delta = w* - w0 and the sum over the k where w0_k != 0. An index
-    with w0_k = 0 but delta_k != 0 is never sampled yet carries weight, so
-    the error is infinite there and SupportError is raised.
+    with delta = w* - w0 and the sum over the k where w0_k != 0. Where
+    w0_k = 0 but delta_k != 0 the error is infinite, and SupportError is raised.
     """
     w0v, wsv = _pair_operands(w0, w_star, s)
     w0_abs = np.abs(w0v)
@@ -184,13 +183,18 @@ def theorem1_bound(w0, w_star, s: int) -> float:
     if l1 <= 0.0:
         raise DegenerateDistributionError("initial weights are identically zero")
     delta = wsv - w0v
+    return l1 * (_spread(w0_abs, delta) + 2.0 * float(np.abs(delta).sum()) + l1) / s
+
+
+def _spread(w0_abs: np.ndarray, v: np.ndarray) -> float:
+    """sum_k v_k^2 / |w0_k| over w0_k != 0; SupportError where w0_k = 0 but
+    v_k != 0, an index with weight that p proportional to |w0| never draws."""
     active = w0_abs > 0.0
-    if np.any(delta[~active] != 0.0):
+    if np.any(v[~active] != 0.0):
         raise SupportError(
             "w_star differs from w0 where w0 is zero; the error is infinite"
         )
-    spread = float((delta[active] ** 2 / w0_abs[active]).sum())
-    return l1 * (spread + 2.0 * float(np.abs(delta).sum()) + l1) / s
+    return float((v[active] ** 2 / w0_abs[active]).sum())
 
 
 def lemma4_uniform_bound(w_star, s: int) -> float:
@@ -234,10 +238,10 @@ def _expected_sketch_error(p: ProbabilityVector, w_star: np.ndarray, s: int) -> 
 
 def _init_beats_uniform(w0: np.ndarray, w_star: np.ndarray) -> bool:
     """Whether p = |w0| / ||w0||_1 gives w* a lower _expected_sketch_error
-    than uniform p: with A = ||w0||_1 sum_k w*_k^2 / |w0_k| they are
+    than uniform p: with A = ||w0||_1 _spread(|w0|, w*) they are
     (A - ||w*||^2) / s and (d - 1) ||w*||^2 / s, so exactly when A < d ||w*||^2."""
     w0_abs = np.abs(w0)
-    A = w0_abs.sum() * np.sum(w_star**2 / w0_abs)
+    A = w0_abs.sum() * _spread(w0_abs, w_star)
     return bool(A < w_star.size * np.sum(w_star**2))
 
 
@@ -257,14 +261,19 @@ def mc_error_over_masks(
     Each trial applies to w_apply the mask `sample_sketch_mask(p, s, rng)`
     would draw. The trials are taken in blocks of at most
     core._BLOCK_ELEMENTS // max(d, s, n) (one trial when that is 0): one
-    (k, s) uniform draw per block, made into k masks by sketch's bincount
-    builder and applied to X by one matrix product. A block consumes the
-    stream exactly as k calls of `sample_sketch_mask` do, so the draws are
-    those of a trial-by-trial loop, and memory stays flat in trials.
+    (k, s) uniform draw per block, scored by _sequence_errors. A block
+    consumes the stream exactly as k calls of `sample_sketch_mask` do, so the
+    draws are those of a trial-by-trial loop, and memory stays flat in trials.
     """
     _check_at_least(1, trials=trials)
     wv = _sketch_operands(X, w_apply, p, s)
-    errors = _mask_errors(X, wv, p.values, s, trials, rng)
+    pv = p.values
+    step = _draw_weights(wv, pv, s)
+    base = features(X, wv)
+    errors = np.empty(trials)
+    for block in _blocks(trials, max(X.d, s, X.n)):
+        idx = _categorical_indices(pv, rng.uniform((block.stop - block.start, s)))
+        errors[block] = _sequence_errors(X, base, step, idx)
     return _summary(errors, reference, "equality")
 
 
@@ -284,21 +293,15 @@ def _draw_weights(wv: np.ndarray, pv: np.ndarray, s: int) -> np.ndarray:
     return np.divide(wv, s * pv, out=np.zeros(pv.size), where=pv > 0.0)
 
 
-def _mask_errors(
-    X: DataMatrix, wv: np.ndarray, pv: np.ndarray, s: int, trials: int, rng: RngStream
+def _sequence_errors(
+    X: DataMatrix, base: np.ndarray, step: np.ndarray, idx: np.ndarray
 ) -> np.ndarray:
-    """The squared feature error of each of `trials` sketch masks, for
-    operands already checked by mc_error_over_masks."""
-    d = X.d
-    step = _draw_weights(wv, pv, s)
-    base = features(X, wv)
-    errors = np.empty(trials)
-    for block in _blocks(trials, max(d, s, X.n)):
-        idx = _categorical_indices(pv, rng.uniform((block.stop - block.start, s)))
-        residual = _mask_rows(idx, step[idx], d).reshape(-1, d) @ X.values
-        np.subtract(base, residual, out=residual)
-        errors[block] = np.einsum("ij,ij->i", residual, residual)
-    return errors
+    """||base - X^T m_i||^2 for the mask m_i that sketch's builder makes of
+    row i of the (k, s) draw indices idx, a draw of k adding step[k]. A block
+    holds (k, s) indices, (k, d) masks and (k, n) features: max(d, s, n)."""
+    residual = _mask_rows(idx, step[idx], X.d).reshape(-1, X.d) @ X.values
+    np.subtract(base, residual, out=residual)
+    return np.einsum("ij,ij->i", residual, residual)
 
 
 def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> float:
@@ -307,9 +310,8 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
 
     Independent of the closed forms above; cost grows as d^s, so sequences
     beyond the enumeration limit are refused. Sequences are taken in chunks
-    of at most core._BLOCK_ELEMENTS // max(d, n), so memory is flat in both.
-    Each draw of index k adds w_k / (s p_k) to the weights, as in
-    mc_error_over_masks, through sketch's one mask builder.
+    of at most core._BLOCK_ELEMENTS // max(d, s, n), so memory is flat in
+    all three, and scored by mc_error_over_masks' kernel, _sequence_errors.
     """
     wv = _sketch_operands(X, w, p, s)
     if X.d**s > ENUMERATION_LIMIT:
@@ -325,12 +327,9 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
     m = support.size
     places = m ** np.arange(s - 1, -1, -1)
     total = 0.0
-    for chunk in _blocks(m**s, max(X.d, X.n)):
-        block = support[np.arange(chunk.start, chunk.stop)[:, None] // places % m]
-        weights = pv[block].prod(axis=1)
-        feats = _mask_rows(block, step[block], X.d).reshape(-1, X.d) @ X.values
-        residual = ((base - feats) ** 2).sum(axis=1)
-        total += float(weights @ residual)
+    for chunk in _blocks(m**s, max(X.d, s, X.n)):
+        idx = support[np.arange(chunk.start, chunk.stop)[:, None] // places % m]
+        total += float(pv[idx].prod(axis=1) @ _sequence_errors(X, base, step, idx))
     return total
 
 

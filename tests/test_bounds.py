@@ -28,7 +28,7 @@ from sketchprune import (
     theorem1_bound,
     uniform_probabilities,
 )
-from sketchprune import bounds
+from sketchprune import bounds, sketch
 
 I2 = DataMatrix(np.eye(2))
 
@@ -179,6 +179,21 @@ class TestLemma4:
         w = [1.0, -2.0, 3.0]
         assert lemma4_uniform_bound(w, 3) == pytest.approx(float(np.dot(w, w)))
 
+    def test_init_rule_skips_zero_initial_weights(self):
+        # p = |w0| / ||w0||_1 = (1, 0) draws index 0 alone, so w* = (1, 0)
+        # reads 0 under it against 1 under uniform p; the rule sums
+        # w*_k^2 / |w0_k| over w0_k != 0 only, and refuses a w* that carries
+        # weight where w0 is zero, whose error is infinite.
+        w0 = np.array([1.0, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            init = bounds._expected_sketch_error(ProbabilityVector(w0), w0, 1)
+            uniform = bounds._expected_sketch_error(uniform_probabilities(2), w0, 1)
+            assert (init, uniform) == (0.0, 1.0)
+            assert bounds._init_beats_uniform(w0, w0)
+            with pytest.raises(SupportError):
+                bounds._init_beats_uniform(w0, np.array([1.0, 0.5]))
+
     def test_dimension_factor_vs_lemma2(self):
         rng = RngStream(4)
         w0 = rng.normal(6)
@@ -229,6 +244,26 @@ class TestEnumeration:
             tracemalloc.stop()
         assert peak < 2 * 2**20
         assert enumerated == pytest.approx(exact_expected_error(X, w, p, 1), rel=1e-10)
+
+    @pytest.mark.parametrize("d, n, s", [(2, 1, 19), (3, 2, 12)])
+    def test_memory_is_flat_in_budget(self, d, n, s):
+        # 2^19 and 3^12 sequences: chunks sized by d and n alone held tens
+        # of thousands of s-index rows each, peaking near 8 MiB and 4 MiB;
+        # a chunk sized by max(d, s, n) stays within a block.
+        rng = RngStream(49)
+        X = DataMatrix(rng.normal((d, n)))
+        w = rng.normal(d)
+        p = optimal_probabilities(X, w)
+        tracemalloc.start()
+        try:
+            enumerated = enumerate_exact_error(X, w, p, s)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
+        assert enumerated == pytest.approx(
+            exact_expected_error(X, w, p, s), rel=1e-10, abs=1e-12
+        )
 
     def test_many_chunks_agree_with_closed_form(self):
         # 300^2 sequences in chunks of 2^15 // 300 = 109, the last one short
@@ -391,16 +426,19 @@ class TestMaskErrorBlocks:
         q = source.uniform(d)
         q[list(unsampled)] = 0.0
         p = ProbabilityVector(q / q.sum())
-        used, twin = RngStream(51), RngStream(51)
-        got = bounds._mask_errors(X, w, p.values, s, trials, used)
+        twin = RngStream(51)
+        idx = sketch._categorical_indices(p.values, RngStream(51).uniform((trials, s)))
+        step = bounds._draw_weights(w, p.values, s)
+        got = bounds._sequence_errors(X, X.values.T @ w, step, idx)
         want = _per_mask_errors(X, w, p, s, trials, twin)
         # An error that shrinks as 1/s is compared on the scale of the
         # unmasked features, whose rounding it inherits.
         scale = float(np.sum((X.values.T @ w) ** 2))
         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * scale)
+        used = RngStream(51)
+        rep = mc_error_over_masks(X, w, p, s, trials, used)
         # the stream ends where the per-mask loop leaves it
         assert used.uniform() == twin.uniform()
-        rep = mc_error_over_masks(X, w, p, s, trials, RngStream(51))
         assert rep.trials == trials
         assert rep.empirical_error == pytest.approx(want.mean(), rel=1e-12)
         if trials > 1:
