@@ -86,8 +86,16 @@ class BoundReport:
         allowing 4 standard errors of Monte Carlo slack."""
         slack = 4.0 * self.standard_error
         if self.kind == "equality":
-            return abs(self.empirical_error - self.closed_form_or_bound) <= slack
-        return self.empirical_error <= self.closed_form_or_bound + slack
+            return bool(abs(self.empirical_error - self.closed_form_or_bound) <= slack)
+        return bool(self.empirical_error <= self.closed_form_or_bound + slack)
+
+
+def _check_support(p: np.ndarray, w: np.ndarray, rows=1.0) -> None:
+    """Raise SupportError where p_k = 0 but w_k != 0 on a nonzero row (p, w
+    and rows broadcast): an index carrying error that the sketch never
+    draws, so its estimator is biased and its expected error infinite."""
+    if np.any((p == 0.0) & (w != 0.0) & (rows > 0.0)):
+        raise SupportError("sampling distribution has zero mass on an active weight")
 
 
 def _sketch_operands(X: DataMatrix, w, p: ProbabilityVector, s: int) -> np.ndarray:
@@ -120,9 +128,7 @@ def exact_expected_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> floa
     """
     wv = _sketch_operands(X, w, p, s)
     pv = p.values
-    uncovered = (pv == 0.0) & (wv != 0.0)
-    if uncovered.any() and np.any(uncovered & (row_norms(X) > 0.0)):
-        raise SupportError("sampling distribution has zero mass on an active weight")
+    _check_support(pv, wv, row_norms(X))
     scale = np.divide(wv, pv, out=np.zeros(pv.size), where=pv > 0.0)
     residual = X.values * scale[:, None]
     np.subtract(residual, X.values.T @ wv, out=residual)
@@ -189,11 +195,8 @@ def theorem1_bound(w0, w_star, s: int) -> float:
 def _spread(w0_abs: np.ndarray, v: np.ndarray) -> float:
     """sum_k v_k^2 / |w0_k| over w0_k != 0; SupportError where w0_k = 0 but
     v_k != 0, an index with weight that p proportional to |w0| never draws."""
+    _check_support(w0_abs, v)
     active = w0_abs > 0.0
-    if np.any(v[~active] != 0.0):
-        raise SupportError(
-            "w_star differs from w0 where w0 is zero; the error is infinite"
-        )
     return float((v[active] ** 2 / w0_abs[active]).sum())
 
 
@@ -227,12 +230,9 @@ def _expected_sketch_error(p: ProbabilityVector, w_star: np.ndarray, s: int) -> 
     E(1 - m_k)^2 = (1 - p_k) / (s p_k). Every term is nonnegative. An index
     with p_k = 0 but w*_k != 0 makes the estimator biased, and raises.
     """
+    _check_support(p.values, w_star)
     active = w_star != 0.0
     pa = p.values[active]
-    if np.any(pa == 0.0):
-        raise SupportError(
-            "sampling distribution has zero mass on an active trained weight"
-        )
     return float((w_star[active] ** 2 * (1.0 - pa) / pa).sum()) / s
 
 
@@ -417,8 +417,7 @@ def _frame_errors(
     ps = probabilities(r, w0v)
     # the renormalization ProbabilityVector applies to each one
     ps /= ps.sum(axis=1, keepdims=True)
-    if np.any((ps == 0.0) & (wsv != 0.0) & (r > 0.0)):
-        raise SupportError("sampling distribution has zero mass on an active weight")
+    _check_support(ps, wsv, r)
     ratio = np.divide(c, ps, out=np.zeros(ps.shape), where=ps > 0.0)
     ratio -= total[:, None]
     spread = np.einsum("ij,ij,ij->i", ps, ratio, ratio)

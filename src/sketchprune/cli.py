@@ -84,8 +84,7 @@ HISTOGRAM_METHODS = tuple(name for name, m in MASK_METHODS.items() if m.binary)
 
 
 def _cell(value) -> str:
-    # a comparison of numpy floats gives np.bool_, which is no bool subclass
-    if isinstance(value, (bool, np.bool_)):
+    if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, float):
         return _fmt(value)
@@ -117,7 +116,9 @@ def _write_csv(path: Path, header: tuple, rows) -> None:
 # verification suites
 
 
-def _relative_gap(observed: np.ndarray, expected: np.ndarray) -> float:
+def _relative_gap(observed, expected) -> float:
+    """The largest |observed - expected| / max(|expected|, 1e-12), of arrays
+    or of scalars."""
     return float(
         np.max(np.abs(observed - expected) / np.maximum(np.abs(expected), 1e-12))
     )
@@ -136,13 +137,19 @@ def _report_row(run_id: str, rep: BoundReport, d: int = 0, n: int = 0, s: int = 
                 distance: float = math.nan) -> ResultRow:
     """A BoundReport checked by its own rule, BoundReport.satisfied, with
     seed and method left for the command to fill in. A row that aggregates
-    instances of several sizes keeps the size defaults, as an identity row
-    does: BoundReport(worst relative gap, 0.0, tolerance, "upper-bound",
-    instance count)."""
+    instances of several sizes keeps the size defaults, as _worst_row does."""
     return ResultRow(
         run_id, 0, d, n, s, "", rep.empirical_error, rep.closed_form_or_bound,
         rep.kind, rep.standard_error, distance, passed=rep.satisfied(),
     )
+
+
+def _worst_row(run_id: str, gaps, tolerance: float) -> ResultRow:
+    """The worst of one gap per instance, capped by tolerance: an upper-bound
+    row with no standard error, its trials the instance count. A NaN gap
+    is the worst, and refused as not finite."""
+    rep = BoundReport(float(np.max(gaps)), 0.0, tolerance, "upper-bound", len(gaps))
+    return _report_row(run_id, rep)
 
 
 def _data_row(run_id: str, w0, w_star, s: int, trials: int, rng, **options):
@@ -163,14 +170,12 @@ def _small_instances(rng: RngStream, count: int):
 
 
 def _suite_lemma1(rng: RngStream, trials: int) -> list[ResultRow]:
-    closed, enumerated = [], []
+    gaps = []
     for X, s in _small_instances(rng, 30):
         w = rng.normal(X.d)
-        closed.append(lemma1_exact_error(X, w, s))
-        enumerated.append(enumerate_exact_error(X, w, optimal_probabilities(X, w), s))
-    worst = _relative_gap(np.array(enumerated), np.array(closed))
-    rows = [_report_row("lemma1/enumeration",
-                        BoundReport(worst, 0.0, 1e-10, "upper-bound", 30))]
+        enumerated = enumerate_exact_error(X, w, optimal_probabilities(X, w), s)
+        gaps.append(_relative_gap(enumerated, lemma1_exact_error(X, w, s)))
+    rows = [_worst_row("lemma1/enumeration", gaps, 1e-10)]
     d, n = 32, 16
     for s in (4, 16):
         X = gen_normal_X(d, n, rng)
@@ -193,24 +198,18 @@ def _suite_lemma2(rng: RngStream, trials: int) -> list[ResultRow]:
 
 
 def _suite_lemma3(rng: RngStream, trials: int | None) -> list[ResultRow]:
-    closed, enumerated = [], []
-    worst_excess = -math.inf
+    gaps, excesses = [], []
     for X, s in _small_instances(rng, 20):
         w0 = rng.normal(X.d)
         w_star = rng.normal(X.d)
         exact, bound = lemma3_bound(X, X, w0, w_star, s)
-        closed.append(exact)
-        enumerated.append(
-            enumerate_exact_error(X, w_star, optimal_probabilities(X, w0), s)
-        )
-        worst_excess = max(worst_excess, exact - bound)
-    worst = _relative_gap(np.array(enumerated), np.array(closed))
+        enumerated = enumerate_exact_error(X, w_star, optimal_probabilities(X, w0), s)
+        gaps.append(_relative_gap(enumerated, exact))
+        excesses.append(exact - bound)
     # the largest excess over the bound against a rounding slack of 1e-12
-    excess = BoundReport(worst_excess, 0.0, 1e-12, "upper-bound", 20)
     return [
-        _report_row("lemma3/exact-vs-enumeration",
-                    BoundReport(worst, 0.0, 1e-10, "upper-bound", 20)),
-        _report_row("lemma3/exact-le-bound", excess),
+        _worst_row("lemma3/exact-vs-enumeration", gaps, 1e-10),
+        _worst_row("lemma3/exact-le-bound", excesses, 1e-12),
     ]
 
 
@@ -250,7 +249,7 @@ def _score_equiv_suite(gen_X, score, run_id: str):
     the optimal p0, worst case over random instances from gen_X."""
 
     def suite(rng: RngStream, trials: int) -> list[ResultRow]:
-        worst = 0.0
+        gaps = []
         for _ in range(trials):
             d = int(rng.integers(2, 51))
             n = int(rng.integers(1, 21))
@@ -258,9 +257,8 @@ def _score_equiv_suite(gen_X, score, run_id: str):
             w = rng.normal(d)
             via_scores = scores_to_probabilities(score(X, w))
             direct = optimal_probabilities(X, w)
-            worst = max(worst, _relative_gap(via_scores.values, direct.values))
-        identity = BoundReport(worst, 0.0, 1e-12, "upper-bound", trials)
-        return [_report_row(run_id, identity)]
+            gaps.append(_relative_gap(via_scores.values, direct.values))
+        return [_worst_row(run_id, gaps, 1e-12)]
 
     return suite
 
@@ -306,16 +304,15 @@ def _default_keep_count(n_params: int) -> int:
 
 
 def _suite_ntk(rng: RngStream, trials: int) -> list[ResultRow]:
-    worst = 0.0
+    gaps = []
     for k in range(5):
         activation = ("tanh", "softplus")[k % 2]
         model = TinyMLP.init(3, 8, 2, activation, rng)
         X = DataMatrix(rng.normal((3, 4)))
         J = analytic_jacobian(model, X)
         J_fd = finite_difference_jacobian(model, X)
-        worst = max(worst, float(np.abs(J - J_fd).max() / np.abs(J).max()))
-    fd_row = _report_row("ntk/jacobian-vs-fd",
-                         BoundReport(worst, 0.0, 1e-5, "upper-bound", 5))
+        gaps.append(float(np.abs(J - J_fd).max() / np.abs(J).max()))
+    fd_row = _worst_row("ntk/jacobian-vs-fd", gaps, 1e-5)
 
     s = _default_keep_count(_ntk_params(_NTK_WIDTH))
     masked, _ = _theorem2_row("ntk/masked-error-bound", _NTK_WIDTH, rng.seed,

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import tracemalloc
 import warnings
@@ -15,6 +16,7 @@ from sketchprune import (
     ProbabilityVector,
     RngStream,
     SupportError,
+    as_vector,
     enumerate_exact_error,
     exact_expected_error,
     lemma1_exact_error,
@@ -24,8 +26,11 @@ from sketchprune import (
     mc_error_over_data,
     mc_error_over_masks,
     optimal_probabilities,
+    run_prune_pipeline,
     sample_sketch_mask,
+    seed_state,
     theorem1_bound,
+    train_least_squares,
     uniform_probabilities,
 )
 from sketchprune import bounds, sketch
@@ -338,7 +343,39 @@ class TestExactExpectedError:
         assert exact_expected_error(X, dominant, p_dominant, s) >= 0.0
 
 
+def _pipeline_off_support():
+    # training moves the weight that w0 holds at an exact zero
+    state = seed_state(8, 4, seed=0)
+    w0 = state.w0.copy()
+    w0[2] = 0.0
+    w_star = train_least_squares(state.dataset.X, state.dataset.y, w0, 100)
+    state = dataclasses.replace(state, w0=as_vector(w0), w_star=w_star)
+    run_prune_pipeline(state, "sketch-p0", 3)
+
+
+@pytest.mark.parametrize("call", [
+    lambda: exact_expected_error(I2, [1.0, 1.0], ProbabilityVector([1.0, 0.0]), 1),
+    lambda: mc_error_over_data([1.0, 0.0, 2.0], [1.0, 1.0, 2.0], 2, 4, 20,
+                               RngStream(42), distribution="optimal"),
+    lambda: theorem1_bound([1.0, 0.0], [1.0, 0.5], 1),
+    lambda: bounds._init_beats_uniform(np.array([1.0, 0.0]), np.array([1.0, 0.5])),
+    _pipeline_off_support,
+], ids=["exact", "data-mc", "theorem1", "init-rule", "pipeline"])
+def test_support_violation_raises_one_message(call):
+    # every closed form needs p_k > 0 wherever w_k carries error, one rule
+    with pytest.raises(
+        SupportError, match="^sampling distribution has zero mass on an active weight$"
+    ):
+        call()
+
+
 class TestBoundReport:
+    @pytest.mark.parametrize("kind", ["equality", "upper-bound"])
+    def test_satisfied_is_a_python_bool(self, kind):
+        # numpy scalar fields compare to np.bool_, which is no bool subclass
+        rep = BoundReport(np.float64(1.0), 0.0, np.float64(2.0), kind, 1)
+        assert type(rep.satisfied()) is bool
+
     def test_equality_is_two_sided(self):
         assert BoundReport(1.0, 0.1, 1.2, "equality", 10).satisfied()
         assert not BoundReport(1.0, 0.01, 1.2, "equality", 10).satisfied()

@@ -189,6 +189,22 @@ class TestVerifyCommand:
         }
 
 
+class TestWorstRow:
+    def test_worst_gap_against_tolerance(self):
+        row = cli._worst_row("check/worst", [0.1, 0.3, 0.2], 0.25)
+        assert (row.empirical_error, row.bound, row.standard_error, row.kind) == (
+            0.3, 0.25, 0.0, "upper-bound"
+        )
+        assert (row.d, row.n, row.s) == (0, 0, 0)
+        assert row.passed is False
+        assert cli._worst_row("check/worst", [0.1, 0.3, 0.2], 0.3).passed is True
+
+    def test_nan_gap_is_refused(self):
+        # Python's max would return 0.3 here and let the row pass
+        with pytest.raises(ValueError, match="^empirical error must be finite$"):
+            cli._worst_row("check/worst", [0.3, math.nan], 1.0)
+
+
 class TestPipelineCommand:
     def test_row_grid_and_sorting(self, tmp_path):
         # rows come out by (seed, method, s) whatever the order of the lists;

@@ -482,7 +482,7 @@ class TestExpectedSketchError:
         assert w_star[2] != 0.0
         state = dataclasses.replace(state, w0=as_vector(w0), w_star=w_star)
         assert optimal_probabilities(state.dataset.X, state.w0).values[2] == 0.0
-        with pytest.raises(SupportError, match="active trained weight"):
+        with pytest.raises(SupportError, match="zero mass on an active weight"):
             run_prune_pipeline(state, "sketch-p0", 3)
 
 

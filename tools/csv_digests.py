@@ -13,10 +13,12 @@ last nine of the 22 runs are refused, so a diff also shows a change in a
 refusal's message or exit code. The last two refusals' messages name the
 machine's physical memory, so their stderr digests differ between machines.
 
-A first `#` line names numpy's version, the BLAS library and its thread
-count, as `perfbench/child.py probe` reads them in one more interpreter
-under the same environment. Digests compare only at one BLAS thread count:
-the `pipeline --d 4096` CSV differs between OPENBLAS_NUM_THREADS=1 and 2.
+Every interpreter runs with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS set to 1, whatever the caller's environment says: the
+`pipeline --d 4096` CSV differs between one BLAS thread and two, so digests
+compare only at one thread count. A first `#` line names numpy's version,
+the BLAS library and its thread count, as `perfbench/child.py probe` reads
+them in one more interpreter under the same environment.
 """
 
 from __future__ import annotations
@@ -83,7 +85,8 @@ def main() -> int:
     src = parser.parse_args().src.resolve()
     if not (src / "sketchprune" / "cli.py").is_file():
         parser.error(f"no sketchprune package under {src}")
-    env = dict(os.environ, PYTHONPATH=str(src))
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1",
+               OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     with tempfile.TemporaryDirectory() as work:
         print(_blas_setup(src, env, Path(work)), flush=True)
         for k, argv in enumerate(RUNS):
