@@ -27,7 +27,6 @@ from .core import (
     _check_length,
     _vector_of_length,
     as_vector,
-    features,
     row_norms,
 )
 from .sketch import (
@@ -98,13 +97,16 @@ def _check_support(p: np.ndarray, w: np.ndarray, rows=1.0) -> None:
         raise SupportError("sampling distribution has zero mass on an active weight")
 
 
-def _sketch_operands(X: DataMatrix, w, p: ProbabilityVector, s: int) -> np.ndarray:
-    """The weights w validated, once the budget s and the lengths of w and p
-    are checked against the rows of X: the operands of an s-draw sketch."""
+def _sketch_operands(
+    X: DataMatrix, w, p: ProbabilityVector, s: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The operands of an s-draw sketch, once the budget s and the lengths
+    of w and p are checked against the rows of X: (wv, pv, base), the
+    validated weights, p's values and the features base = X^T wv."""
     _check_budget(s)
     wv = _vector_of_length(w, X.d, "weight", "matrix rows")
     _check_length(p.d, X.d, "distribution", "matrix rows")
-    return wv
+    return wv, p.values, X.values.T @ wv
 
 
 def _pair_operands(w0, w_star, s: int) -> tuple[np.ndarray, np.ndarray]:
@@ -126,12 +128,11 @@ def exact_expected_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> floa
     p_k; an active index with zero probability makes the expectation
     infinite and raises.
     """
-    wv = _sketch_operands(X, w, p, s)
-    pv = p.values
+    wv, pv, base = _sketch_operands(X, w, p, s)
     _check_support(pv, wv, row_norms(X))
     scale = np.divide(wv, pv, out=np.zeros(pv.size), where=pv > 0.0)
     residual = X.values * scale[:, None]
-    np.subtract(residual, X.values.T @ wv, out=residual)
+    np.subtract(residual, base, out=residual)
     return float(pv @ np.einsum("ij,ij->i", residual, residual)) / s
 
 
@@ -208,12 +209,14 @@ def lemma4_uniform_bound(w_star, s: int) -> float:
     return wsv.size / s * float(wsv @ wsv)
 
 
-# The sketch distributions, by mc_error_over_data's names: the probabilities
-# from row norms, (d,) or (k, d), and w0, which the caller renormalizes once,
-# and the bound (w0, w_star, s) on their masks' data-averaged error. Entries
-# call through this module's globals, so rebinding a global reaches every call.
+# The sketch distributions, by mc_error_over_data's names: the normalized
+# probabilities from row norms, (d,) or (k, d), and w0, which each reader
+# divides by their sum once more (ProbabilityVector's repair, _frame_errors'
+# renormalization), and the bound (w0, w_star, s) on their masks'
+# data-averaged error. The bound lambdas exist only to call the public bounds
+# through this module's globals, so that rebinding one here reaches the table.
 _SKETCHES = {
-    "optimal": (lambda norms, w0: _optimal_probabilities(norms, w0),
+    "optimal": (_optimal_probabilities,
                 lambda w0, w_star, s: theorem1_bound(w0, w_star, s)),
     "uniform": (lambda norms, w0: np.full(norms.shape, 1.0 / norms.shape[-1]),
                 lambda w0, w_star, s: lemma4_uniform_bound(w_star, s)),
@@ -266,10 +269,8 @@ def mc_error_over_masks(
     draws are those of a trial-by-trial loop, and memory stays flat in trials.
     """
     _check_at_least(1, trials=trials)
-    wv = _sketch_operands(X, w_apply, p, s)
-    pv = p.values
+    wv, pv, base = _sketch_operands(X, w_apply, p, s)
     step = _draw_weights(wv, pv, s)
-    base = features(X, wv)
     errors = np.empty(trials)
     for block in _blocks(trials, max(X.d, s, X.n)):
         idx = _categorical_indices(pv, rng.uniform((block.stop - block.start, s)))
@@ -277,15 +278,31 @@ def mc_error_over_masks(
     return _summary(errors, reference, "equality")
 
 
+def _mean_and_standard_error(x: np.ndarray) -> tuple[float, float]:
+    """The mean of x and its standard error by the sample deviation (ddof=1).
+
+    Both are taken on x divided in place by 2^e, with 2^(e-1) <= max |x| <
+    2^e (np.frexp), and multiplied back by 2^e, so the squared deviations
+    neither overflow nor underflow where x does not; then x is multiplied
+    back too. A power of two scales exactly, so where no scaled entry is
+    subnormal, x is restored and every bit is that of an unscaled pass."""
+    e = int(np.frexp(max(x.max(), -x.min()))[1])
+    np.ldexp(x, -e, out=x)
+    mean = float(x.mean())
+    se = float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+    np.ldexp(x, e, out=x)
+    return float(np.ldexp(mean, e)), float(np.ldexp(se, e))
+
+
 def _standard_error(x: np.ndarray) -> float:
     """The standard error of the mean of x, by its sample deviation (ddof=1)."""
-    return float(x.std(ddof=1) / math.sqrt(x.size)) if x.size > 1 else 0.0
+    return _mean_and_standard_error(x)[1]
 
 
 def _summary(errors: np.ndarray, reference: float, kind: str) -> BoundReport:
     """The mean of per-trial errors against reference, with its standard error."""
-    se = _standard_error(errors)
-    return BoundReport(float(errors.mean()), se, reference, kind, errors.size)
+    mean, se = _mean_and_standard_error(errors)
+    return BoundReport(mean, se, reference, kind, errors.size)
 
 
 def _draw_weights(wv: np.ndarray, pv: np.ndarray, s: int) -> np.ndarray:
@@ -313,15 +330,13 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
     of at most core._BLOCK_ELEMENTS // max(d, s, n), so memory is flat in
     all three, and scored by mc_error_over_masks' kernel, _sequence_errors.
     """
-    wv = _sketch_operands(X, w, p, s)
+    wv, pv, base = _sketch_operands(X, w, p, s)
     if X.d**s > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
             f"{X.d}^{s} ordered sequences exceed the limit of {ENUMERATION_LIMIT}"
         )
-    pv = p.values
     step = _draw_weights(wv, pv, s)
     support = p.support()
-    base = features(X, wv)
     # Sequence i draws support[digit j of i in base m] at draw j, most
     # significant first: the lexicographic order of itertools.product.
     m = support.size

@@ -93,6 +93,15 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _normalized(weights: np.ndarray) -> np.ndarray:
+    """Nonnegative weights divided by their sum: one distribution for a (d,)
+    vector, or one per row of a (k, d) stack. Raises where one has no mass."""
+    total = weights.sum(axis=-1, keepdims=True)
+    if np.any(total <= 0.0):
+        raise DegenerateDistributionError("every sampling weight is zero")
+    return weights / total
+
+
 def _validated_array(values, name: str, ndim: int) -> np.ndarray:
     # A float64 array that owns its memory and is already read-only is
     # adopted, not copied: freezing a fresh array hands it over (_frozen),

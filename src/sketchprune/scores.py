@@ -14,6 +14,7 @@ from .core import (
     _check_budget,
     _frozen,
     _nonnegative_vector,
+    _normalized,
     _vector_of_length,
     as_vector,
     features,
@@ -59,12 +60,15 @@ def snip_scores_l1(X: DataMatrix, y, w) -> np.ndarray:
 
 
 def scores_to_probabilities(scores) -> ProbabilityVector:
-    """Normalize scores into a sampling distribution."""
-    sv = _nonnegative_vector(scores, "score")
-    total = float(sv.sum())
-    if total <= 0.0:
-        raise DegenerateDistributionError("all scores are zero")
-    return ProbabilityVector(sv / total)
+    """Normalize scores into a sampling distribution, by core._normalized."""
+    return ProbabilityVector(_normalized(_nonnegative_vector(scores, "score")))
+
+
+def _binary_mask(kept: np.ndarray, d: int) -> Mask:
+    """The binary mask over d weights that keeps the indices kept."""
+    m = np.zeros(d)
+    m[kept] = 1.0
+    return Mask(_frozen(m), kind="binary")
 
 
 def select_topk(scores, s: int) -> Mask:
@@ -72,9 +76,7 @@ def select_topk(scores, s: int) -> Mask:
     sv = as_vector(scores)
     _check_budget(s, sv.size)
     order = np.argsort(-sv, kind="stable")
-    m = np.zeros(sv.size)
-    m[order[:s]] = 1.0
-    return Mask(_frozen(m), kind="binary")
+    return _binary_mask(order[:s], sv.size)
 
 
 def select_randomized(scores, s: int, rng: RngStream) -> Mask:
@@ -111,7 +113,5 @@ def select_randomized(scores, s: int, rng: RngStream) -> Mask:
     # Only the s kept indices outlive the keys and their argpartition.
     kept = np.argpartition(keys, s - 1)[:s].copy()
     del keys
-    m = np.zeros(sv.size)
-    m[kept] = 1.0
-    return Mask(_frozen(m), kind="binary")
+    return _binary_mask(kept, sv.size)
 

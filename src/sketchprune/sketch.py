@@ -13,13 +13,13 @@ import numpy as np
 
 from .core import (
     DataMatrix,
-    DegenerateDistributionError,
     Mask,
     ProbabilityVector,
     RngStream,
     _check_at_least,
     _check_budget,
     _frozen,
+    _normalized,
     _vector_of_length,
     row_norms,
 )
@@ -43,16 +43,10 @@ def optimal_probabilities(X: DataMatrix, w) -> ProbabilityVector:
 
 
 def _optimal_probabilities(norms: np.ndarray, wv: np.ndarray) -> np.ndarray:
-    """The normalized products norms * |wv|, for weights already validated
-    to the length of norms: one distribution for (d,) norms, or one per row
-    for a (k, d) stack. Raises where a distribution has no mass at all."""
-    weights = norms * np.abs(wv)
-    total = weights.sum(axis=-1, keepdims=True)
-    if np.any(total <= 0.0):
-        raise DegenerateDistributionError(
-            "every row-norm-times-weight product is zero"
-        )
-    return weights / total
+    """The products norms * |wv|, normalized by core._normalized, for
+    weights already validated to the length of norms: one distribution for
+    (d,) norms, or one per row for a (k, d) stack."""
+    return _normalized(norms * np.abs(wv))
 
 
 def uniform_probabilities(d: int) -> ProbabilityVector:

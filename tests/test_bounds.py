@@ -28,6 +28,7 @@ from sketchprune import (
     optimal_probabilities,
     run_prune_pipeline,
     sample_sketch_mask,
+    scores_to_probabilities,
     seed_state,
     theorem1_bound,
     train_least_squares,
@@ -369,6 +370,47 @@ def test_support_violation_raises_one_message(call):
         call()
 
 
+@pytest.mark.parametrize("call", [
+    lambda: optimal_probabilities(DataMatrix(np.ones((3, 2))), np.zeros(3)),
+    lambda: scores_to_probabilities(np.zeros(3)),
+    lambda: mc_error_over_data(np.zeros(3), np.ones(3), 2, 4, 20, RngStream(43),
+                               reference=1.0),
+], ids=["optimal", "scores", "data-mc"])
+def test_zero_mass_raises_one_message(call):
+    # every distribution is normalized by one rule, core._normalized
+    with pytest.raises(DegenerateDistributionError,
+                       match="^every sampling weight is zero$"):
+        call()
+
+
+@pytest.mark.parametrize("k", [-300, 0, 300])
+def test_errors_scale_exactly_as_the_weights_squared(k):
+    # every error and bound is homogeneous of degree 2 in the weights, and a
+    # power of two scales exactly, so 2^k w gives 2^(2k) times every bit,
+    # the Monte Carlo means and standard errors included
+    rng = RngStream(60)
+    d, n, s = 5, 3, 3
+    X = DataMatrix(rng.normal((d, n)))
+    w0, w_star = rng.normal(d), rng.normal(d)
+    p = optimal_probabilities(X, w0)
+
+    def values(c):
+        masks = mc_error_over_masks(X, c * w_star, p, s, 50, RngStream(61))
+        data = mc_error_over_data(c * w0, c * w_star, s, n, 50, RngStream(62))
+        return [
+            exact_expected_error(X, c * w_star, p, s),
+            enumerate_exact_error(X, c * w_star, p, s),
+            theorem1_bound(c * w0, c * w_star, s),
+            lemma4_uniform_bound(c * w_star, s),
+            masks.empirical_error, masks.standard_error,
+            data.empirical_error, data.standard_error,
+        ]
+
+    scaled = values(math.ldexp(1.0, k))
+    assert scaled == [math.ldexp(v, 2 * k) for v in values(1.0)]
+    assert all(v > 0.0 and math.isfinite(v) for v in scaled)
+
+
 class TestBoundReport:
     @pytest.mark.parametrize("kind", ["equality", "upper-bound"])
     def test_satisfied_is_a_python_bool(self, kind):
@@ -639,7 +681,7 @@ class TestMcOverData:
 
     def test_zero_initial_weights_raise(self):
         # An explicit reference skips theorem1_bound, which rejects zero w0 too.
-        with pytest.raises(DegenerateDistributionError, match="row-norm"):
+        with pytest.raises(DegenerateDistributionError, match="every sampling weight is zero"):
             mc_error_over_data(
                 np.zeros(3), np.ones(3), 2, 4, 20, RngStream(43), reference=1.0
             )
