@@ -16,7 +16,6 @@ import numpy as np
 
 from .core import (
     DataMatrix,
-    DegenerateDistributionError,
     EnumerationLimitError,
     ProbabilityVector,
     RngStream,
@@ -25,6 +24,7 @@ from .core import (
     _check_at_least,
     _check_budget,
     _check_length,
+    _normalized,
     _vector_of_length,
     as_vector,
     row_norms,
@@ -97,6 +97,12 @@ def _check_support(p: np.ndarray, w: np.ndarray, rows=1.0) -> None:
         raise SupportError("sampling distribution has zero mass on an active weight")
 
 
+def _over_support(x, q: np.ndarray) -> np.ndarray:
+    """x / q where q > 0 and 0 elsewhere (x and q broadcast): every division
+    by the sketch's p, whose draws never leave p's support."""
+    return np.divide(x, q, out=np.zeros(q.shape), where=q > 0.0)
+
+
 def _sketch_operands(
     X: DataMatrix, w, p: ProbabilityVector, s: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -130,8 +136,7 @@ def exact_expected_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> floa
     """
     wv, pv, base = _sketch_operands(X, w, p, s)
     _check_support(pv, wv, row_norms(X))
-    scale = np.divide(wv, pv, out=np.zeros(pv.size), where=pv > 0.0)
-    residual = X.values * scale[:, None]
+    residual = X.values * _over_support(wv, pv)[:, None]
     np.subtract(residual, base, out=residual)
     return float(pv @ np.einsum("ij,ij->i", residual, residual)) / s
 
@@ -171,8 +176,7 @@ def lemma3_bound(
     p0 = optimal_probabilities(X_tilde, w0)
     exact = exact_expected_error(X, w_star, p0, s)
     numerators = row_norms(X) ** 2 * as_vector(w_star) ** 2
-    active = numerators > 0.0
-    bound = float((numerators[active] / p0.values[active]).sum()) / s
+    bound = float(_over_support(numerators, p0.values).sum()) / s
     return exact, bound
 
 
@@ -186,9 +190,8 @@ def theorem1_bound(w0, w_star, s: int) -> float:
     """
     w0v, wsv = _pair_operands(w0, w_star, s)
     w0_abs = np.abs(w0v)
+    _normalized(w0_abs)  # raises where w0 has no mass
     l1 = float(w0_abs.sum())
-    if l1 <= 0.0:
-        raise DegenerateDistributionError("initial weights are identically zero")
     delta = wsv - w0v
     return l1 * (_spread(w0_abs, delta) + 2.0 * float(np.abs(delta).sum()) + l1) / s
 
@@ -197,8 +200,7 @@ def _spread(w0_abs: np.ndarray, v: np.ndarray) -> float:
     """sum_k v_k^2 / |w0_k| over w0_k != 0; SupportError where w0_k = 0 but
     v_k != 0, an index with weight that p proportional to |w0| never draws."""
     _check_support(w0_abs, v)
-    active = w0_abs > 0.0
-    return float((v[active] ** 2 / w0_abs[active]).sum())
+    return float(_over_support(v**2, w0_abs).sum())
 
 
 def lemma4_uniform_bound(w_star, s: int) -> float:
@@ -210,11 +212,11 @@ def lemma4_uniform_bound(w_star, s: int) -> float:
 
 
 # The sketch distributions, by mc_error_over_data's names: the normalized
-# probabilities from row norms, (d,) or (k, d), and w0, which each reader
-# divides by their sum once more (ProbabilityVector's repair, _frame_errors'
-# renormalization), and the bound (w0, w_star, s) on their masks'
-# data-averaged error. The bound lambdas exist only to call the public bounds
-# through this module's globals, so that rebinding one here reaches the table.
+# probabilities from row norms, (d,) or (k, d), and w0, which _frame_errors
+# reads as given (ProbabilityVector divides by the sum once more), and the
+# bound (w0, w_star, s) on their masks' data-averaged error. The bound lambdas
+# exist only to call the public bounds through this module's globals, so that
+# rebinding one here reaches the table.
 _SKETCHES = {
     "optimal": (_optimal_probabilities,
                 lambda w0, w_star, s: theorem1_bound(w0, w_star, s)),
@@ -234,9 +236,7 @@ def _expected_sketch_error(p: ProbabilityVector, w_star: np.ndarray, s: int) -> 
     with p_k = 0 but w*_k != 0 makes the estimator biased, and raises.
     """
     _check_support(p.values, w_star)
-    active = w_star != 0.0
-    pa = p.values[active]
-    return float((w_star[active] ** 2 * (1.0 - pa) / pa).sum()) / s
+    return float(_over_support(w_star**2 * (1.0 - p.values), p.values).sum()) / s
 
 
 def _init_beats_uniform(w0: np.ndarray, w_star: np.ndarray) -> bool:
@@ -270,7 +270,7 @@ def mc_error_over_masks(
     """
     _check_at_least(1, trials=trials)
     wv, pv, base = _sketch_operands(X, w_apply, p, s)
-    step = _draw_weights(wv, pv, s)
+    step = _over_support(wv, s * pv)
     errors = np.empty(trials)
     for block in _blocks(trials, max(X.d, s, X.n)):
         idx = _categorical_indices(pv, rng.uniform((block.stop - block.start, s)))
@@ -294,20 +294,10 @@ def _mean_and_standard_error(x: np.ndarray) -> tuple[float, float]:
     return float(np.ldexp(mean, e)), float(np.ldexp(se, e))
 
 
-def _standard_error(x: np.ndarray) -> float:
-    """The standard error of the mean of x, by its sample deviation (ddof=1)."""
-    return _mean_and_standard_error(x)[1]
-
-
 def _summary(errors: np.ndarray, reference: float, kind: str) -> BoundReport:
     """The mean of per-trial errors against reference, with its standard error."""
     mean, se = _mean_and_standard_error(errors)
     return BoundReport(mean, se, reference, kind, errors.size)
-
-
-def _draw_weights(wv: np.ndarray, pv: np.ndarray, s: int) -> np.ndarray:
-    """w_k / (s p_k), what a draw of index k adds to the weights; 0 where p_k = 0."""
-    return np.divide(wv, s * pv, out=np.zeros(pv.size), where=pv > 0.0)
 
 
 def _sequence_errors(
@@ -335,7 +325,7 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
         raise EnumerationLimitError(
             f"{X.d}^{s} ordered sequences exceed the limit of {ENUMERATION_LIMIT}"
         )
-    step = _draw_weights(wv, pv, s)
+    step = _over_support(wv, s * pv)
     support = p.support()
     # Sequence i draws support[digit j of i in base m] at draw j, most
     # significant first: the lexicographic order of itertools.product.
@@ -430,10 +420,8 @@ def _frame_errors(
     c = w_abs * r
     total = c.sum(axis=1)
     ps = probabilities(r, w0v)
-    # the renormalization ProbabilityVector applies to each one
-    ps /= ps.sum(axis=1, keepdims=True)
     _check_support(ps, wsv, r)
-    ratio = np.divide(c, ps, out=np.zeros(ps.shape), where=ps > 0.0)
+    ratio = _over_support(c, ps)
     ratio -= total[:, None]
     spread = np.einsum("ij,ij,ij->i", ps, ratio, ratio)
     del ps, ratio

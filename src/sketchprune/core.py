@@ -67,9 +67,13 @@ class SupportError(ValueError):
 
 
 # Entries in each block of a streamed pass (256 KiB of float64). On row_norms
-# of a 65536 x 128 matrix (2-core Xeon, numpy 2.4), blocks of 2^14 to 2^17
-# entries took the same time within 10%, 2^15 and 2^16 the least, and 2^13
-# 30% more; a pass holds one block of squares, 8 bytes an entry.
+# of a 65536 x 128 matrix (2-core Xeon, numpy 2.4; no command builds one now),
+# blocks of 2^14 to 2^17 entries took the same time within 10%, 2^15 and 2^16
+# the least, and 2^13 30% more; a pass holds one block of squares, 8 bytes an
+# entry. The size also fixes bounds.mc_error_over_data's output, as it draws
+# a block's normals and then its chi-squares: at 2^14, verify --seed 5
+# changes all six data-averaged rows. The mask Monte Carlo's draws do not
+# depend on it.
 _BLOCK_ELEMENTS = 2**15
 
 

@@ -375,12 +375,50 @@ def test_support_violation_raises_one_message(call):
     lambda: scores_to_probabilities(np.zeros(3)),
     lambda: mc_error_over_data(np.zeros(3), np.ones(3), 2, 4, 20, RngStream(43),
                                reference=1.0),
-], ids=["optimal", "scores", "data-mc"])
+    lambda: theorem1_bound(np.zeros(3), np.zeros(3), 2),
+    lambda: lemma2_bound(np.zeros(3), 2),
+], ids=["optimal", "scores", "data-mc", "theorem1", "lemma2"])
 def test_zero_mass_raises_one_message(call):
     # every distribution is normalized by one rule, core._normalized
     with pytest.raises(DegenerateDistributionError,
                        match="^every sampling weight is zero$"):
         call()
+
+
+def test_zero_entries_add_nothing():
+    # two kinds of zero: w*_1 = 0 where p_1 > 0, and w*_3 = 0 where p_3 = 0
+    # (w0_3 = 0); delta = w* - w0 is zero at 3 and, where w0 is not, at 4.
+    # Every sum runs over all d entries, and each must equal the sum over
+    # the nonzero ones written out here, with no warning.
+    X = DataMatrix(np.array([[1.0, 2.0], [0.5, -1.0], [-1.5, 0.25],
+                             [2.0, 1.0], [0.75, 0.5]]))
+    w0 = np.array([1.5, -0.5, 2.0, 0.0, 0.4])
+    w_star = np.array([0.7, 0.0, -1.2, 0.0, 0.4])
+    s = 3
+    p = optimal_probabilities(X, w0)
+    pv, norms = p.values, np.linalg.norm(X.values, axis=1)
+    assert pv[3] == 0.0 and pv[1] > 0.0
+    base = X.values.T @ w_star
+    delta = w_star - w0
+    l1 = np.abs(w0).sum()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = [
+            exact_expected_error(X, w_star, p, s),
+            lemma3_bound(X, X, w0, w_star, s)[1],
+            theorem1_bound(w0, w_star, s),
+            bounds._expected_sketch_error(p, w_star, s),
+        ]
+    want = [
+        sum(pv[k] * np.sum((X.values[k] * w_star[k] / pv[k] - base) ** 2)
+            for k in (0, 1, 2, 4)) / s,
+        sum(norms[k] ** 2 * w_star[k] ** 2 / pv[k] for k in (0, 2, 4)) / s,
+        l1 * (sum(delta[k] ** 2 / abs(w0[k]) for k in (0, 1, 2))
+              + 2.0 * sum(abs(delta[k]) for k in (0, 1, 2)) + l1) / s,
+        sum(w_star[k] ** 2 * (1.0 - pv[k]) / pv[k] for k in (0, 2, 4)) / s,
+    ]
+    assert all(math.isfinite(g) for g in got)
+    assert got == pytest.approx(want, rel=1e-15)
 
 
 @pytest.mark.parametrize("k", [-300, 0, 300])
@@ -507,7 +545,7 @@ class TestMaskErrorBlocks:
         p = ProbabilityVector(q / q.sum())
         twin = RngStream(51)
         idx = sketch._categorical_indices(p.values, RngStream(51).uniform((trials, s)))
-        step = bounds._draw_weights(w, p.values, s)
+        step = bounds._over_support(w, s * p.values)
         got = bounds._sequence_errors(X, X.values.T @ w, step, idx)
         want = _per_mask_errors(X, w, p, s, trials, twin)
         # An error that shrinks as 1/s is compared on the scale of the

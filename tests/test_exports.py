@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import re
 import shlex
 import subprocess
@@ -8,7 +9,8 @@ from pathlib import Path
 import sketchprune
 from sketchprune import bounds, cli, core, experiments, ntk, scores, sketch
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 PACKAGE = Path(sketchprune.__file__).resolve().parent
 
 
@@ -48,6 +50,24 @@ def test_readme_examples_run():
     for argv in commands:
         args = parser.parse_args(argv)
         cli._resolve_settings(args, subparsers[args.command])
+
+
+def test_readme_regime_table_rows():
+    # the README's regime table is what tools/regime_table.py prints; its
+    # d=4096 row is left to the tool, since that pipeline's CSV differs
+    # between BLAS thread counts (tools/csv_digests.py)
+    spec = importlib.util.spec_from_file_location(
+        "regime_table", ROOT / "tools" / "regime_table.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    rows = [line for line in README.read_text().splitlines()
+            if re.match(r"\| \d+, \d+, \d+ \| \d+ \|", line)]
+    assert len(rows) == len(tool.GRIDS)
+    for line, (d, n, s, seeds) in zip(rows, tool.GRIDS):
+        assert line.startswith(f"| {d}, {n}, {s} | {seeds} |")
+        if d <= 1024:
+            assert line == tool.row(d, n, s, seeds)
 
 
 def test_modules_use_every_name_they_import():
