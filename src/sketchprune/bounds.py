@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -319,6 +320,8 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
     beyond the enumeration limit are refused. Sequences are taken in chunks
     of at most core._BLOCK_ELEMENTS // max(d, s, n), so memory is flat in
     all three, and scored by mc_error_over_masks' kernel, _sequence_errors.
+    The weighted errors are summed by math.fsum, a chunk at a time: the
+    correctly rounded sum, whatever the chunks.
     """
     wv, pv, base = _sketch_operands(X, w, p, s)
     if X.d**s > ENUMERATION_LIMIT:
@@ -331,11 +334,13 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
     # significant first: the lexicographic order of itertools.product.
     m = support.size
     places = m ** np.arange(s - 1, -1, -1)
-    total = 0.0
-    for chunk in _blocks(m**s, max(X.d, s, X.n)):
-        idx = support[np.arange(chunk.start, chunk.stop)[:, None] // places % m]
-        total += float(pv[idx].prod(axis=1) @ _sequence_errors(X, base, step, idx))
-    return total
+
+    def weighted_errors():
+        for chunk in _blocks(m**s, max(X.d, s, X.n)):
+            idx = support[np.arange(chunk.start, chunk.stop)[:, None] // places % m]
+            yield (pv[idx].prod(axis=1) * _sequence_errors(X, base, step, idx)).tolist()
+
+    return math.fsum(chain.from_iterable(weighted_errors()))
 
 
 def mc_error_over_data(
@@ -366,11 +371,12 @@ def mc_error_over_data(
     w*_k b_k) have the law the d x n matrix gives. See _frame_errors for
     the error's nonnegative form.
 
-    The trials are drawn in the blocks of _data_blocks, so memory stays flat
-    in x_trials. Per block of k trials the stream gives one (k, d) standard
-    normal draw (the a_k), then, when n > 1, one (k, d) chi-square draw with
-    n - 1 degrees of freedom (the n b_k^2): d normals and d chi-squares a
-    trial, in place of the d n normals of a drawn matrix.
+    Once the arguments are checked, one integer in [0, 2^63) is drawn from
+    rng to seed a child stream, RngStream(key). Then, in trial order, rng
+    gives each trial's d standard normals (the a_k) and, when n > 1, the
+    child its d chi-squares with n - 1 degrees of freedom (the n b_k^2): d
+    normals and d chi-squares a trial, in place of the d n normals of a
+    drawn matrix. Memory stays flat in x_trials.
     """
     _check_at_least(1, x_trials=x_trials, n=n)
     if distribution not in _SKETCHES:
@@ -378,23 +384,19 @@ def mc_error_over_data(
     probabilities, bound = _SKETCHES[distribution]
     w0v, wsv = _pair_operands(w0, w_star, s)
     d = w0v.size
+    remainders = RngStream(int(rng.integers(0, 2**63)))
     errors = np.empty(x_trials)
-    for trials in _data_blocks(x_trials, d):
+    # a block holds about six (k, d) arrays at once, so its peak stays near
+    # one and a half blocks of entries
+    for trials in _blocks(x_trials, 4 * d):
         shape = (trials.stop - trials.start, d)
         a = rng.normal(shape)
         a *= 1.0 / math.sqrt(n)
-        b2 = rng.chisquare(n - 1, shape) if n > 1 else np.zeros(shape)
+        b2 = remainders.chisquare(n - 1, shape) if n > 1 else np.zeros(shape)
         b2 /= n
         errors[trials] = _frame_errors(a, b2, w0v, wsv, probabilities) / s
     reference = bound(w0v, wsv, s) if reference is None else reference
     return _summary(errors, reference, "upper-bound")
-
-
-def _data_blocks(x_trials: int, d: int):
-    """mc_error_over_data's blocks of max(1, core._BLOCK_ELEMENTS // (4 d))
-    trials: a block holds about six (k, d) arrays at once, so its peak stays
-    near one and a half blocks of entries."""
-    return _blocks(x_trials, 4 * d)
 
 
 def _frame_errors(

@@ -43,7 +43,7 @@ from .experiments import (
 )
 from .ntk import (
     _CHECKPOINTS, TinyMLP, _param_count, analytic_jacobian, finite_difference_jacobian,
-    mask_probabilities, take_snapshot, theorem2_report, train_linearized_gd,
+    take_snapshot, theorem2_report, train_linearized_gd,
 )
 from .scores import scores_to_probabilities, snip_scores_l1, synflow_scores
 from .sketch import optimal_probabilities, uniform_probabilities
@@ -320,8 +320,8 @@ def _suite_ntk(rng: RngStream, trials: int) -> list[ResultRow]:
 
     # at theta0 the masked linearized error is the Jacobian features' sketch error
     _, _, _, snapshot, inst_rng = _ntk_instance(4, rng.seed + 1)
-    J0 = DataMatrix(snapshot.jacobian.T)
-    theta0, p0 = snapshot.theta0, mask_probabilities(snapshot)
+    J0, theta0 = DataMatrix(snapshot.jacobian.T), snapshot.theta0
+    p0 = optimal_probabilities(J0, theta0)
     exact = enumerate_exact_error(J0, theta0, p0, 2)
     rep = mc_error_over_masks(J0, theta0, p0, 2, 4_000, inst_rng, reference=exact)
     zero_step = _report_row("ntk/zero-step-enumeration", rep, J0.d, J0.n, 2, 0.0)

@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -26,6 +25,7 @@ from sketchprune import (
     mc_error_over_data,
     mc_error_over_masks,
     optimal_probabilities,
+    row_norms,
     run_prune_pipeline,
     sample_sketch_mask,
     scores_to_probabilities,
@@ -34,7 +34,7 @@ from sketchprune import (
     train_least_squares,
     uniform_probabilities,
 )
-from sketchprune import bounds, sketch
+from sketchprune import bounds, core, sketch
 
 I2 = DataMatrix(np.eye(2))
 
@@ -234,7 +234,7 @@ class TestEnumeration:
             enum_cross = enumerate_exact_error(X, w_star, p0, s)
             assert enum_cross == pytest.approx(exact, rel=1e-10, abs=1e-12)
 
-    def test_memory_is_flat_in_dimension(self):
+    def test_memory_is_flat_in_dimension(self, traced_peak):
         # At d=4096 the 4096 one-draw sequences held as one chunk of masks,
         # and their weighted copy, took 256 MiB; a chunk of max(d, n)-entry
         # rows stays within a block.
@@ -242,17 +242,12 @@ class TestEnumeration:
         X = DataMatrix(rng.normal((4096, 4)))
         w = rng.normal(4096)
         p = optimal_probabilities(X, w)
-        tracemalloc.start()
-        try:
-            enumerated = enumerate_exact_error(X, w, p, 1)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        enumerated, peak = traced_peak(enumerate_exact_error, X, w, p, 1)
         assert peak < 2 * 2**20
         assert enumerated == pytest.approx(exact_expected_error(X, w, p, 1), rel=1e-10)
 
     @pytest.mark.parametrize("d, n, s", [(2, 1, 19), (3, 2, 12)])
-    def test_memory_is_flat_in_budget(self, d, n, s):
+    def test_memory_is_flat_in_budget(self, d, n, s, traced_peak):
         # 2^19 and 3^12 sequences: chunks sized by d and n alone held tens
         # of thousands of s-index rows each, peaking near 8 MiB and 4 MiB;
         # a chunk sized by max(d, s, n) stays within a block.
@@ -260,12 +255,7 @@ class TestEnumeration:
         X = DataMatrix(rng.normal((d, n)))
         w = rng.normal(d)
         p = optimal_probabilities(X, w)
-        tracemalloc.start()
-        try:
-            enumerated = enumerate_exact_error(X, w, p, s)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        enumerated, peak = traced_peak(enumerate_exact_error, X, w, p, s)
         assert peak < 2 * 2**20
         assert enumerated == pytest.approx(
             exact_expected_error(X, w, p, s), rel=1e-10, abs=1e-12
@@ -562,45 +552,36 @@ class TestMaskErrorBlocks:
             se = want.std(ddof=1) / math.sqrt(trials)
             assert rep.standard_error == pytest.approx(se, rel=1e-12)
 
-    def test_memory_stays_flat_in_trials(self):
+    def test_memory_stays_flat_in_trials(self, traced_peak):
         # Beside the 8-byte error of each trial, the masks, draws and
         # features of all 1e5 trials at once would take about 10 MiB.
         X = DataMatrix(np.arange(1.0, 13.0).reshape(4, 3))
         trials = 100_000
-        tracemalloc.start()
-        try:
-            mc_error_over_masks(X, np.ones(4), uniform_probabilities(4), 2, trials,
-                                RngStream(52))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(mc_error_over_masks, X, np.ones(4),
+                              uniform_probabilities(4), 2, trials, RngStream(52))
         assert peak < 8 * trials + 2**20
 
-    def test_memory_stays_flat_in_budget(self):
+    def test_memory_stays_flat_in_budget(self, traced_peak):
         # A large s puts one trial in a block, so the peak is a few arrays of
         # s entries, not one per trial as a block sized by d and n alone
         # would hold.
         X = DataMatrix(np.arange(1.0, 13.0).reshape(4, 3))
         s, trials = 2**18, 8
-        tracemalloc.start()
-        try:
-            mc_error_over_masks(X, np.ones(4), uniform_probabilities(4), s, trials,
-                                RngStream(53))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(mc_error_over_masks, X, np.ones(4),
+                              uniform_probabilities(4), s, trials, RngStream(53))
         assert peak < 6 * 8 * s
 
 
 def _frame_draws(rng, d, n, x_trials):
-    """The (a, b) of mc_error_over_data's trials, drawn from rng in its
-    documented order: per block, a (k, d) normal draw, then, when n > 1, a
-    (k, d) chi-square draw with n - 1 degrees of freedom."""
-    for block in bounds._data_blocks(x_trials, d):
-        shape = (block.stop - block.start, d)
-        a = rng.normal(shape) / math.sqrt(n)
-        b2 = rng.chisquare(n - 1, shape) / n if n > 1 else np.zeros(shape)
-        yield from zip(a, np.sqrt(b2))
+    """The (a, b) of mc_error_over_data's trials, drawn in its documented
+    order: a key from rng, then in trial order the (x_trials, d) normals
+    from rng and, when n > 1, the chi-squares with n - 1 degrees of freedom
+    from the stream RngStream(key)."""
+    remainders = RngStream(int(rng.integers(0, 2**63)))
+    shape = (x_trials, d)
+    a = rng.normal(shape) / math.sqrt(n)
+    b2 = remainders.chisquare(n - 1, shape) / n if n > 1 else np.zeros(shape)
+    yield from zip(a, np.sqrt(b2))
 
 
 def _frame_matrix(a, b, w_star):
@@ -692,6 +673,20 @@ class TestMcOverData:
             pass
         np.testing.assert_array_equal(used.normal(4), twin.normal(4))
 
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_consecutive_calls_draw_fresh_remainders(self, n):
+        # A child stream fixed by rng, not drawn from it, would hand the
+        # second call the first call's remainders.
+        source = RngStream(54)
+        w0 = source.normal(8)
+        w_star = w0 + 0.5 * source.normal(8)
+        used, twin = RngStream(55), RngStream(55)
+        for _ in range(2):
+            rep = mc_error_over_data(w0, w_star, 4, n, 37, used)
+            mean, se = _per_trial_mean_and_se(w0, w_star, 4, n, 37, twin, "optimal")
+            assert rep.empirical_error == pytest.approx(mean, rel=1e-12)
+            assert rep.standard_error == pytest.approx(se, rel=1e-12)
+
     @pytest.mark.parametrize("distribution", ["optimal", "uniform"])
     @pytest.mark.parametrize("d, n", [(64, 32), (7, 3), (8, 2), (8, 1)])
     def test_mean_meets_closed_form(self, distribution, d, n):
@@ -731,16 +726,11 @@ class TestMcOverData:
             mc_error_over_data([1.0, 2.0], [1.0, 2.0], 1, n, 5, used)
         assert used.normal() == twin.normal()
 
-    def test_memory_stays_flat_in_trials(self):
+    def test_memory_stays_flat_in_trials(self, traced_peak):
         # One unchunked block of 2000 trials would take 32 MiB.
         w0 = RngStream(45).normal(64)
         rng = RngStream(46)
-        tracemalloc.start()
-        try:
-            mc_error_over_data(w0, w0, 8, 32, 2000, rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(mc_error_over_data, w0, w0, 8, 32, 2000, rng)
         assert peak < 2 * 2**20
 
     def test_zero_target_is_zero(self):
@@ -770,3 +760,69 @@ class TestMcOverData:
     def test_unknown_distribution_rejected(self):
         with pytest.raises(ValueError):
             mc_error_over_data([1.0], [1.0], 1, 1, 2, RngStream(0), distribution="zipf")
+
+
+
+def _mask_mc(d, n, s):
+    rng = RngStream(56)
+    X = DataMatrix(rng.normal((d, n)))
+    w = rng.normal(d)
+    rep = mc_error_over_masks(X, w, optimal_probabilities(X, w), s, 40, rng)
+    return rep.empirical_error, rep.standard_error
+
+
+def _data_mc(n, distribution):
+    w0 = RngStream(57).normal(8)
+    w_star = w0 + 0.5 * RngStream(58).normal(8)
+    rep = mc_error_over_data(
+        w0, w_star, 4, n, 37, RngStream(59), distribution=distribution
+    )
+    return rep.empirical_error, rep.standard_error
+
+
+def _enumeration():
+    rng = RngStream(60)
+    X = DataMatrix(rng.normal((6, 4)))
+    w = rng.normal(6)
+    return enumerate_exact_error(X, w, optimal_probabilities(X, w), 3)
+
+
+def _fresh_norms(order):
+    # the norms are cached on a matrix, so each call builds its own
+    values = np.array(RngStream(61).normal((1000, 40)), order=order)
+    return row_norms(DataMatrix(values)).tolist()
+
+
+# Every pass streamed in core's blocks, on small inputs. At 2^6 entries a
+# block holds one mask trial at d=200 and two data trials at d=8, so 37 end
+# on a partial block; the enumeration's 216 sequences take 22 chunks of at
+# most 10, and a C-order norm block holds one row.
+_BLOCKED_PASSES = {
+    "masks-d32": lambda: _mask_mc(32, 16, 4),
+    "masks-d200": lambda: _mask_mc(200, 170, 3),
+    "data-optimal-n1": lambda: _data_mc(1, "optimal"),
+    "data-optimal-n32": lambda: _data_mc(32, "optimal"),
+    "data-uniform-n1": lambda: _data_mc(1, "uniform"),
+    "data-uniform-n32": lambda: _data_mc(32, "uniform"),
+    "enumeration": _enumeration,
+    "norms-C": lambda: _fresh_norms("C"),
+    "norms-F": lambda: _fresh_norms("F"),
+}
+
+# numpy hands a one-row product to BLAS gemv, which rounds a mask's features
+# differently from the gemm of a many-row block; not strict, as another BLAS
+# build may round both alike
+_ONE_ROW_PRODUCT = pytest.mark.xfail(
+    reason="a one-row block's (1, d) @ (d, n) goes to gemv", strict=False
+)
+
+
+@pytest.mark.parametrize("case, block", [
+    pytest.param(case, block, marks=_ONE_ROW_PRODUCT
+                 if (case, block) == ("masks-d200", 2**6) else ())
+    for case in _BLOCKED_PASSES for block in (2**6, 2**10, 2**15, 2**20)
+])
+def test_block_size_changes_no_result(case, block, monkeypatch):
+    want = _BLOCKED_PASSES[case]()
+    monkeypatch.setattr(core, "_BLOCK_ELEMENTS", block)
+    assert _BLOCKED_PASSES[case]() == want

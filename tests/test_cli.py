@@ -1,6 +1,5 @@
 import json
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -338,18 +337,13 @@ class TestPipelineCommand:
             "max_hessian_eigenvalue": eigen_calls,
         }
 
-    def test_wide_run_holds_one_matrix(self, tmp_path):
+    def test_wide_run_holds_one_matrix(self, tmp_path, traced_peak):
         # The 16384 x 64 training matrix is 8 MiB; a test matrix or a dense
         # d x n probe would add another 8 MiB each.
-        tracemalloc.start()
-        try:
-            code = main([
-                "pipeline", "--d", "16384", "--n", "64", "--s", "64",
-                "--trials", "1", "--out", str(tmp_path / "p.csv"),
-            ])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(main, [
+            "pipeline", "--d", "16384", "--n", "64", "--s", "64",
+            "--trials", "1", "--out", str(tmp_path / "p.csv"),
+        ])
         assert code == 0
         assert peak < 1.5 * 8 * 2**20
 
@@ -405,19 +399,16 @@ class TestHistogramCommand:
         assert sum(int(r[2]) for r in rows) == 16
         assert float(rows[0][0]) == 0.0
 
-    def test_wide_run_holds_no_matrix(self, tmp_path):
+    def test_wide_run_holds_no_matrix(self, tmp_path, traced_peak):
         # The d x 128 matrix would be 64 MiB by itself; its norms are drawn as
         # chi variates, and the d-vectors take 0.5 MiB each.
-        tracemalloc.start()
-        try:
-            code = main(["histogram", "--d", "65536", "--out", str(tmp_path / "h.csv")])
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(
+            main, ["histogram", "--d", "65536", "--out", str(tmp_path / "h.csv")]
+        )
         assert code == 0
         assert peak < 16 * 2**20
 
-    def test_wide_run_peaks_at_five_d_vectors(self, tmp_path):
+    def test_wide_run_peaks_at_five_d_vectors(self, tmp_path, traced_peak):
         # The peak is in select_randomized, where w, the norms, the scores,
         # the keys and the scores' logs are live, 0.5 MiB each: the arrays
         # the library builds are handed over frozen, not copied, and the keys
@@ -432,28 +423,20 @@ class TestHistogramCommand:
         for method in ("randomized-synflow", "randomized-snip-sparse"):
             run = ["histogram", "--method", method, "--out"]
             assert main([*run, str(tmp_path / "w.csv"), "--d", "64"]) == 0
-            tracemalloc.start()
-            try:
-                code = main([*run, str(tmp_path / "h.csv"), "--d", "65536"])
-                peak = tracemalloc.get_traced_memory()[1]
-            finally:
-                tracemalloc.stop()
+            code, peak = traced_peak(
+                main, [*run, str(tmp_path / "h.csv"), "--d", "65536"]
+            )
             assert code == 0, method
             assert peak < int(2.6 * 2**20) + d_vector, method
 
-    def test_many_bins_hold_no_csv_text(self, tmp_path):
+    def test_many_bins_hold_no_csv_text(self, tmp_path, traced_peak):
         # Each bin's line is written as it is made: 400000 bins take 40
         # bytes each in arrays, where the whole CSV text held three times
         # took 208.
         out = tmp_path / "h.csv"
-        tracemalloc.start()
-        try:
-            code = main(
-                ["histogram", "--d", "1024", "--bins", "400000", "--out", str(out)]
-            )
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        code, peak = traced_peak(
+            main, ["histogram", "--d", "1024", "--bins", "400000", "--out", str(out)]
+        )
         assert code == 0
         assert peak < 24 * 2**20
         assert out.read_bytes().count(b"\n") == 400_001

@@ -1,5 +1,3 @@
-import tracemalloc
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -282,14 +280,9 @@ def test_row_norms_bit_identical_in_fortran_order():
     np.testing.assert_array_equal(row_norms(X), np.linalg.norm(values, axis=1))
 
 
-def test_row_norms_hold_no_matrix_sized_temporary():
+def test_row_norms_hold_no_matrix_sized_temporary(traced_peak):
     X = DataMatrix(RngStream(13).normal((16384, 64)))  # 8 MiB
-    tracemalloc.start()
-    try:
-        row_norms(X)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(row_norms, X)
     assert peak < 2**20
 
 
@@ -323,15 +316,10 @@ def test_finiteness_checked_in_every_block():
                     DataMatrix(values) if len(shape) == 2 else as_vector(values)
 
 
-def test_finiteness_check_holds_no_matrix_sized_mask():
+def test_finiteness_check_holds_no_matrix_sized_mask(traced_peak):
     values = RngStream(14).normal((16384, 64))  # 8 MiB; a bool mask is 1 MiB
     values.setflags(write=False)
-    tracemalloc.start()
-    try:
-        DataMatrix(values)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    _, peak = traced_peak(DataMatrix, values)
     assert peak < 2**18
 
 

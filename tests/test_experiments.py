@@ -1,6 +1,5 @@
 import dataclasses
 import math
-import tracemalloc
 import warnings
 
 import numpy as np
@@ -261,20 +260,15 @@ class TestTrainLeastSquares:
             rtol=1e-12,
         )
 
-    def test_more_examples_than_weights_builds_no_gram_matrix(self):
+    def test_more_examples_than_weights_builds_no_gram_matrix(self, traced_peak):
         # an n x n matrix here would take 128 MiB
         rng = RngStream(19)
         ds = make_dataset(4, 4096, 0.1, rng)
         w0 = rng.normal(4)
-        tracemalloc.start()
-        try:
-            train_least_squares(ds.X, ds.y, w0, steps=100)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        _, peak = traced_peak(train_least_squares, ds.X, ds.y, w0, steps=100)
         assert peak < 4 * 2**20
 
-    def test_fits_on_one_matrix_share_its_gram_matrix(self):
+    def test_fits_on_one_matrix_share_its_gram_matrix(self, traced_peak):
         # n <= d; the n x n Gram matrix takes n^2 * 8 = 32 KiB
         d, n = 512, 64
         rng = RngStream(22)
@@ -282,12 +276,7 @@ class TestTrainLeastSquares:
         w0 = rng.normal(d) / math.sqrt(d)
         lr = 0.9 * 2.0 / max_hessian_eigenvalue(ds.X)
         first = train_least_squares(ds.X, ds.y, w0, steps=100, lr=lr)
-        tracemalloc.start()
-        try:
-            second = train_least_squares(ds.X, ds.y, w0, steps=100, lr=lr)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        second, peak = traced_peak(train_least_squares, ds.X, ds.y, w0, steps=100, lr=lr)
         assert peak < n * n * 8
         fresh = DataMatrix(ds.X.values.copy())
         np.testing.assert_array_equal(second, first)
