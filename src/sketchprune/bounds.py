@@ -30,12 +30,7 @@ from .core import (
     as_vector,
     row_norms,
 )
-from .sketch import (
-    _categorical_indices,
-    _mask_rows,
-    _optimal_probabilities,
-    optimal_probabilities,
-)
+from .sketch import _categorical_indices, _optimal_probabilities, optimal_probabilities
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -264,16 +259,16 @@ def mc_error_over_masks(
 
     Each trial applies to w_apply the mask `sample_sketch_mask(p, s, rng)`
     would draw. The trials are taken in blocks of at most
-    core._BLOCK_ELEMENTS // max(d, s, n) (one trial when that is 0): one
-    (k, s) uniform draw per block, scored by _sequence_errors. A block
-    consumes the stream exactly as k calls of `sample_sketch_mask` do, so the
-    draws are those of a trial-by-trial loop, and memory stays flat in trials.
+    core._BLOCK_ELEMENTS // (s n) (one trial when that is 0): one (k, s)
+    uniform draw per block, scored by _sequence_errors. A block consumes the
+    stream exactly as k calls of `sample_sketch_mask` do, so the draws are
+    those of a trial-by-trial loop, and memory stays flat in d and in trials.
     """
     _check_at_least(1, trials=trials)
     wv, pv, base = _sketch_operands(X, w_apply, p, s)
     step = _over_support(wv, s * pv)
     errors = np.empty(trials)
-    for block in _blocks(trials, max(X.d, s, X.n)):
+    for block in _blocks(trials, s * X.n):
         idx = _categorical_indices(pv, rng.uniform((block.stop - block.start, s)))
         errors[block] = _sequence_errors(X, base, step, idx)
     return _summary(errors, reference, "equality")
@@ -304,10 +299,12 @@ def _summary(errors: np.ndarray, reference: float, kind: str) -> BoundReport:
 def _sequence_errors(
     X: DataMatrix, base: np.ndarray, step: np.ndarray, idx: np.ndarray
 ) -> np.ndarray:
-    """||base - X^T m_i||^2 for the mask m_i that sketch's builder makes of
-    row i of the (k, s) draw indices idx, a draw of k adding step[k]. A block
-    holds (k, s) indices, (k, d) masks and (k, n) features: max(d, s, n)."""
-    residual = _mask_rows(idx, step[idx], X.d).reshape(-1, X.d) @ X.values
+    """||base - X^T m_i||^2 for the mask m_i of row i of the (k, s) draw
+    indices idx, a draw of k adding step[k]: X^T m_i is the sum of the s
+    drawn rows of X, each scaled by its step, in draw order (no BLAS call,
+    so a row's bits do not depend on k). A block holds (k, s) indices and
+    steps, their (k, s, n) rows and (k, n) features: s n a draw sequence."""
+    residual = np.einsum("ij,ijk->ik", step[idx], X.values[idx])
     np.subtract(base, residual, out=residual)
     return np.einsum("ij,ij->i", residual, residual)
 
@@ -316,27 +313,29 @@ def enumerate_exact_error(X: DataMatrix, w, p: ProbabilityVector, s: int) -> flo
     """Exact expected squared error by enumerating every ordered draw
     sequence, weighted by its probability.
 
-    Independent of the closed forms above; cost grows as d^s, so sequences
-    beyond the enumeration limit are refused. Sequences are taken in chunks
-    of at most core._BLOCK_ELEMENTS // max(d, s, n), so memory is flat in
-    all three, and scored by mc_error_over_masks' kernel, _sequence_errors.
-    The weighted errors are summed by math.fsum, a chunk at a time: the
-    correctly rounded sum, whatever the chunks.
+    Independent of the closed forms above. Only the m indices p can draw
+    are enumerated, so the cost grows as m^s, and more sequences than the
+    enumeration limit are refused. Sequences are taken in chunks of at most
+    core._BLOCK_ELEMENTS // (s n), so memory is flat in d, m and s, and
+    scored by mc_error_over_masks' kernel, _sequence_errors. The weighted
+    errors are summed by math.fsum, a chunk at a time: the correctly rounded
+    sum, whatever the chunks.
     """
     wv, pv, base = _sketch_operands(X, w, p, s)
-    if X.d**s > ENUMERATION_LIMIT:
+    support = p.support()
+    m = support.size
+    if m**s > ENUMERATION_LIMIT:
         raise EnumerationLimitError(
-            f"{X.d}^{s} ordered sequences exceed the limit of {ENUMERATION_LIMIT}"
+            f"{m}^{s} ordered sequences over the {m} indices p can draw "
+            f"exceed the limit of {ENUMERATION_LIMIT}"
         )
     step = _over_support(wv, s * pv)
-    support = p.support()
     # Sequence i draws support[digit j of i in base m] at draw j, most
     # significant first: the lexicographic order of itertools.product.
-    m = support.size
     places = m ** np.arange(s - 1, -1, -1)
 
     def weighted_errors():
-        for chunk in _blocks(m**s, max(X.d, s, X.n)):
+        for chunk in _blocks(m**s, s * X.n):
             idx = support[np.arange(chunk.start, chunk.stop)[:, None] // places % m]
             yield (pv[idx].prod(axis=1) * _sequence_errors(X, base, step, idx)).tolist()
 

@@ -376,8 +376,9 @@ def _gib(size: int) -> str:
 # The bytes of each command's largest arrays, from the size flags named.
 _MEMORY = {
     # the one error per trial that mc_error_over_masks and mc_error_over_data
-    # keep; an absent --trials, each suite's default, is never refused
-    "verify": (("trials",), lambda trials: 8 * (trials or 0)),
+    # keep, and the standard error's temporary of as many: 16 bytes a trial;
+    # an absent --trials, each suite's default, is never refused
+    "verify": (("trials",), lambda trials: 16 * (trials or 0)),
     # a seed's d x n draw, and the min(d, n)-square matrix that
     # max_hessian_eigenvalue decomposes
     "pipeline": (("d", "n"), lambda d, n: 8 * (d * n + min(d, n) ** 2)),
@@ -389,12 +390,15 @@ _MEMORY = {
     "histogram": (("d", "bins"), lambda d, b: 104 * d + 48 * b),
     # Of _ntk_params(width) parameters on _ntk_instance's data: the parameter
     # draw and its frozen copy, up to _CHECKPOINTS checkpoints, and
-    # _CHECKPOINTS + 2 _NTK_EXAMPLES-row Jacobians (the snapshot's, one per
-    # checkpoint, and the copy in DataMatrix(J.T)); the losses and movement of
-    # steps + 1 entries each; and the Monte Carlo's one error per trial.
+    # _CHECKPOINTS + 2 _NTK_EXAMPLES-row Jacobians (the snapshot's, which is
+    # the first checkpoint's, one per later checkpoint, the copy in
+    # DataMatrix(J.T), and analytic_jacobian's work arrays for the last
+    # checkpoint's); the losses and movement of steps + 1 entries each; and
+    # the Monte Carlo's one error per trial with the standard error's
+    # temporary, 16 bytes a trial.
     "ntk-demo": (("width", "steps", "trials"), lambda w, steps, trials: (
         8 * _ntk_params(w) * (2 + _CHECKPOINTS + (_CHECKPOINTS + 2) * _NTK_EXAMPLES)
-        + 16 * (steps + 1) + 8 * trials
+        + 16 * (steps + 1) + 16 * trials
     )),
 }
 

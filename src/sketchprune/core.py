@@ -68,13 +68,11 @@ class SupportError(ValueError):
 
 # Entries in each block of a streamed pass (256 KiB of float64). The size
 # sets memory and speed, never a result: each pass draws, reduces and sums
-# its items in one order at any size. BLAS alone may round a row of
-# bounds._sequence_errors' masks-times-X product differently with the row
-# count of its block (numpy hands a one-row product to gemv). On row_norms
-# of pipeline's d x n matrix, the largest a command builds, at 4096 x 256
-# (2-core Xeon, numpy 2.4, one BLAS thread), blocks of 2^14 to 2^17 entries
-# took the same time within 13%, 2^16 the least and 2^15 6% more, and 2^13
-# 24% more; a pass holds one block of squares, 8 bytes an entry.
+# its items in one order at any size. On row_norms of pipeline's d x n
+# matrix, the largest a command builds, at 4096 x 256 (2-core Xeon, numpy
+# 2.4, one BLAS thread), blocks of 2^14 to 2^17 entries took the same time
+# within 13%, 2^16 the least and 2^15 6% more, and 2^13 24% more; a pass
+# holds one block of squares, 8 bytes an entry.
 _BLOCK_ELEMENTS = 2**15
 
 

@@ -326,8 +326,9 @@ def theorem2_report(
     The empirical side averages ||J_t theta_t - J_t (theta_t * m)||^2 over
     sketch masks drawn from the initialization distribution, with the
     Jacobian at the final parameters. The Jacobian is computed once at each
-    checkpoint; the last one serves the empirical side, and all of them
-    the smoothness surrogate K. The bound side is
+    checkpoint after the first, theta0, whose Jacobian is the snapshot's;
+    the last one serves the empirical side, and all of them the smoothness
+    surrogate K. The bound side is
     (1/s) K^3 ||theta0||_1 F(J(theta0)) (||theta0||_1
         + F(theta0) 9 K^4 R0^2 / lambda_min^2
         + 6 sqrt(n_params) K^3 R0 / lambda_min),
@@ -338,12 +339,14 @@ def theorem2_report(
     lambda_min = snapshot.lambda_min
     if lambda_min <= 0.0:
         raise ValueError("empirical kernel is singular; the bound is undefined")
-    jacobians = [
-        analytic_jacobian(model.with_theta(theta), X) for theta in trajectory.thetas
+    # checkpoint 0 is theta0, whose Jacobian the snapshot holds
+    jacobians = [snapshot.jacobian] + [
+        analytic_jacobian(model.with_theta(theta), X) for theta in trajectory.thetas[1:]
     ]
+    # p0 first, so its copy of J0^T is gone before J_final^T is copied
+    p0 = mask_probabilities(snapshot)
     masked = mc_error_over_masks(
-        DataMatrix(jacobians[-1].T), trajectory.theta_final,
-        mask_probabilities(snapshot), s, mask_trials, rng,
+        DataMatrix(jacobians[-1].T), trajectory.theta_final, p0, s, mask_trials, rng
     )
 
     k_hat = _lipschitz_k_hat(snapshot, trajectory, jacobians)

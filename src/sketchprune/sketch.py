@@ -68,24 +68,15 @@ def _categorical_indices(p: np.ndarray, us: np.ndarray) -> np.ndarray:
     return support[np.searchsorted(cum, us, side="left")]
 
 
-def _mask_rows(cols: np.ndarray, values: np.ndarray, d: int) -> np.ndarray:
-    """k masks from one np.bincount, in the fresh flat array it returns:
-    mask i, at entries [i d, (i+1) d), sums values[i, j] at column cols[i, j]
-    over j, in order."""
-    k = cols.shape[0]
-    flat = (cols + (np.arange(k) * d)[:, None]).ravel()
-    return np.bincount(flat, weights=values.ravel(), minlength=k * d)
-
-
 def sample_sketch_mask(p: ProbabilityVector, s: int, rng: RngStream) -> Mask:
     """Draw s indices i.i.d. from p and accumulate 1/(s p_i) per hit.
 
     The result has at most s nonzero entries; repeated indices stack their
-    increments. One uniform variate is consumed per draw. The mask is the
-    one-row case of the builder that the estimators of bounds use.
+    increments, in draw order. One uniform variate is consumed per draw.
     """
     _check_budget(s)
     pv = p.values
-    idx = _categorical_indices(pv, rng.uniform((1, s)))
-    return Mask(_frozen(_mask_rows(idx, 1.0 / (s * pv[idx]), pv.size)), kind="sketch")
+    idx = _categorical_indices(pv, rng.uniform(s))
+    mask = np.bincount(idx, weights=1.0 / (s * pv[idx]), minlength=pv.size)
+    return Mask(_frozen(mask), kind="sketch")
 

@@ -236,8 +236,8 @@ class TestEnumeration:
 
     def test_memory_is_flat_in_dimension(self, traced_peak):
         # At d=4096 the 4096 one-draw sequences held as one chunk of masks,
-        # and their weighted copy, took 256 MiB; a chunk of max(d, n)-entry
-        # rows stays within a block.
+        # and their weighted copy, took 256 MiB; a chunk of their drawn
+        # rows, s n entries each, stays within a block.
         rng = RngStream(47)
         X = DataMatrix(rng.normal((4096, 4)))
         w = rng.normal(4096)
@@ -250,7 +250,7 @@ class TestEnumeration:
     def test_memory_is_flat_in_budget(self, d, n, s, traced_peak):
         # 2^19 and 3^12 sequences: chunks sized by d and n alone held tens
         # of thousands of s-index rows each, peaking near 8 MiB and 4 MiB;
-        # a chunk sized by max(d, s, n) stays within a block.
+        # a chunk sized by s n stays within a block.
         rng = RngStream(49)
         X = DataMatrix(rng.normal((d, n)))
         w = rng.normal(d)
@@ -262,7 +262,7 @@ class TestEnumeration:
         )
 
     def test_many_chunks_agree_with_closed_form(self):
-        # 300^2 sequences in chunks of 2^15 // 300 = 109, the last one short
+        # 300^2 sequences in chunks of 2^15 // (2 * 3) = 5461, the last one short
         rng = RngStream(48)
         X = DataMatrix(rng.normal((300, 3)))
         w = rng.normal(300)
@@ -289,6 +289,18 @@ class TestEnumeration:
         p = uniform_probabilities(50)
         with pytest.raises(EnumerationLimitError):
             enumerate_exact_error(X, rng.normal(50), p, 4)
+
+    def test_budget_counts_only_the_indices_p_can_draw(self):
+        # 100^5 sequences over all rows, but 3^5 = 243 over p's support
+        rng = RngStream(3)
+        X = DataMatrix(rng.normal((100, 2)))
+        w = np.zeros(100)
+        w[[7, 40, 93]] = rng.normal(3)
+        p = optimal_probabilities(X, w)
+        assert p.support().tolist() == [7, 40, 93]
+        assert enumerate_exact_error(X, w, p, 5) == pytest.approx(
+            exact_expected_error(X, w, p, 5), rel=1e-12
+        )
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**32 - 1))
@@ -516,9 +528,9 @@ def _per_mask_errors(X, w, p, s, trials, rng):
 
 
 class TestMaskErrorBlocks:
-    # A block holds 2^15 // max(d, s, n) trials: 512 at d=64, so 1100 ends
-    # on a partial block; 3276 at s=10 > d=4, where indices repeat; one
-    # when s=40000 alone exceeds a block. The (6, 5) distribution has no
+    # A block holds 2^15 // (s n) trials: 256 at (n, s) = (32, 4), so 1100
+    # ends on a partial block; 1092 at s=10 > d=4, where indices repeat; one
+    # when s n = 80000 exceeds a block. The (6, 5) distribution has no
     # mass on two indices where w != 0.
     @pytest.mark.parametrize("d, n, s, trials, unsampled", [
         (64, 32, 4, 1100, ()),
@@ -794,9 +806,9 @@ def _fresh_norms(order):
 
 
 # Every pass streamed in core's blocks, on small inputs. At 2^6 entries a
-# block holds one mask trial at d=200 and two data trials at d=8, so 37 end
-# on a partial block; the enumeration's 216 sequences take 22 chunks of at
-# most 10, and a C-order norm block holds one row.
+# block holds one mask trial at (n, s) = (170, 3) and two data trials at
+# d=8, so 37 end on a partial block; the enumeration's 216 sequences take 44
+# chunks of at most 5, and a C-order norm block holds one row.
 _BLOCKED_PASSES = {
     "masks-d32": lambda: _mask_mc(32, 16, 4),
     "masks-d200": lambda: _mask_mc(200, 170, 3),
@@ -809,19 +821,9 @@ _BLOCKED_PASSES = {
     "norms-F": lambda: _fresh_norms("F"),
 }
 
-# numpy hands a one-row product to BLAS gemv, which rounds a mask's features
-# differently from the gemm of a many-row block; not strict, as another BLAS
-# build may round both alike
-_ONE_ROW_PRODUCT = pytest.mark.xfail(
-    reason="a one-row block's (1, d) @ (d, n) goes to gemv", strict=False
-)
 
-
-@pytest.mark.parametrize("case, block", [
-    pytest.param(case, block, marks=_ONE_ROW_PRODUCT
-                 if (case, block) == ("masks-d200", 2**6) else ())
-    for case in _BLOCKED_PASSES for block in (2**6, 2**10, 2**15, 2**20)
-])
+@pytest.mark.parametrize("block", [2**6, 2**10, 2**15, 2**20])
+@pytest.mark.parametrize("case", _BLOCKED_PASSES)
 def test_block_size_changes_no_result(case, block, monkeypatch):
     want = _BLOCKED_PASSES[case]()
     monkeypatch.setattr(core, "_BLOCK_ELEMENTS", block)

@@ -879,6 +879,24 @@ class TestExitCodes:
             assert {f"--{name}" for name in names} <= flags, command
         assert set(cli._MEMORY) == set(commands)
 
+    def test_traced_peak_stays_within_the_estimate(self, tmp_path, traced_peak):
+        # Each run once untraced first, so that first-call caches are not
+        # counted. Many trials weigh the per-trial term, which the standard
+        # error's temporary doubles to 16 bytes; a wide network weighs the
+        # Jacobians (traced: 1.02, 1.02 and 1.03 times the estimate).
+        out = str(tmp_path / "o.csv")
+        for argv, sizes in [
+            (["verify", "--methods", "lemma1", "--trials", "200000"], (200_000,)),
+            (["ntk-demo", "--width", "8", "--steps", "1", "--trials", "200000"],
+             (8, 1, 200_000)),
+            (["ntk-demo", "--width", "20000", "--steps", "10", "--trials", "20"],
+             (20_000, 10, 20)),
+        ]:
+            assert main([*argv, "--out", out]) == 0
+            code, peak = traced_peak(main, [*argv, "--out", out])
+            assert code == 0
+            assert peak <= 1.1 * cli._MEMORY[argv[0]][1](*sizes), argv
+
     def test_verify_trials_beyond_physical_memory(self, tmp_path, capsys, monkeypatch):
         # refused before any suite runs; each would keep one error per trial
         # or, in synflow-equiv, loop over them without end

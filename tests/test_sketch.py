@@ -211,14 +211,14 @@ class TestOneLookupAndBuilder:
             assert ours.uniform() == theirs.uniform()
 
     def test_mask_adopts_the_built_array(self, monkeypatch):
-        # the builder's fresh array is handed over frozen, not copied
-        build, built = sketch._mask_rows, []
+        # np.bincount's fresh array is handed over frozen, not copied
+        build, built = np.bincount, []
 
-        def spy(*args):
-            built.append(build(*args))
+        def spy(*args, **kwargs):
+            built.append(build(*args, **kwargs))
             return built[-1]
 
-        monkeypatch.setattr(sketch, "_mask_rows", spy)
+        monkeypatch.setattr(sketch.np, "bincount", spy)
         mask = sample_sketch_mask(uniform_probabilities(50), 7, RngStream(3))
         assert len(built) == 1 and np.shares_memory(mask.values, built[0])
 

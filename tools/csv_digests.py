@@ -8,10 +8,11 @@ src/). One line per run: `csv stdout stderr exit-code argv`, each digest
 being `-` when no file was written or nothing was printed. A refactor that
 must keep every CSV byte-identical diffs this output at the commit before
 and after it. The four histogram runs at d=65536 select by
-randomized-synflow, uniform, topk-synflow and randomized-snip-sparse. The
-last nine of the 22 runs are refused, so a diff also shows a change in a
-refusal's message or exit code. The last two refusals' messages name the
-machine's physical memory, so their stderr digests differ between machines.
+randomized-synflow, uniform, topk-synflow and randomized-snip-sparse, and
+the ntk-demo run at --width 4000 masks 20000 parameters. The last nine of
+the 23 runs are refused, so a diff also shows a change in a refusal's
+message or exit code. The last two refusals' messages name the machine's
+physical memory, so their stderr digests differ between machines.
 
 Every interpreter runs with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS set to 1, whatever the caller's environment says: the
@@ -48,6 +49,7 @@ RUNS = (
     "ntk-demo --seed 2 --width 16 --steps 30",
     "verify --methods lemma1,lemma3,ntk --trials 40 --seed 2",
     "histogram --d 65536 --seed 5 --method randomized-snip-sparse",
+    "ntk-demo --width 4000 --steps 10 --seed 5",
     "pipeline --trials 0 --seed 1",
     "ntk-demo --s 0 --seed 1",
     "pipeline --s 65 --seed 1",
