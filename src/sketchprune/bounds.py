@@ -30,7 +30,10 @@ from .core import (
     as_vector,
     row_norms,
 )
-from .sketch import _categorical_indices, _optimal_probabilities, optimal_probabilities
+from .sketch import (
+    _categorical_indices, _optimal_probabilities, optimal_probabilities,
+    uniform_probabilities,
+)
 
 __all__ = [
     "ENUMERATION_LIMIT",
@@ -189,14 +192,9 @@ def theorem1_bound(w0, w_star, s: int) -> float:
     _normalized(w0_abs)  # raises where w0 has no mass
     l1 = float(w0_abs.sum())
     delta = wsv - w0v
-    return l1 * (_spread(w0_abs, delta) + 2.0 * float(np.abs(delta).sum()) + l1) / s
-
-
-def _spread(w0_abs: np.ndarray, v: np.ndarray) -> float:
-    """sum_k v_k^2 / |w0_k| over w0_k != 0; SupportError where w0_k = 0 but
-    v_k != 0, an index with weight that p proportional to |w0| never draws."""
-    _check_support(w0_abs, v)
-    return float(_over_support(v**2, w0_abs).sum())
+    _check_support(w0_abs, delta)
+    spread = float(_over_support(delta**2, w0_abs).sum())
+    return l1 * (spread + 2.0 * float(np.abs(delta).sum()) + l1) / s
 
 
 def lemma4_uniform_bound(w_star, s: int) -> float:
@@ -237,11 +235,10 @@ def _expected_sketch_error(p: ProbabilityVector, w_star: np.ndarray, s: int) -> 
 
 def _init_beats_uniform(w0: np.ndarray, w_star: np.ndarray) -> bool:
     """Whether p = |w0| / ||w0||_1 gives w* a lower _expected_sketch_error
-    than uniform p: with A = ||w0||_1 _spread(|w0|, w*) they are
-    (A - ||w*||^2) / s and (d - 1) ||w*||^2 / s, so exactly when A < d ||w*||^2."""
-    w0_abs = np.abs(w0)
-    A = w0_abs.sum() * _spread(w0_abs, w_star)
-    return bool(A < w_star.size * np.sum(w_star**2))
+    than uniform p; both scale as 1/s, so the budget is 1. A zero w0 raises,
+    as in theorem1_bound."""
+    init = _expected_sketch_error(ProbabilityVector(_normalized(np.abs(w0))), w_star, 1)
+    return init < _expected_sketch_error(uniform_probabilities(w_star.size), w_star, 1)
 
 
 def mc_error_over_masks(

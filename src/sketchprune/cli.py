@@ -29,9 +29,8 @@ from pathlib import Path
 import numpy as np
 
 from .bounds import (
-    BoundReport, _mean_and_standard_error, enumerate_exact_error,
-    exact_expected_error, lemma1_exact_error, lemma2_bound, lemma3_bound,
-    mc_error_over_data, mc_error_over_masks,
+    BoundReport, enumerate_exact_error, exact_expected_error, lemma1_exact_error,
+    lemma2_bound, lemma3_bound, mc_error_over_data, mc_error_over_masks,
 )
 from .core import (
     DataMatrix, DivergenceError, RngStream, _check_at_least,
@@ -136,8 +135,8 @@ def _flat_pair_at_ratio(d: int, ratio: float, rng: RngStream):
 def _report_row(run_id: str, rep: BoundReport, d: int = 0, n: int = 0, s: int = 0,
                 distance: float = math.nan) -> ResultRow:
     """A BoundReport checked by its own rule, BoundReport.satisfied, with
-    seed and method left for the command to fill in. A row that aggregates
-    instances of several sizes keeps the size defaults, as _worst_row does."""
+    seed and method left for the command to fill in. A worst-case row, from
+    _worst_row, keeps the size defaults."""
     return ResultRow(
         run_id, 0, d, n, s, "", rep.empirical_error, rep.closed_form_or_bound,
         rep.kind, rep.standard_error, distance, passed=rep.satisfied(),
@@ -227,20 +226,19 @@ def _suite_lemma4(rng: RngStream, trials: int) -> list[ResultRow]:
     w0, w_star = _flat_pair_at_ratio(d, 0.5, rng)
     rows = [_data_row("lemma4/uniform-bound", w0, w_star, s, trials,
                       rng.substream(1), distribution="uniform")]
+    # p0 beats uniform p by exactly (d/s) sum_k (a_k - mean(a))^2, with
+    # a_k = ||X_(k)|| |w_k| (Cauchy-Schwarz), checked on each pair
     uniform = uniform_probabilities(d)
-    tuned, untuned = np.empty((2, 200))
+    gaps = []
     pair_rng = rng.substream(2)
-    for k in range(200):
+    for _ in range(200):
         X = gen_normal_X(d, n, pair_rng)
         w = pair_rng.normal(d) / math.sqrt(d)
-        tuned[k] = exact_expected_error(X, w, optimal_probabilities(X, w), s)
-        untuned[k] = exact_expected_error(X, w, uniform, s)
-    rows.append(ResultRow(
-        "lemma4/p0-beats-uniform", 0, d, n, s, "", float(tuned.mean()),
-        float(untuned.mean()), "upper-bound",
-        _mean_and_standard_error(tuned - untuned)[1], math.nan,
-        passed=bool(tuned.mean() < untuned.mean()),
-    ))
+        gain = (exact_expected_error(X, w, uniform, s)
+                - exact_expected_error(X, w, optimal_probabilities(X, w), s))
+        a = row_norms(X) * np.abs(w)
+        gaps.append(_relative_gap(gain, d * np.sum((a - a.mean()) ** 2) / s))
+    rows.append(_worst_row("lemma4/p0-beats-uniform", gaps, 1e-10))
     return rows
 
 
@@ -249,15 +247,15 @@ def _score_equiv_suite(gen_X, score, run_id: str):
     the optimal p0, worst case over random instances from gen_X."""
 
     def suite(rng: RngStream, trials: int) -> list[ResultRow]:
-        gaps = []
-        for _ in range(trials):
+        gaps = np.empty(trials)
+        for k in range(trials):
             d = int(rng.integers(2, 51))
             n = int(rng.integers(1, 21))
             X = gen_X(d, n, rng)
             w = rng.normal(d)
             via_scores = scores_to_probabilities(score(X, w))
             direct = optimal_probabilities(X, w)
-            gaps.append(_relative_gap(via_scores.values, direct.values))
+            gaps[k] = _relative_gap(via_scores.values, direct.values)
         return [_worst_row(run_id, gaps, 1e-12)]
 
     return suite
@@ -376,7 +374,8 @@ def _gib(size: int) -> str:
 # The bytes of each command's largest arrays, from the size flags named.
 _MEMORY = {
     # the one error per trial that mc_error_over_masks and mc_error_over_data
-    # keep, and the standard error's temporary of as many: 16 bytes a trial;
+    # keep, and the standard error's temporary of as many, or the one gap per
+    # instance of the synflow-equiv and snip-equiv suites: 16 bytes a trial;
     # an absent --trials, each suite's default, is never refused
     "verify": (("trials",), lambda trials: 16 * (trials or 0)),
     # a seed's d x n draw, and the min(d, n)-square matrix that

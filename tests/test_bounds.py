@@ -379,7 +379,8 @@ def test_support_violation_raises_one_message(call):
                                reference=1.0),
     lambda: theorem1_bound(np.zeros(3), np.zeros(3), 2),
     lambda: lemma2_bound(np.zeros(3), 2),
-], ids=["optimal", "scores", "data-mc", "theorem1", "lemma2"])
+    lambda: bounds._init_beats_uniform(np.zeros(3), np.ones(3)),
+], ids=["optimal", "scores", "data-mc", "theorem1", "lemma2", "init-rule"])
 def test_zero_mass_raises_one_message(call):
     # every distribution is normalized by one rule, core._normalized
     with pytest.raises(DegenerateDistributionError,

@@ -13,7 +13,7 @@ from sketchprune.cli import (
     main,
 )
 from sketchprune.bounds import BoundReport, lemma4_uniform_bound, theorem1_bound
-from sketchprune.core import RngStream, row_norms
+from sketchprune.core import DataMatrix, RngStream, row_norms
 from sketchprune.experiments import (
     MASK_METHODS,
     METHODS,
@@ -22,7 +22,7 @@ from sketchprune.experiments import (
     make_dataset,
     train_least_squares,
 )
-from sketchprune.scores import select_randomized, snip_scores_l1
+from sketchprune.scores import select_randomized, snip_scores_l1, synflow_scores
 from sketchprune.sketch import optimal_probabilities, uniform_probabilities
 
 
@@ -165,21 +165,46 @@ class TestVerifyCommand:
             ]
 
     def test_each_row_is_judged_by_its_report(self, tmp_path):
-        # passed is BoundReport.satisfied of the row's own cells, for every
-        # row but lemma4/p0-beats-uniform, which keeps its strict tuned <
-        # untuned rule
+        # passed is BoundReport.satisfied of the row's own cells, for every row
         out = tmp_path / "v.csv"
         assert main(["verify", "--seed", "5", "--out", str(out)]) == 0
         header, *lines = read_lines(out)
         rows = [dict(zip(header.split(","), line.split(","))) for line in lines]
         assert len(rows) == 17
         for row in rows:
-            if row["run_id"] == "lemma4/p0-beats-uniform":
-                continue
             rep = BoundReport(float(row["empirical_error"]),
                               float(row["standard_error"]), float(row["bound"]),
                               row["kind"], 1)
             assert row["passed"] == ("true" if rep.satisfied() else "false")
+
+    def test_p0_gain_is_checked_on_every_pair(self, monkeypatch):
+        # one pair sampled by uniform p gains nothing over uniform p, so its
+        # gap to (d/s) sum_k (a_k - mean(a))^2 is 1, though p0 still leads on
+        # the mean error of the 200 pairs (4.86 against 7.73)
+        calls = []
+
+        def seventh_uniform(X, w):
+            calls.append(None)
+            if len(calls) == 7:
+                return uniform_probabilities(X.d)
+            return optimal_probabilities(X, w)
+
+        monkeypatch.setattr(cli, "optimal_probabilities", seventh_uniform)
+        suite, stream, _ = cli._SUITES["lemma4"]
+        rows = {row.run_id: row for row in suite(RngStream(5, stream), 40)}
+        assert len(calls) == 200
+        assert rows["lemma4/p0-beats-uniform"].passed is False
+
+    def test_equivalence_suites_keep_8_bytes_an_instance(self, traced_peak):
+        # the --trials memory estimate allows 16 bytes a trial
+        suite = cli._score_equiv_suite(
+            lambda d, n, rng: DataMatrix(np.ones((d, n))),
+            lambda X, w: synflow_scores(row_norms(X), w), "probe",
+        )
+        suite(RngStream(1), 500)  # a first call allocates once for the process
+        _, small = traced_peak(suite, RngStream(1), 500)
+        _, large = traced_peak(suite, RngStream(1), 2000)
+        assert large - small <= 16 * 1500
 
     def test_all_suites_listed(self):
         assert set(VERIFY_SUITES) == {
